@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaos import ChaosSum, SecondChaosSpectrum, kappa4_I2
+from .chaos import ChaosSum, as_rank_one, kappa4_I2
 from .errors import NumericalError, ValidationError
-from .kernels import (DenseKernel, RankOneSumKernel, contract, inner, norm,
-                      rank_one_contraction_norm, rank_one_mixed_inner)
+# contract is unused here; bench/tracer.py patches bounds.contract
+from .kernels import (contract, rank_one_contraction_norm,  # noqa: F401
+                      rank_one_mixed_inner)
 from .stationary import CovarianceFunction
 
 __all__ = [
@@ -106,39 +107,6 @@ def checked_sqrt_inner(value: float, context: str = "mixed inner product") -> fl
     return math.sqrt(max(value, 0.0))
 
 
-def _as_rank_one(kernel) -> RankOneSumKernel | None:
-    """Rank-one-sum view of a kernel, if one is available cheaply."""
-    if isinstance(kernel, RankOneSumKernel):
-        return kernel
-    if kernel.order == 1:
-        return RankOneSumKernel(order=1, coeffs=np.array([1.0]),
-                                vectors=kernel.values[None, :])
-    if kernel.order == 2:
-        spec = SecondChaosSpectrum.from_kernel(kernel)
-        return RankOneSumKernel(order=2, coeffs=spec.eigenvalues,
-                                vectors=spec.eigenvectors.T)
-    return None
-
-
-def _self_contraction_norm(kernel, r: int) -> float:
-    if isinstance(kernel, RankOneSumKernel):
-        return rank_one_contraction_norm(kernel, r)
-    out = contract(kernel, kernel, r)
-    return norm(out)
-
-
-def _mixed_inner(fp, fq) -> float:
-    """<f_p (x) f_p, f_q (x)_{q-p} f_q> across representations."""
-    rp, rq = _as_rank_one(fp), _as_rank_one(fq)
-    if rp is not None and rq is not None:
-        return rank_one_mixed_inner(rp, rq)
-    dp = fp if isinstance(fp, DenseKernel) else fp.densify()
-    dq = fq if isinstance(fq, DenseKernel) else fq.densify()
-    left = contract(dp, dp, 0)
-    right = contract(dq, dq, dq.order - dp.order)
-    return inner(left, right)
-
-
 def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundReport:
     """Variable part of the total-variation bound for F / sqrt(E[F^2]).
 
@@ -151,17 +119,15 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
 
     term1 = 0.0
     for p, kernel in F.kernels.items():
-        if p < 2:
-            continue
         for r in range(1, p):
-            term1 = max(term1, _self_contraction_norm(kernel, r))
+            term1 = max(term1, rank_one_contraction_norm(kernel, r))
 
     term2 = 0.0
     if F.delta_dn:
         orders = F.orders
         for i, p in enumerate(orders):
             for q in orders[i + 1:]:
-                value = _mixed_inner(F.kernels[p], F.kernels[q])
+                value = rank_one_mixed_inner(F.kernels[p], F.kernels[q])
                 term2 = max(term2, checked_sqrt_inner(
                     value, f"mixed inner product (orders {p}, {q})"))
 
@@ -182,12 +148,20 @@ def phi(f1, f2) -> float:
             f"phi expects orders (1, 2), got ({f1.order}, {f2.order})")
     if f1.dim != f2.dim:
         raise ValidationError(f"dimension mismatch: {f1.dim} vs {f2.dim}")
-    mixed = _mixed_inner(f1, f2)
+    f1, f2 = as_rank_one(f1), as_rank_one(f2)
+    mixed = rank_one_mixed_inner(f1, f2)
     return math.sqrt(abs(kappa4_I2(f2))) + checked_sqrt_inner(mixed)
 
 
 def _abs_lags(rho: CovarianceFunction, n: int) -> np.ndarray:
     return np.abs(rho.lag_array(n))
+
+
+def _covariance_43(a: np.ndarray) -> float:
+    """(sum_{|k|<n} |rho(k)|^(4/3))^(3/2) from the one-sided lags a = |rho|,
+    using rho(k) = rho(-k)."""
+    two_sided_43 = a[0] ** (4.0 / 3.0) + 2.0 * (a[1:] ** (4.0 / 3.0)).sum()
+    return float(two_sided_43 ** 1.5)
 
 
 def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,
@@ -208,11 +182,10 @@ def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,
     if not variance > 0.0:
         raise ValidationError(f"variance must be positive, got {variance}")
     a = _abs_lags(rho, n)
-    two_sided_43 = a[0] ** (4.0 / 3.0) + 2.0 * (a[1:] ** (4.0 / 3.0)).sum()
-    term1 = two_sided_43 ** 1.5
+    term1 = _covariance_43(a)
     term2 = float((a ** (2 * d)).sum()) * math.sqrt(float((a ** 2).sum()))
     return BoundReport(
-        terms={"covariance_43": float(term1), "rank_cross": float(term2)},
+        terms={"covariance_43": term1, "rank_cross": float(term2)},
         normalization=variance * math.sqrt(n),
         constant_multiplier=constant_multiplier,
     )
@@ -234,11 +207,10 @@ def power_variation_bound(rho: CovarianceFunction, n: int, q: int,
     if not variance > 0.0:
         raise ValidationError(f"variance must be positive, got {variance}")
     a = _abs_lags(rho, n)
-    two_sided_43 = a[0] ** (4.0 / 3.0) + 2.0 * (a[1:] ** (4.0 / 3.0)).sum()
-    term1 = two_sided_43 ** 1.5
+    term1 = _covariance_43(a)
     term2 = float((a ** 2).sum()) ** 1.5
     return BoundReport(
-        terms={"covariance_43": float(term1), "covariance_sq": float(term2)},
+        terms={"covariance_43": term1, "covariance_sq": float(term2)},
         normalization=variance * math.sqrt(n),
         constant_multiplier=constant_multiplier,
     )
@@ -271,26 +243,23 @@ def nz_ratio_diagnostic(rho: CovarianceFunction, n: int, M: int,
             <= C (sum_{|k|<=n} |rho(k)|^(1+1/M))^M
 
     for a sign vector v.  A diagnostic for the unknown constant C, not a
-    pass/fail check.  Cost grows as n**M, so only M in {2, 3} is supported.
+    pass/fail check.
+
+    The weight w(k) = |rho(k)| is even and the box |k_j| <= n is symmetric,
+    so substituting k_j -> v_j k_j shows that v does not change the sum:
+    LHS = sum_s |rho(s)| (w * ... * w)(s), an M-fold convolution of w.
     """
     if M not in (2, 3):
         raise ValidationError(f"M must be 2 or 3, got {M}")
     v = np.asarray(signs, dtype=int)
     if v.shape != (M,) or not np.all(np.abs(v) == 1):
         raise ValidationError(f"signs must be a vector of {M} entries +-1")
-    # |rho| at lags 0..M*n covers every |k . v|
-    table = np.abs(np.array([rho(k) for k in range(M * n + 1)]))
+    # |rho| at lags 0..M*n covers every sum of M lags in [-n, n]
+    table = np.abs(rho.lag_array(M * n + 1))
     w = table[np.abs(np.arange(-n, n + 1))]
-    ks = np.arange(-n, n + 1)
-    if M == 2:
-        dot = np.abs(v[0] * ks[:, None] + v[1] * ks[None, :])
-        lhs = float((w[:, None] * w[None, :] * table[dot]).sum())
-    else:
-        lhs = 0.0
-        base = v[0] * ks[:, None] + v[1] * ks[None, :]
-        ww = w[:, None] * w[None, :]
-        for i3, k3 in enumerate(ks):
-            dot = np.abs(base + v[2] * k3)
-            lhs += float(w[i3] * (ww * table[dot]).sum())
+    conv = w
+    for _ in range(M - 1):
+        conv = np.convolve(conv, w)
+    lhs = float(conv @ table[np.abs(np.arange(-M * n, M * n + 1))])
     rhs = float((w ** (1.0 + 1.0 / M)).sum()) ** M
     return lhs / rhs

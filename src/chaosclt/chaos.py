@@ -1,15 +1,16 @@
 """Finite chaos sums: exact sampling on explicit Gaussian vectors, exact
 second moments through the isometry, and second-chaos cumulants.
 
+Every computation here runs on the rank-one-sum representation.  Dense
+kernels are accepted at the ChaosSum boundary, at orders 1 (one term) and 2
+(the eigen-form of the symmetric matrix), and canonicalized once by
+as_rank_one; a dense kernel of any higher order is rejected.
+
 A chaos element of order p with kernel h, evaluated on a standard Gaussian
 vector z, is computed from the identity "order-p element of a unit rank-one
 kernel = H_p of the projection":
 
     I_p(v^(tensor p))(z) = ||v||**p * H_p(<v, z> / ||v||).
-
-Dense kernels are sampled only at orders 1 (linear form) and 2 (spectral
-decomposition); every higher order must use the rank-one-sum representation,
-which by linearity covers all structured kernels used here.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import numpy as np
 
 from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
-from .kernels import (DenseKernel, RankOneSumKernel, inner, is_symmetric,
+from .kernels import (DenseKernel, RankOneSumKernel, is_symmetric,
                       rank_one_contraction_norm, rank_one_norm_squared)
 from .streams import block_normals, run_blocks
 
 __all__ = [
     "ChaosSum",
     "SecondChaosSpectrum",
+    "as_rank_one",
     "hermite",
     "sample",
     "sample_batch",
@@ -68,34 +70,49 @@ def _require_symmetric_order2(g: DenseKernel) -> None:
         raise ValidationError("order-2 kernel is not symmetric")
 
 
+def as_rank_one(kernel: Kernel) -> RankOneSumKernel:
+    """The rank-one-sum form of a kernel; rank-one sums pass through.
+
+    A dense order-1 kernel f becomes the single term f, and a dense order-2
+    kernel its eigen-form sum_i lambda_i u_i^(tensor 2), which rejects an
+    asymmetric matrix.  Dense kernels of higher order have no cheap
+    rank-one form and raise UnsupportedRepresentationError.
+    """
+    if isinstance(kernel, RankOneSumKernel):
+        return kernel
+    if kernel.order == 1:
+        return RankOneSumKernel(order=1, coeffs=np.array([1.0]),
+                                vectors=kernel.values[None, :])
+    if kernel.order == 2:
+        spec = SecondChaosSpectrum.from_kernel(kernel)
+        return RankOneSumKernel(order=2, coeffs=spec.eigenvalues,
+                                vectors=spec.eigenvectors.T)
+    raise UnsupportedRepresentationError(
+        f"dense kernels are supported only at orders 1 and 2; "
+        f"use a rank-one sum for order {kernel.order}")
+
+
 class ChaosSum:
     """F = sum over orders p of the chaos element with kernel f_p.
 
-    Kernels are indexed by order; dense representations are accepted only at
-    orders 1 and 2.  d and N are the smallest and largest present orders.
+    Kernels are indexed by order and stored in rank-one-sum form (see
+    as_rank_one).  d and N are the smallest and largest present orders.
     """
 
     def __init__(self, kernels: dict[int, Kernel]):
         if not kernels:
             raise ValidationError("a chaos sum needs at least one kernel")
-        dims = set()
+        canonical = {}
         for order, kernel in kernels.items():
             if order != kernel.order:
                 raise ValidationError(
                     f"kernel at key {order} has order {kernel.order}")
-            if isinstance(kernel, DenseKernel):
-                if order > 2:
-                    raise UnsupportedRepresentationError(
-                        f"dense kernels are supported only at orders 1 and 2; "
-                        f"use a rank-one sum for order {order}")
-                if order == 2 and not is_symmetric(kernel):
-                    raise ValidationError("dense order-2 kernel is not symmetric")
-            dims.add(kernel.dim)
+            canonical[order] = as_rank_one(kernel)
+        dims = {kernel.dim for kernel in canonical.values()}
         if len(dims) != 1:
             raise ValidationError(f"kernels disagree on dimension: {sorted(dims)}")
-        self.kernels = dict(sorted(kernels.items()))
+        self.kernels = dict(sorted(canonical.items()))
         self.dim = dims.pop()
-        self._spectra: dict[int, SecondChaosSpectrum] = {}
 
     @property
     def orders(self) -> list[int]:
@@ -114,38 +131,26 @@ class ChaosSum:
         """0 for a single chaos, 1 for a genuine sum."""
         return 0 if self.d == self.N else 1
 
-    def spectrum(self, order: int) -> SecondChaosSpectrum:
-        if order not in self._spectra:
-            kernel = self.kernels[order]
-            if not isinstance(kernel, DenseKernel):
-                raise ValidationError("spectrum is cached for dense kernels only")
-            self._spectra[order] = SecondChaosSpectrum.from_kernel(kernel)
-        return self._spectra[order]
 
-
-def _eval_block(F: ChaosSum, Z: np.ndarray) -> np.ndarray:
-    """Evaluate F on each row of Z (rows are independent Gaussian vectors)."""
-    out = np.zeros(Z.shape[0])
+def _unit_terms(F: ChaosSum) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per order: (dim x live terms) unit directions and the weights
+    coeffs * ||v||**order.  Zero vectors contribute nothing and are dropped."""
+    out = []
     for order, kernel in F.kernels.items():
-        if isinstance(kernel, DenseKernel):
-            if order == 1:
-                out += Z @ kernel.values
-            elif order == 2:
-                sd = F.spectrum(2)
-                proj = Z @ sd.eigenvectors
-                out += (proj ** 2 - 1.0) @ sd.eigenvalues
-            else:
-                raise UnsupportedRepresentationError(
-                    f"cannot sample a dense kernel of order {order}")
-        else:
-            norms = np.linalg.norm(kernel.vectors, axis=1)
-            live = norms > 0.0
-            if not live.any():
-                continue
-            nrm = norms[live]
-            proj = (Z @ kernel.vectors[live].T) / nrm
-            weights = kernel.coeffs[live] * nrm ** order
-            out += hermite(order, proj) @ weights
+        norms = np.linalg.norm(kernel.vectors, axis=1)
+        live = norms > 0.0
+        nrm = norms[live]
+        directions = np.ascontiguousarray((kernel.vectors[live] / nrm[:, None]).T)
+        out.append((order, directions, kernel.coeffs[live] * nrm ** order))
+    return out
+
+
+def _eval_block(terms, Z: np.ndarray) -> np.ndarray:
+    """Evaluate the chaos sum given by _unit_terms on each row of Z (rows
+    are independent Gaussian vectors)."""
+    out = np.zeros(Z.shape[0])
+    for order, directions, weights in terms:
+        out += hermite(order, Z @ directions) @ weights
     return out
 
 
@@ -154,7 +159,7 @@ def sample(F: ChaosSum, z: np.ndarray) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (F.dim,):
         raise ValidationError(f"expected a vector of length {F.dim}, got {z.shape}")
-    return float(_eval_block(F, z[None, :])[0])
+    return float(_eval_block(_unit_terms(F), z[None, :])[0])
 
 
 def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
@@ -163,37 +168,30 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
     out = np.empty(M)
+    terms = _unit_terms(F)
 
     def worker(block, start, count):
         Z = block_normals(seed, stream, block, count, F.dim)
-        out[start:start + count] = _eval_block(F, Z)
+        out[start:start + count] = _eval_block(terms, Z)
 
     run_blocks(M, worker, threads=threads)
     return out
 
 
-def _kernel_norm_squared(kernel: Kernel) -> float:
-    if isinstance(kernel, DenseKernel):
-        return inner(kernel, kernel)
-    return rank_one_norm_squared(kernel)
-
-
 def second_moment(F: ChaosSum) -> float:
     """E[F**2] = sum_p p! ||f_p||**2 (isometry; orders are orthogonal)."""
-    return sum(math.factorial(p) * _kernel_norm_squared(k)
+    return sum(math.factorial(p) * rank_one_norm_squared(k)
                for p, k in F.kernels.items())
 
 
 def _eigenvalue_power_sums(g: Kernel) -> tuple[float, float]:
     """(sum lambda^3, sum lambda^4) of an order-2 kernel.
 
-    For a rank-one sum the nonzero spectrum of sum_i a_i v_i v_i^T equals
-    the spectrum of diag(a) G, so power sums reduce to traces of its powers
-    in the (terms x terms) space.
+    The nonzero spectrum of sum_i a_i v_i v_i^T equals the spectrum of
+    diag(a) G, so power sums reduce to traces of its powers in the
+    (terms x terms) space.
     """
-    if isinstance(g, DenseKernel):
-        w = SecondChaosSpectrum.from_kernel(g).eigenvalues
-        return float((w ** 3).sum()), float((w ** 4).sum())
+    g = as_rank_one(g)
     if g.order != 2:
         raise ValidationError(f"expected an order-2 kernel, got order {g.order}")
     P = g.coeffs[:, None] * g.gram

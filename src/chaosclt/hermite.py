@@ -18,19 +18,30 @@ MAX_MONOMIAL_ORDER = 32
 
 
 def hermite(q: int, x):
-    """H_q(x) via the recurrence H_{q+1}(x) = x H_q(x) - q H_{q-1}(x).
+    """H_q(x) via the recurrence H_{k+1}(x) = x H_k(x) - k H_{k-1}(x).
 
-    Accepts scalars or arrays; returns the same shape.
+    Accepts scalars or arrays; returns the same shape in a new array, and
+    leaves x unmodified.  The recurrence updates three buffers in place, so
+    no step allocates.
     """
     if q < 0:
         raise ValidationError(f"Hermite order must be nonnegative, got {q}")
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
     if q == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, q):
-        h_prev, h = h, x * h - k * h_prev
+        h = np.ones_like(x)
+    elif q == 1:
+        h = x.copy()
+    else:
+        h = x.copy()
+        h *= x
+        h -= 1.0
+        if q > 2:
+            h_prev, buf = x.copy(), np.empty_like(x)
+            for k in range(2, q):
+                np.multiply(x, h, out=buf)
+                h_prev *= k
+                buf -= h_prev
+                h_prev, h, buf = h, buf, h_prev
     return h if h.ndim else float(h)
 
 

@@ -3,8 +3,10 @@
 Two representations coexist:
 
 * DenseKernel stores all n**p entries and supports the full calculus
-  (symmetrize, contract, inner).  It exists mainly as the oracle for the
-  structured representation, so storage is deliberately naive and guarded.
+  (symmetrize, contract, inner).  It serves as the oracle that the closed
+  forms are tested against and as a JSON input format (chaos.ChaosSum
+  converts dense inputs to rank-one sums once), so storage is deliberately
+  naive and guarded.
 * RankOneSumKernel represents sum_i a_i v_i^(tensor p) and evaluates norms,
   self-contraction norms, and mixed inner products in closed form through
   the Gram matrix of its vectors, without ever materializing n**p entries.

@@ -343,6 +343,23 @@ class TestNzDiagnostic:
         assert nz_ratio_diagnostic(cov, n, 3, signs) == pytest.approx(
             lhs / rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("signs", [[1, 1], [1, -1], [-1, 1], [-1, -1]])
+    def test_two_fold_brute_force(self, n, signs):
+        cov = CovarianceFunction.fgn(0.7)
+        lhs = sum(abs(cov(signs[0] * k1 + signs[1] * k2))
+                  * abs(cov(k1)) * abs(cov(k2))
+                  for k1 in range(-n, n + 1) for k2 in range(-n, n + 1))
+        rhs = sum(abs(cov(k)) ** 1.5 for k in range(-n, n + 1)) ** 2
+        assert nz_ratio_diagnostic(cov, n, 2, signs) == pytest.approx(
+            lhs / rhs, rel=1e-12)
+
+    def test_three_fold_sign_vectors_agree(self):
+        cov = CovarianceFunction.fgn(0.7)
+        ratios = [nz_ratio_diagnostic(cov, 32, 3, [s1, s2, s3])
+                  for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+        assert ratios == pytest.approx([ratios[0]] * 8, rel=1e-12)
+
     def test_m_validation(self):
         cov = CovarianceFunction.iid()
         with pytest.raises(ValidationError):

@@ -46,6 +46,14 @@ class TestHermite:
         out = hermite(3, np.zeros((2, 5)))
         assert out.shape == (2, 5)
 
+    @pytest.mark.parametrize("q", range(9))
+    def test_input_untouched_and_not_aliased(self, q):
+        x = np.linspace(-2, 2, 12).reshape(3, 4)
+        before = x.copy()
+        out = hermite(q, x)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
 
 class TestChaosSumConstruction:
     def test_requires_a_kernel(self):
@@ -72,6 +80,15 @@ class TestChaosSumConstruction:
         with pytest.raises(ValidationError, match="dimension"):
             ChaosSum({1: DenseKernel(basis(2, 0)),
                       2: DenseKernel(np.eye(3))})
+
+    def test_dense_kernels_stored_as_rank_one_sums(self):
+        rng = np.random.default_rng(4)
+        f = rng.normal(size=3)
+        g = random_symmetric_order2(rng, 3)
+        F = ChaosSum({1: DenseKernel(f), 2: g})
+        assert all(isinstance(k, RankOneSumKernel) for k in F.kernels.values())
+        assert np.allclose(F.kernels[1].densify().values, f, atol=1e-12)
+        assert np.allclose(F.kernels[2].densify().values, g.values, atol=1e-12)
 
     def test_order_key_must_match_kernel(self):
         with pytest.raises(ValidationError):

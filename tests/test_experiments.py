@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chaosclt.chaos import SecondChaosSpectrum
 from chaosclt.cli import main
 from chaosclt.errors import ValidationError
 from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
@@ -93,6 +94,27 @@ class TestBoundExperiment:
         cfg = BoundConfig(inputs=[{"kernels": [f1, f2]}])
         _, docs = run_bound_report(cfg)
         assert docs[0]["phi"] == pytest.approx(math.sqrt(48.0), rel=1e-12)
+
+    def test_dense_second_kernel_decomposed_once(self, monkeypatch):
+        # the chaos-sum bound, phi and kappa_4 all reuse the eigen-form that
+        # ChaosSum builds at its boundary
+        calls = []
+        original = SecondChaosSpectrum.from_kernel.__func__
+
+        def counting(cls, g):
+            calls.append(g)
+            return original(cls, g)
+
+        monkeypatch.setattr(SecondChaosSpectrum, "from_kernel",
+                            classmethod(counting))
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6))
+        cfg = BoundConfig(inputs=[{"kernels": [
+            kernel_to_json(DenseKernel(rng.normal(size=6))),
+            kernel_to_json(DenseKernel((a + a.T) / 2.0))]}])
+        _, docs = run_bound_report(cfg)
+        assert "phi" in docs[0]
+        assert len(calls) == 1
 
     def test_parse_diagnostics_carry_position(self):
         cfg = BoundConfig(inputs=[{"kernels": [{"representation": "dense",
