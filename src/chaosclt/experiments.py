@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -28,7 +29,7 @@ from .ratio import Perturbations, make_synthetic_family, ratio_bound, \
     sample_ratio_batch
 from .stationary import CovarianceFunction, PathSampler, \
     exact_variance_power_variation, power_variation_mean
-from .streams import run_blocks
+from .streams import KEY_LIMIT, STREAM_PROTOCOL, run_blocks
 
 __all__ = [
     "ResultTable",
@@ -82,6 +83,42 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _integer(value, name: str, minimum: int, limit: int | None = None) -> int:
+    """value as an int in [minimum, limit), else a ValidationError naming
+    the field; integral floats (JSON 1e5) are accepted, booleans are not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum or (limit is not None and value >= limit):
+        upper = "" if limit is None else f" and below {limit}"
+        raise ValidationError(
+            f"{name} must be >= {minimum}{upper}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """value as a finite float, else a ValidationError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _grid(values, name: str, convert, **limits) -> list:
+    """A nonempty list of converted entries, each located by index."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValidationError(f"{name} must be a nonempty list, got {values!r}")
+    return [convert(v, f"{name}[{i}]", **limits) for i, v in enumerate(values)]
+
+
+def _seed(value) -> int:
+    # the seed is one 64-bit word of the Philox key
+    return _integer(value, "seed", 0, KEY_LIMIT)
+
+
 def _config_from_dict(cls, data: dict, where: str):
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
@@ -89,7 +126,7 @@ def _config_from_dict(cls, data: dict, where: str):
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
     try:
         return cls(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
@@ -109,14 +146,14 @@ class RatesConfig:
     out: str = "results"
 
     def __post_init__(self):
-        _require(bool(self.n_grid), "n_grid must be nonempty")
-        _require(all(int(n) >= 1 for n in self.n_grid), "grid sizes must be >= 1")
-        _require(self.replicas >= 100, "replicas must be >= 100")
-        _require(self.seed is not None and int(self.seed) >= 0,
-                 "a nonnegative seed is mandatory")
+        self.n_grid = _grid(self.n_grid, "n_grid", _integer, minimum=1)
+        self.replicas = _integer(self.replicas, "replicas", 100)
+        self.seed = _seed(self.seed)
+        self.q = _integer(self.q, "q", 2)
+        self.threads = _integer(self.threads, "threads", 1)
+        self.hurst = _real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 0.75,
                  f"rate experiment requires 0 < H < 3/4, got {self.hurst}")
-        self.n_grid = [int(n) for n in self.n_grid]
 
     @classmethod
     def from_dict(cls, data: dict) -> "RatesConfig":
@@ -171,6 +208,7 @@ def run_rates(config: RatesConfig) -> ResultTable:
     metadata = {
         "experiment": "rates",
         "version": __version__,
+        "stream_protocol": STREAM_PROTOCOL,
         "config": asdict(config),
         "fitted_slope": None if fit is None else fit.slope,
         "fitted_intercept": None if fit is None else fit.intercept,
@@ -193,6 +231,8 @@ class BoundConfig:
 
     def __post_init__(self):
         _require(bool(self.inputs), "bound config needs at least one input")
+        self.constant_multiplier = _real(self.constant_multiplier,
+                                         "constant_multiplier")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundConfig":
@@ -266,11 +306,13 @@ class RatioConfig:
     out: str = "results"
 
     def __post_init__(self):
-        _require(bool(self.lambda_grid), "lambda_grid must be nonempty")
-        _require(self.replicas >= 100, "replicas must be >= 100")
-        _require(self.seed is not None and int(self.seed) >= 0,
-                 "a nonnegative seed is mandatory")
-        self.lambda_grid = [float(x) for x in self.lambda_grid]
+        self.lambda_grid = _grid(self.lambda_grid, "lambda_grid", _real)
+        self.replicas = _integer(self.replicas, "replicas", 100)
+        self.seed = _seed(self.seed)
+        self.threads = _integer(self.threads, "threads", 1)
+        self.rho = _real(self.rho, "rho")
+        self.sigma1 = _real(self.sigma1, "sigma1")
+        self.sigma2 = _real(self.sigma2, "sigma2")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RatioConfig":
@@ -323,6 +365,7 @@ def run_ratio(config: RatioConfig) -> ResultTable:
     metadata = {
         "experiment": "ratio",
         "version": __version__,
+        "stream_protocol": STREAM_PROTOCOL,
         "config": asdict(config),
         "sigma_sq": config.sigma1 ** 2 + config.sigma2 ** 2,
         "monotone_within_tolerance": monotone,
@@ -345,11 +388,12 @@ class NzConfig:
     out: str = "results"
 
     def __post_init__(self):
-        _require(bool(self.n_grid), "n_grid must be nonempty")
-        _require(self.seed is not None and int(self.seed) >= 0,
-                 "a nonnegative seed is mandatory")
+        self.n_grid = _grid(self.n_grid, "n_grid", _integer, minimum=1)
+        self.seed = _seed(self.seed)
+        self.m = _integer(self.m, "m", 2)
+        self.signs = _grid(self.signs, "signs", _integer, minimum=-1)
+        self.hurst = _real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 1.0, "hurst must lie in (0, 1)")
-        self.n_grid = [int(n) for n in self.n_grid]
 
     @classmethod
     def from_dict(cls, data: dict) -> "NzConfig":

@@ -12,19 +12,28 @@ Kolmogorov bound is available in closed form:
 
 Requiring sigma1 < rho * sqrt(2) keeps the denominator almost surely
 positive: the infimum of V is -sigma1 * sqrt(m/2) > -rho * sqrt(lambda).
+
+Sampling goes through sufficient statistics.  V = a (||Z[:m]||^2 - m)
+depends on V's m coordinates only through the squared norm, and F, S and U
+read one coordinate each (F also reads Z_0 when f_overlap > 0).  The ratio
+is therefore a function of (||Z[:m]||^2, Z_0, Z_F, Z_S, Z_U), and since
+||Z[:m]||^2 = Z_0^2 + W with W ~ chi-square(m - 1) independent of Z_0, a
+replica costs four normals and one chi-square draw instead of m + 3
+normals.  This is exact in law, not an approximation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bounds import BoundReport
 from .errors import ValidationError
 from .kernels import DenseKernel, RankOneSumKernel
-from .streams import block_normals, run_blocks
+from .streams import block_chisquare, block_normals, run_blocks
 
 __all__ = [
     "Perturbations",
@@ -59,6 +68,12 @@ class Perturbations:
     f_overlap: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValidationError(
+                    f"{f.name} must be a finite number, got {value!r}")
         if self.s_norm < 0.0 or self.u_norm < 0.0:
             raise ValidationError("perturbation norms must be nonnegative")
         if not 0.0 <= self.f_overlap < 1.0:
@@ -165,17 +180,17 @@ def make_synthetic_family(rho_const: float, sigma1: float, sigma2: float,
                        perturbations=perturbations or Perturbations())
 
 
-def _ratio_from_z(fam: RatioFamily, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, rejected) for each row of Z."""
-    m = fam.m
+def _ratio_from_stats(fam: RatioFamily, sq, z0, zf, zs,
+                      zu) -> tuple[np.ndarray, np.ndarray]:
+    """(values, rejected) from the sufficient statistics of each replica:
+    sq = ||Z[:m]||^2 and the coordinates Z_0, Z_F, Z_S, Z_U."""
     pert = fam.perturbations
     sqrt_lam = math.sqrt(fam.lam)
-    a = fam.g_eigenvalue
-    V = a * ((Z[:, :m] ** 2).sum(axis=1) - m)
+    V = fam.g_eigenvalue * (sq - fam.m)
     ov = pert.f_overlap
-    F = fam.sigma2 * (math.sqrt(1.0 - ov * ov) * Z[:, m] + ov * Z[:, 0])
-    S = pert.s_norm * Z[:, m + 1]
-    U = pert.u_norm * Z[:, m + 2]
+    F = fam.sigma2 * (math.sqrt(1.0 - ov * ov) * zf + ov * z0)
+    S = pert.s_norm * zs
+    U = pert.u_norm * zu
     centered_g = V + S / sqrt_lam
     numerator = centered_g + F + (U + pert.mu) / sqrt_lam
     denominator = (fam.mean_g + centered_g) / (fam.rho_const * sqrt_lam)
@@ -190,22 +205,34 @@ def sample_ratio(fam: RatioFamily, z: np.ndarray) -> RatioSample:
     z = np.asarray(z, dtype=float)
     if z.shape != (fam.dim,):
         raise ValidationError(f"expected a vector of length {fam.dim}, got {z.shape}")
-    values, rejected = _ratio_from_z(fam, z[None, :])
-    return RatioSample(value=float(values[0]), rejected=bool(rejected[0]))
+    m = fam.m
+    values, rejected = _ratio_from_stats(fam, np.dot(z[:m], z[:m]), z[0],
+                                         z[m], z[m + 1], z[m + 2])
+    return RatioSample(value=float(values), rejected=bool(rejected))
 
 
 def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, threads: int = 1,
                        stream: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(values, rejected) over M replicas; deterministic in (seed, stream)."""
+    """(values, rejected) over M replicas; deterministic in (seed, stream).
+
+    Replica r is drawn from its sufficient statistics: row r of a (count, 4)
+    block_normals draw gives Z_0, Z_F, Z_S, Z_U, and entry r of the block's
+    chi-square(m - 1) draw gives W, so ||Z[:m]||^2 = Z_0^2 + W (W = 0 when
+    m = 1).  Replica r depends only on (seed, stream, r): the output is the
+    same for every thread count, and the first k replicas do not depend on M.
+    """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
     values = np.empty(M)
     rejected = np.empty(M, dtype=bool)
 
     def worker(block, start, count):
-        Z = block_normals(seed, stream, block, count, fam.dim)
+        z0, zf, zs, zu = block_normals(seed, stream, block, count, 4).T
+        sq = z0 * z0
+        if fam.m > 1:
+            sq += block_chisquare(seed, stream, block, count, fam.m - 1)
         values[start:start + count], rejected[start:start + count] = \
-            _ratio_from_z(fam, Z)
+            _ratio_from_stats(fam, sq, z0, zf, zs, zu)
 
     run_blocks(M, worker, threads=threads)
     return values, rejected

@@ -9,6 +9,22 @@ r % BLOCK_SIZE of a single vectorized draw.  Two consequences:
 * parallel workers that process whole blocks produce output identical to
   a serial run, because no stream is ever shared across blocks.
 
+Layout of stream protocol 2 (STREAM_PROTOCOL).  The Philox key is
+(seed, stream), both in [0, 2**64).  Block b owns the counter range
+[b * 2**96, (b + 1) * 2**96), split into two substreams:
+
+* substream 0 at counter b * 2**96 holds the block's standard normals
+  (block_normals), drawn row-major as one (count, width) matrix;
+* substream 1 at counter b * 2**96 + 2**95 holds the block's auxiliary
+  variates (block_chisquare), one per row.
+
+Each substream is consumed in row order, so the first k rows of a block
+are the same whatever its row count, and the two substreams never
+overlap, so the normals do not depend on how many uniforms the auxiliary
+draws consume.  Protocol 1 had substream 0 only; protocol 2 added
+substream 1 for the ratio family's chi-square draws, so seeded ratio
+outputs differ between the two while every other stream is unchanged.
+
 BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 """
 
@@ -20,21 +36,34 @@ import numpy as np
 
 from .errors import ValidationError
 
+STREAM_PROTOCOL = 2
+
 BLOCK_SIZE = 1024
 
-# Philox has a 256-bit counter; spacing blocks 2**96 counter steps apart
-# leaves each block ~5e38 draws, far beyond any realistic consumption.
+# Philox has a 256-bit counter; spacing blocks 2**96 counter steps apart and
+# starting the auxiliary substream halfway leaves each substream 2**95 steps
+# of four 64-bit words, far beyond any realistic consumption.
 _BLOCK_STRIDE_BITS = 96
+_SUBSTREAM_BITS = 95
+
+# seed and stream are the two 64-bit words of the Philox key
+KEY_LIMIT = 1 << 64
 
 
-def block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
-    """Generator for one replica block of the (seed, stream) Philox stream."""
+def block_generator(seed: int, stream: int, block: int,
+                    substream: int = 0) -> np.random.Generator:
+    """Generator for one substream (0 or 1) of one replica block of the
+    (seed, stream) Philox stream."""
     if seed < 0 or stream < 0 or block < 0:
         raise ValidationError("seed, stream and block must be nonnegative")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    bg = np.random.Philox(key=key)
-    bg.advance(block << _BLOCK_STRIDE_BITS)
+    if seed >= KEY_LIMIT or stream >= KEY_LIMIT:
+        raise ValidationError(
+            f"seed and stream must be below 2**64, got seed={seed}, "
+            f"stream={stream}")
+    if substream not in (0, 1):
+        raise ValidationError(f"substream must be 0 or 1, got {substream}")
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bg.advance((block << _BLOCK_STRIDE_BITS) + (substream << _SUBSTREAM_BITS))
     return np.random.Generator(bg)
 
 
@@ -47,6 +76,18 @@ def block_normals(seed: int, stream: int, block: int, count: int,
     are consistent with full ones.
     """
     return block_generator(seed, stream, block).standard_normal((count, width))
+
+
+def block_chisquare(seed: int, stream: int, block: int, count: int,
+                    df: float) -> np.ndarray:
+    """Draw count chi-square(df) variates for one block, df > 0.
+
+    They come from the block's auxiliary substream, so they are independent
+    of block_normals for the same block; entry i belongs to replica
+    block * BLOCK_SIZE + i, and the first k entries do not depend on count.
+    """
+    return block_generator(seed, stream, block, substream=1).chisquare(
+        df, size=count)
 
 
 def replica_blocks(n_replicas: int):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
-as they complete.  The two Monte Carlo heavy criteria (rate reproduction and
-the ratio sweep) take a few minutes combined.
+as they complete.  The Monte Carlo heavy criterion, rate reproduction, takes
+about a minute.
 """
 
 import math

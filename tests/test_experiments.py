@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
                                   RatioConfig, run_bound_report,
                                   run_nz_diagnostics, run_rates, run_ratio)
 from chaosclt.kernels import kernel_to_json, DenseKernel, RankOneSumKernel
+from chaosclt.streams import STREAM_PROTOCOL
 
 
 def eigenvalue_sum_json(m):
@@ -246,6 +248,76 @@ class TestCli:
         assert "line" in err
         bad_cfg = self._write(tmp_path / "cfg.json", {"hurst": 0.5})
         assert main(["rates", "--config", bad_cfg]) == 1
+
+    @pytest.mark.parametrize("command, payload, field", [
+        pytest.param("rates", {"n_grid": "abc"}, "n_grid", id="rates-grid"),
+        pytest.param("rates", {"n_grid": [64, "abc"]}, r"n_grid\[1\]",
+                     id="rates-grid-entry"),
+        pytest.param("rates", {"replicas": 100.5}, "replicas",
+                     id="rates-replicas"),
+        pytest.param("rates", {"threads": 0}, "threads", id="rates-threads"),
+        pytest.param("rates", {"seed": 2 ** 64 + 1}, "seed", id="rates-seed"),
+        pytest.param("rates", {"hurst": "0.5"}, "hurst", id="rates-hurst"),
+        pytest.param("ratio", {"lambda_grid": [1.0, "x"]},
+                     r"lambda_grid\[1\]", id="ratio-grid-entry"),
+        pytest.param("ratio", {"replicas": "many"}, "replicas",
+                     id="ratio-replicas"),
+        pytest.param("ratio", {"threads": 0}, "threads", id="ratio-threads"),
+        pytest.param("ratio", {"seed": 2 ** 64}, "seed", id="ratio-seed"),
+        pytest.param("ratio", {"sigma2": None}, "sigma2", id="ratio-sigma2"),
+        pytest.param("ratio", {"perturbations": {"mu": "big"}}, "mu",
+                     id="ratio-perturbation"),
+        pytest.param("diagnose-nz", {"n_grid": ["abc"]}, r"n_grid\[0\]",
+                     id="nz-grid-entry"),
+        pytest.param("diagnose-nz", {"signs": "ab"}, "signs", id="nz-signs"),
+        pytest.param("bound", {"constant_multiplier": "x"},
+                     "constant_multiplier", id="bound-multiplier"),
+    ])
+    def test_config_type_errors_exit_one(self, tmp_path, capsys, command,
+                                         payload, field):
+        base = {
+            "rates": {"hurst": 0.5, "n_grid": [32], "replicas": 1000,
+                      "seed": 5},
+            "ratio": {"lambda_grid": [4.0], "replicas": 1000, "seed": 5},
+            "diagnose-nz": {"hurst": 0.7, "n_grid": [16], "seed": 0},
+            "bound": {"inputs": [{"kernels": [eigenvalue_sum_json(2)]}]},
+        }[command]
+        cfg = self._write(tmp_path / "cfg.json", {**base, **payload})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(field, err)
+        assert "Traceback" not in err
+
+    def test_threads_flag_zero_exits_one(self, tmp_path, capsys):
+        cfg = self._write(tmp_path / "ratio.json", {
+            "lambda_grid": [4.0], "replicas": 1000, "seed": 2,
+        })
+        assert main(["ratio", "--config", cfg, "--threads", "0",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "threads" in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self):
+        cfg = RatioConfig.from_dict({"lambda_grid": [4], "replicas": 1e3,
+                                     "seed": 5.0})
+        assert cfg.replicas == 1000 and isinstance(cfg.replicas, int)
+        assert cfg.seed == 5 and cfg.lambda_grid == [4.0]
+
+    def test_summaries_record_stream_protocol(self, tmp_path):
+        rates = self._write(tmp_path / "rates.json", {
+            "hurst": 0.5, "n_grid": [32], "replicas": 1000, "seed": 5,
+        })
+        ratio = self._write(tmp_path / "ratio.json", {
+            "lambda_grid": [4.0], "replicas": 1000, "seed": 5,
+        })
+        assert main(["rates", "--config", rates,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["ratio", "--config", ratio,
+                     "--out", str(tmp_path / "out")]) == 0
+        for name in ("rates_summary.json", "ratio_summary.json"):
+            summary = json.loads((tmp_path / "out" / name).read_text())
+            assert summary["stream_protocol"] == STREAM_PROTOCOL == 2
 
     def test_numerical_failures_exit_two(self, tmp_path, monkeypatch):
         from chaosclt import cli

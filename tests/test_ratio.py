@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from chaosclt.bounds import phi
 from chaosclt.chaos import kappa4_I2, second_moment, ChaosSum
@@ -191,3 +192,74 @@ class TestEmpiricalConvergence:
         tol = 2.0 / math.sqrt(M)
         assert ds[1] <= ds[0] + tol
         assert ds[2] <= ds[1] + tol
+
+
+class TestSufficientStatisticSampler:
+    """The batch path draws (Z_0, Z_F, Z_S, Z_U) and a chi-square(m - 1)
+    variate per replica instead of the full Gaussian vector."""
+
+    @pytest.mark.parametrize("lam", [1.0, 4.0, 37.5, 1e4])
+    def test_matches_exact_chi_square_law(self, lam):
+        # with sigma2 = 0 and no perturbations Q = V / (1 + V / (rho
+        # sqrt(lam))) is increasing in V = a (chi2_m - m), so its CDF is a
+        # chi-square CDF; DKW bounds the ECDF distance at level alpha
+        M, alpha = 200_000, 1e-9
+        fam = make_synthetic_family(1.0, 1.0, 0.0, lam)
+        values, rejected = sample_ratio_batch(fam, M, seed=17, threads=2)
+        assert not rejected.any()
+        c = fam.rho_const * math.sqrt(lam)
+        x = np.sort(values)
+        assert x[-1] < c
+        v = x * c / (c - x)
+        cdf = stats.chi2.cdf(fam.m + v / fam.g_eigenvalue, fam.m)
+        ranks = np.arange(1, M + 1) / M
+        distance = max((ranks - cdf).max(), (cdf - ranks + 1.0 / M).max())
+        assert distance <= math.sqrt(math.log(2.0 / alpha) / (2.0 * M))
+
+    def test_batch_law_matches_explicit_vectors(self):
+        # small m and a large overlap, so that F's dependence on the Z_0
+        # inside ||Z[:m]||^2 shows; s_norm makes some denominators
+        # nonpositive, and rejected replicas enter both samples as +inf
+        pert = Perturbations(s_norm=0.5, u_norm=0.7, mu=0.3, f_overlap=0.9)
+        fam = default_family(2.0, perturbations=pert)
+        N = 40_000
+        Z = np.random.default_rng(2024).standard_normal((N, fam.dim))
+        explicit = np.array([np.inf if out.rejected else out.value
+                             for out in (sample_ratio(fam, z) for z in Z)])
+        values, rejected = sample_ratio_batch(fam, N, seed=8)
+        batch = np.where(rejected, np.inf, values)
+        assert 0 < rejected.sum() < N // 10
+        assert stats.ks_2samp(explicit, batch).pvalue > 1e-6
+
+    def test_prefix_does_not_depend_on_replica_count(self):
+        fam = default_family(37.5, perturbations=Perturbations(f_overlap=0.3))
+        full, full_rej = sample_ratio_batch(fam, 3000, seed=4, threads=2)
+        for k in (100, 1500):
+            part, part_rej = sample_ratio_batch(fam, k, seed=4)
+            assert np.array_equal(part, full[:k])
+            assert np.array_equal(part_rej, full_rej[:k])
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_thread_invariant(self, threads):
+        fam = default_family(1e4)
+        a, _ = sample_ratio_batch(fam, 5000, seed=21, stream=3)
+        b, _ = sample_ratio_batch(fam, 5000, seed=21, stream=3,
+                                  threads=threads)
+        assert np.array_equal(a, b)
+
+    def test_explicit_vector_reduced_to_statistics(self):
+        # ||z[:m]||^2 = m + v / a fixes V exactly; F reads z_0 and z_m
+        pert = Perturbations(f_overlap=0.6)
+        fam = make_synthetic_family(1.0, 1.0, 0.5, 3.0, perturbations=pert)
+        z = np.array([1.0, 2.0, -1.0, 0.5, 0.0, 0.0])
+        V = fam.g_eigenvalue * (6.0 - 3.0)
+        F = 0.5 * (0.8 * 0.5 + 0.6 * 1.0)
+        c = math.sqrt(3.0)
+        out = sample_ratio(fam, z)
+        assert out.value == pytest.approx((V + F) / (1.0 + V / c), rel=1e-12)
+
+    def test_non_finite_perturbations_rejected(self):
+        with pytest.raises(ValidationError, match="mu"):
+            Perturbations(mu=float("nan"))
+        with pytest.raises(ValidationError, match="u_norm"):
+            Perturbations(u_norm="0.5")
