@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSum, as_rank_one, kappa4_I2
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 # contract is unused here; bench/tracer.py patches bounds.contract
-from .kernels import (contract, rank_one_contraction_norm,  # noqa: F401
+from .kernels import (MIXED_INNER_TOL, checked_sqrt_inner,  # noqa: F401
+                      contract, rank_one_contraction_norm,
                       rank_one_mixed_inner)
 from .stationary import CovarianceFunction
 
@@ -35,11 +36,6 @@ __all__ = [
     "fgn_rate",
     "nz_ratio_diagnostic",
 ]
-
-# Mixed inner products are provably nonnegative (they equal a squared
-# contraction norm); float noise above this magnitude is treated as data
-# corruption rather than silently absolute-valued.
-MIXED_INNER_TOL = 1e-10
 
 
 @dataclass
@@ -93,18 +89,6 @@ class RatePrediction:
 
     exponent: float
     log_power: float = 0.0
-
-
-def checked_sqrt_inner(value: float, context: str = "mixed inner product") -> float:
-    """sqrt of a theoretically nonnegative inner product.
-
-    Values in (-MIXED_INNER_TOL, 0) are floating-point noise and clamp to 0;
-    anything lower indicates corrupted inputs and raises.
-    """
-    if value < -MIXED_INNER_TOL:
-        raise NumericalError(
-            f"{context} is negative beyond tolerance: {value:.6g}")
-    return math.sqrt(max(value, 0.0))
 
 
 def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundReport:

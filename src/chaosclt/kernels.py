@@ -11,10 +11,12 @@ Two representations coexist:
   self-contraction norms, and mixed inner products in closed form through
   the Gram matrix of its vectors, without ever materializing n**p entries.
 
-The ambient Hilbert space is always R^n with the Euclidean inner product;
-correlated sequences enter through explicit vectors obtained from a square
-root of their covariance matrix (see breuer_major_kernels), so every
-contraction below is a plain Euclidean sum.
+The ambient Hilbert space is always R^n with the Euclidean inner product,
+so every contraction below is a plain Euclidean sum.  A rank-one sum is
+built either from explicit vectors or from their Gram matrix alone; the
+Breuer-Major kernels of a correlated sequence are built from its
+correlation matrix, and their vectors (a square root of it) are computed
+only if something reads them, such as sampling or serialization.
 """
 
 from __future__ import annotations
@@ -24,15 +26,19 @@ import math
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz, toeplitz
+from scipy.linalg import toeplitz
 
-from .errors import ValidationError
-from .stationary import EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs
+from .errors import NumericalError, ValidationError
+from .stationary import (EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs,
+                         circulant_embedding_eigenvalues)
 
 __all__ = [
     "DenseKernel",
     "RankOneSumKernel",
+    "Gram",
     "DENSE_ENTRY_GUARD",
+    "MIXED_INNER_TOL",
+    "checked_sqrt_inner",
     "symmetrize",
     "contract",
     "inner",
@@ -47,6 +53,11 @@ __all__ = [
 ]
 
 DENSE_ENTRY_GUARD = 10_000_000
+
+# Squared norms and mixed inner products are provably nonnegative; float
+# noise above this magnitude is treated as data corruption rather than
+# silently clamped or absolute-valued.
+MIXED_INNER_TOL = 1e-10
 
 
 def _check_entry_budget(dim: int, order: int, guard: int = DENSE_ENTRY_GUARD) -> None:
@@ -86,34 +97,86 @@ class DenseKernel:
         return f"DenseKernel(order={self.order}, dim={self.dim})"
 
 
+class Gram:
+    """The Gram matrix G_ij = <v_i, v_j> of a rank-one sum's term vectors.
+
+    Built from the vectors V (terms x dim) or from G alone; the missing
+    side is computed on first access, G as V V^T and V as the eigen square
+    root of G (terms x terms, so dim = terms).  Kernels built on one Gram
+    share both, so G is factored at most once however many kernels use it.
+    A G given alone must be symmetric positive semidefinite; that is the
+    caller's to certify (see breuer_major_kernels).
+    """
+
+    def __init__(self, matrix: np.ndarray | None = None,
+                 vectors: np.ndarray | None = None):
+        if (matrix is None) == (vectors is None):
+            raise ValidationError("a Gram needs exactly one of matrix, vectors")
+        self._matrix = matrix
+        self._vectors = vectors
+
+    @property
+    def terms(self) -> int:
+        source = self._vectors if self._matrix is None else self._matrix
+        return source.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.terms if self._vectors is None else self._vectors.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._vectors @ self._vectors.T
+        return self._matrix
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            eigvals, eigvecs = np.linalg.eigh(self._matrix)
+            self._vectors = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        return self._vectors
+
+
 class RankOneSumKernel:
     """sum_i coeffs[i] * vectors[i]^(tensor order), symmetric by construction.
 
-    stationary=True asserts that the Gram matrix <v_i, v_j> depends only on
-    i - j (a Toeplitz matrix); the closed-form contraction routines then
-    multiply through FFT-based Toeplitz products instead of dense BLAS.
-    The flag is trusted, not auto-detected.
+    stationary=True records that the Gram matrix <v_i, v_j> depends only on
+    i - j (a Toeplitz matrix).  It is carried through JSON and nothing
+    relies on it: the contraction routines check the Gram itself before
+    taking their Toeplitz route.
     """
 
     def __init__(self, order: int, coeffs: np.ndarray, vectors: np.ndarray,
-                 stationary: bool = False, gram: np.ndarray | None = None):
+                 stationary: bool = False):
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.ndim != 2:
+            raise ValidationError(
+                f"vectors must be (terms, dim), got {vectors.shape}")
+        self._init(order, coeffs, Gram(vectors=vectors), stationary)
+
+    @classmethod
+    def from_gram(cls, order: int, coeffs: np.ndarray, gram: Gram,
+                  stationary: bool = False) -> "RankOneSumKernel":
+        """The rank-one sum whose term vectors have Gram matrix gram; its
+        vectors are a square root of gram, computed only if read."""
+        kernel = cls.__new__(cls)
+        kernel._init(order, coeffs, gram, stationary)
+        return kernel
+
+    def _init(self, order, coeffs, gram: Gram, stationary: bool) -> None:
         if order < 1:
             raise ValidationError(f"kernel order must be >= 1, got {order}")
         coeffs = np.asarray(coeffs, dtype=float)
-        vectors = np.asarray(vectors, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValidationError("need at least one rank-one term")
-        if vectors.ndim != 2 or vectors.shape[0] != coeffs.size:
+        if gram.terms != coeffs.size:
             raise ValidationError(
-                f"vectors must be (terms, dim), got {vectors.shape} for "
-                f"{coeffs.size} terms")
+                f"{gram.terms} term vectors for {coeffs.size} coefficients")
         self.order = order
         self.coeffs = coeffs
-        self.vectors = vectors
         self.stationary = stationary
-        self._gram = None if gram is None else np.asarray(gram, dtype=float)
-        if self._gram is not None and self._gram.shape != (coeffs.size, coeffs.size):
-            raise ValidationError("gram override has the wrong shape")
+        self._gram = gram
 
     @property
     def terms(self) -> int:
@@ -121,13 +184,19 @@ class RankOneSumKernel:
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self._gram.dim
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._gram.vectors
 
     @property
     def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = self.vectors @ self.vectors.T
-        return self._gram
+        return self._gram.matrix
+
+    def shares_gram(self, other: "RankOneSumKernel") -> bool:
+        """Whether both kernels are built on one set of term vectors."""
+        return self._gram is other._gram
 
     def densify(self) -> DenseKernel:
         _check_entry_budget(self.dim, self.order)
@@ -217,9 +286,47 @@ def is_symmetric(f: DenseKernel, tol: float = 1e-10, rng=None) -> bool:
 # closed forms for rank-one sums
 # ---------------------------------------------------------------------------
 
-def _toeplitz_matmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ x where mat is (asserted) symmetric Toeplitz."""
-    return matmul_toeplitz((mat[:, 0], mat[0, :]), x)
+def checked_sqrt_inner(value: float, context: str = "mixed inner product") -> float:
+    """sqrt of a theoretically nonnegative inner product.
+
+    Values in (-MIXED_INNER_TOL, 0) are floating-point noise and clamp to 0;
+    anything lower indicates corrupted inputs and raises.
+    """
+    if value < -MIXED_INNER_TOL:
+        raise NumericalError(
+            f"{context} is negative beyond tolerance: {value:.6g}")
+    return math.sqrt(max(value, 0.0))
+
+
+def _is_symmetric_toeplitz(mat: np.ndarray) -> bool:
+    """Whether mat equals toeplitz(mat[0]) exactly."""
+    return (np.array_equal(mat[0], mat[:, 0])
+            and np.array_equal(mat[1:, 1:], mat[:-1, :-1]))
+
+
+def _toeplitz_product(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """toeplitz(alpha) @ toeplitz(beta) in O(n^2) for first rows alpha, beta.
+
+    C = T(alpha) T(beta) has C[0, j] = sum_k alpha_k beta_|j-k| and
+    C[i, 0] = sum_k alpha_|i-k| beta_k, two length-n convolutions; shifting
+    the summation index one step down a diagonal gives
+
+        C[i+1, j+1] = C[i, j] + alpha_(i+1) beta_(j+1)
+                      - alpha_(n-1-i) beta_(n-1-j).
+    """
+    n = alpha.size
+    out = np.empty((n, n))
+    out[0] = np.convolve(np.concatenate([beta[:0:-1], beta]), alpha, "valid")
+    out[:, 0] = np.convolve(np.concatenate([alpha[:0:-1], alpha]), beta,
+                            "valid")
+    head, tail = beta[1:], beta[:0:-1]
+    spare = np.empty(n - 1)
+    for i in range(n - 1):
+        row = out[i + 1, 1:]
+        np.multiply(head, alpha[i + 1], out=row)
+        row -= np.multiply(tail, alpha[n - 1 - i], out=spare)
+        row += out[i, :-1]
+    return out
 
 
 def rank_one_norm_squared(k: RankOneSumKernel) -> float:
@@ -236,23 +343,25 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
 
         sum a_i a_j a_k a_l  G_ij^(p-r) G_kl^(p-r) G_ik^r G_jl^r,
 
-    which is <B, M B M>_F for B = G**(p-r) and M = diag(a) G**r diag(a).
-    The stationary flag swaps the dense products for Toeplitz multiplies.
+    which is <B, M B M>_F = tr((M B)^2) = <E, E^T>_F for B = G**(p-r),
+    M = diag(a) G**r diag(a) and E = M B.  When G is exactly symmetric
+    Toeplitz and all coefficients equal c, E = c^2 T(alpha) T(beta) with
+    alpha, beta the first rows of G**r and G**(p-r), and E^T is
+    c^2 T(beta) T(alpha): both are formed in O(n^2).
     """
     p = k.order
     if not 1 <= r <= p - 1:
         raise ValidationError(f"need 1 <= r <= {p - 1}, got r={r}")
     a = k.coeffs
-    A = k.gram ** r
-    B = k.gram ** (p - r)
-    if k.stationary and k.terms > 2:
-        mb = a[:, None] * _toeplitz_matmul(A, a[:, None] * B)
-        mbm = (a[:, None] * _toeplitz_matmul(A, a[:, None] * mb.T)).T
+    G = k.gram
+    if np.all(a == a[0]) and _is_symmetric_toeplitz(G):
+        alpha, beta = G[0] ** r, G[0] ** (p - r)
+        val = a[0] ** 4 * float(np.vdot(_toeplitz_product(alpha, beta),
+                                        _toeplitz_product(beta, alpha)))
     else:
-        M = (a[:, None] * A) * a[None, :]
-        mbm = M @ B @ M
-    val = float(np.sum(B * mbm))
-    return math.sqrt(max(val, 0.0))
+        E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)
+        val = float(np.sum(E * E.T))
+    return checked_sqrt_inner(val, f"squared {r}-contraction norm")
 
 
 def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
@@ -260,18 +369,19 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
 
     Equals sum_{i,j,k,l} a_i a_j b_k b_l <v_i,w_k>**p <v_j,w_l>**p
     <w_k,w_l>**(q-p), i.e. u^T Gw**(q-p) u with u_k = b_k sum_i a_i <v_i,w_k>**p.
+    Kernels on one Gram G have cross Gram G itself.
     """
     p, q = kp.order, kq.order
     if q <= p:
         raise ValidationError(f"need order(kq) > order(kp), got {q} <= {p}")
     if kp.dim != kq.dim:
         raise ValidationError(f"dimension mismatch: {kp.dim} vs {kq.dim}")
-    cross = (kp.vectors @ kq.vectors.T) ** p
+    if kp.shares_gram(kq):
+        cross = kq.gram ** p
+    else:
+        cross = (kp.vectors @ kq.vectors.T) ** p
     u = (kp.coeffs @ cross) * kq.coeffs
-    gw = kq.gram ** (q - p)
-    if kq.stationary and kq.terms > 2:
-        return float(u @ _toeplitz_matmul(gw, u))
-    return float(u @ gw @ u)
+    return float(u @ (kq.gram ** (q - p)) @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +392,29 @@ def breuer_major_kernels(rho: CovarianceFunction, n: int,
                          coeffs: HermiteEvenCoeffs) -> list[RankOneSumKernel]:
     """Kernels f_{2k} = (lambda_{2k}/sqrt(n)) sum_i eps_i^(tensor 2k).
 
-    The eps_i are rows of a square root of the n x n correlation matrix of
-    the standardized sequence, so <eps_i, eps_j> = rho(i-j)/rho(0); the Gram
-    matrix is passed through exactly, keeping it Toeplitz for the stationary
-    fast paths.
+    The eps_i satisfy <eps_i, eps_j> = rho(i-j)/rho(0): the kernels are
+    built on that n x n correlation matrix alone (one shared Gram), which
+    stays exactly Toeplitz for the contraction routines; eps itself is a
+    square root of it, computed only if read.  Positive semidefiniteness is
+    certified by the size-2n circulant embedding (whose smallest eigenvalue
+    bounds the matrix's from below); only if that certificate fails are the
+    matrix's own eigenvalues computed.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    corr = toeplitz(rho.lag_array(n) / rho.rho0)
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    if eigvals.min() < -EIG_CLAMP:
-        raise ValidationError(
-            "covariance matrix is not positive semidefinite: eigenvalue "
-            f"{eigvals.min():.6g}")
-    eps = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    lags = rho.lag_array(n + 1) / rho.rho0
+    corr = toeplitz(lags[:n])
+    if circulant_embedding_eigenvalues(lags).min() < -EIG_CLAMP:
+        lowest = np.linalg.eigvalsh(corr)[0]
+        if lowest < -EIG_CLAMP:
+            raise ValidationError(
+                "covariance matrix is not positive semidefinite: eigenvalue "
+                f"{lowest:.6g}")
+    gram = Gram(matrix=corr)
     scale = 1.0 / math.sqrt(n)
     return [
-        RankOneSumKernel(order=order, coeffs=np.full(n, lam * scale),
-                         vectors=eps, stationary=True, gram=corr)
+        RankOneSumKernel.from_gram(order, np.full(n, lam * scale), gram,
+                                   stationary=True)
         for lam, order in zip(coeffs.lambdas, coeffs.orders())
     ]
 

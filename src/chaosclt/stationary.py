@@ -27,6 +27,7 @@ __all__ = [
     "breuer_major_statistic",
     "exact_variance_power_variation",
     "hermite_monomial_coeffs",
+    "circulant_embedding_eigenvalues",
 ]
 
 # Eigenvalues of the circulant embedding (and of the dense fallback) in
@@ -131,6 +132,20 @@ class HermiteEvenCoeffs:
         return range(2 * self.d, 2 * self.m + 1, 2)
 
 
+def circulant_embedding_eigenvalues(lags: np.ndarray) -> np.ndarray:
+    """Eigenvalues at frequencies 0..n of the size-2n circulant embedding of
+    the n x n symmetric Toeplitz matrix with first row lags[:n] (those at
+    n+1..2n-1 repeat them).
+
+    lags holds rho(0..n).  The circulant's first row is rho(0..n) followed
+    by the mirrored lags n-1..1, so the Toeplitz matrix is its leading
+    principal block and, by Cauchy interlacing, has no eigenvalue below
+    the smallest of these.
+    """
+    circ = np.concatenate([lags, lags[-2:0:-1]])
+    return np.fft.rfft(circ).real
+
+
 class PathSampler:
     """Exact sampler for a stationary Gaussian vector of length n.
 
@@ -147,9 +162,7 @@ class PathSampler:
         self.n = n
         self.rho = rho
         lags = rho.lag_array(n + 1)
-        # circulant first row: rho(0..n), then the mirrored lags n-1..1
-        circ = np.concatenate([lags, lags[-2:0:-1]])
-        lam = np.fft.rfft(circ).real
+        lam = circulant_embedding_eigenvalues(lags)
         if lam.min() >= -EIG_CLAMP:
             self._mode = "circulant"
             self._sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))

@@ -10,10 +10,11 @@ from chaosclt.bounds import (BoundReport, MIXED_INNER_TOL, RatePrediction,
                              nz_ratio_diagnostic, phi, power_variation_bound)
 from chaosclt.chaos import ChaosSum
 from chaosclt.errors import NumericalError, ValidationError
-from chaosclt.kernels import (DenseKernel, RankOneSumKernel, contract, inner,
-                              norm, rank_one_contraction_norm,
+from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
+                              breuer_major_kernels, contract, inner, norm,
+                              rank_one_contraction_norm,
                               rank_one_norm_squared)
-from chaosclt.stationary import CovarianceFunction
+from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
 
 
 def basis(dim, i):
@@ -177,6 +178,28 @@ class TestChaosSumBound:
         F = ChaosSum({2: eigenvalue_sum_kernel(2)})
         assert chaos_sum_bound(F, constant_multiplier=3.0).total == \
             pytest.approx(3.0 * chaos_sum_bound(F).total, rel=1e-12)
+
+
+class TestBreuerMajorChaosSumBound:
+    def test_runs_on_the_gram_alone(self, monkeypatch):
+        cov = CovarianceFunction.fgn(0.7)
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
+        ks = breuer_major_kernels(cov, 96, coeffs)
+        explicit = ChaosSum({k.order: RankOneSumKernel(
+            order=k.order, coeffs=k.coeffs, vectors=k.vectors) for k in ks})
+        expected = chaos_sum_bound(explicit)
+
+        def refuse(mat):
+            raise AssertionError("eigendecomposition on the bound path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        report = chaos_sum_bound(ChaosSum(
+            {k.order: k for k in breuer_major_kernels(cov, 96, coeffs)}))
+        for label, value in expected.terms.items():
+            assert report.terms[label] == pytest.approx(value, rel=1e-10)
+        assert report.normalization == pytest.approx(expected.normalization,
+                                                     rel=1e-10)
 
 
 class TestCheckedSqrtInner:

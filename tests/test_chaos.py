@@ -7,8 +7,10 @@ from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, hermite,
                             kappa3_I2, kappa4_I2, kappa4_I2_contraction,
                             sample, sample_batch, second_moment)
 from chaosclt.errors import UnsupportedRepresentationError, ValidationError
-from chaosclt.kernels import (DenseKernel, RankOneSumKernel, contract, inner,
+from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
+                              breuer_major_kernels, contract, inner,
                               symmetrize)
+from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
 
 from oracles import hermite_e_value, mean_se, sample_variance_se
 
@@ -203,6 +205,26 @@ class TestSampleBatch:
         assert abs(out.mean()) < 5 * mean_se(out)
         expected_var = 2.0 * inner(g, g)
         assert abs(out.var() - expected_var) < 5 * sample_variance_se(out)
+
+
+class TestBreuerMajorSampling:
+    def test_shared_gram_is_factored_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
+        ks = breuer_major_kernels(CovarianceFunction.fgn(0.7), 24, coeffs)
+        F = ChaosSum({k.order: k for k in ks})
+        x = sample_batch(F, 300, seed=3, threads=2)
+        assert calls == [(24, 24)]
+        explicit = ChaosSum({k.order: RankOneSumKernel(
+            order=k.order, coeffs=k.coeffs, vectors=k.vectors) for k in ks})
+        assert np.array_equal(x, sample_batch(explicit, 300, seed=3))
 
 
 class TestSecondMoment:

@@ -3,15 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
-from chaosclt.errors import ValidationError
-from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel,
-                              RankOneSumKernel, breuer_major_kernels,
+from chaosclt import kernels as kernels_module
+from chaosclt.errors import NumericalError, ValidationError
+from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
+                              RankOneSumKernel, _toeplitz_product,
+                              breuer_major_kernels,
                               contract, inner, is_symmetric, kernel_from_json,
                               kernel_to_json, norm, rank_one_contraction_norm,
                               rank_one_mixed_inner, rank_one_norm_squared,
                               symmetrize)
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
+                                 circulant_embedding_eigenvalues,
                                  exact_variance_power_variation)
 
 
@@ -382,3 +386,172 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="entries"):
             kernel_from_json({"representation": "dense", "order": 2, "dim": 2,
                               "values": [1.0, 2.0]})
+
+
+class TestToeplitzProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500])
+    def test_matches_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        alpha, beta = rng.normal(size=n), rng.normal(size=n)
+        expected = toeplitz(alpha) @ toeplitz(beta)
+        got = _toeplitz_product(alpha, beta)
+        assert got.shape == (n, n)
+        assert np.allclose(got, expected, rtol=0.0,
+                           atol=1e-13 * n * np.abs(expected).max())
+
+
+class TestToeplitzContractionRoute:
+    @pytest.fixture
+    def product_calls(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append(alpha.size)
+            return _toeplitz_product(alpha, beta)
+
+        monkeypatch.setattr(kernels_module, "_toeplitz_product", counted)
+        return calls
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_matches_dense_route(self, H, product_calls, monkeypatch):
+        # the same kernels on explicit vectors, held to the dense route (at
+        # H = 0.5 their Gram is the identity, which is exactly Toeplitz)
+        coeffs = HermiteEvenCoeffs(d=1, m=3, lambdas=np.array([1.0, 0.5, -0.3]))
+        for fast in breuer_major_kernels(CovarianceFunction.fgn(H), 256, coeffs):
+            dense = RankOneSumKernel(order=fast.order, coeffs=fast.coeffs,
+                                     vectors=fast.vectors)
+            for r in range(1, fast.order):
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernels_module, "_is_symmetric_toeplitz",
+                                  lambda mat: False)
+                    expected = rank_one_contraction_norm(dense, r)
+                del product_calls[:]
+                got = rank_one_contraction_norm(fast, r)
+                assert product_calls == [256, 256]
+                assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_unequal_coefficients_take_dense_route(self, product_calls):
+        gram = Gram(matrix=toeplitz([1.0, 0.5, 0.25]))
+        k = RankOneSumKernel.from_gram(2, np.array([1.0, 2.0, 1.0]), gram)
+        expected = dense_contraction_norm(k, 1)
+        assert rank_one_contraction_norm(k, 1) == pytest.approx(expected,
+                                                                rel=1e-12)
+        assert product_calls == []
+
+
+class TestStationaryFlagIsVerified:
+    def test_flag_on_non_toeplitz_kernel_changes_nothing(self):
+        # a non-Toeplitz Gram flagged stationary used to take the Toeplitz
+        # route unchecked and report 19.41 instead of 12.22
+        vectors = np.random.default_rng(1).normal(size=(3, 4))
+        norms = []
+        for flag in (True, False):
+            k = kernel_from_json({
+                "representation": "rank_one_sum", "order": 2, "dim": 4,
+                "stationary": flag,
+                "terms": [{"coeff": c, "vector": v.tolist()}
+                          for c, v in zip([1.0, 2.0, -0.5], vectors)]})
+            assert k.stationary is flag
+            norms.append(rank_one_contraction_norm(k, 1))
+        assert norms[0] == norms[1]
+        assert norms[0] == pytest.approx(dense_contraction_norm(k, 1),
+                                         rel=1e-12)
+        assert norms[0] == pytest.approx(12.2212785, rel=1e-8)
+
+
+class TestSquaredNormGuard:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_cancelling_terms_give_exact_zero(self, order):
+        v = np.array([0.6, -0.8, 0.3])
+        k = RankOneSumKernel(order=order, coeffs=np.array([1.0, -1.0]),
+                             vectors=np.array([v, v]))
+        for r in range(1, order):
+            assert rank_one_contraction_norm(k, r) == 0.0
+
+    def test_negative_beyond_tolerance_raises(self):
+        # an indefinite "Gram" is no Gram of real vectors: here
+        # tr((M B)^2) = -1 for M = diag(1, -1) G diag(1, -1) and B = G
+        gram = Gram(matrix=np.array([[1.0, 1.0], [1.0, 0.0]]))
+        k = RankOneSumKernel.from_gram(2, np.array([1.0, -1.0]), gram)
+        with pytest.raises(NumericalError, match="contraction norm"):
+            rank_one_contraction_norm(k, 1)
+
+
+class TestGramKernels:
+    def test_gram_only_kernel_factors_on_first_read(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cov = CovarianceFunction.fgn(0.3)
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
+        f2, f4 = breuer_major_kernels(cov, 16, coeffs)
+        assert calls == []
+        assert f2.dim == 16 and f2.shares_gram(f4)
+        assert np.allclose(f4.vectors @ f4.vectors.T, f2.gram, atol=1e-12)
+        assert f2.vectors is f4.vectors
+        assert calls == [(16, 16)]
+
+    def test_shared_gram_mixed_inner_matches_explicit_vectors(self):
+        cov = CovarianceFunction.fgn(0.7)
+        coeffs = HermiteEvenCoeffs(d=1, m=3, lambdas=np.array([1.0, 0.5, 2.0]))
+        ks = breuer_major_kernels(cov, 40, coeffs)
+        explicit = [RankOneSumKernel(order=k.order, coeffs=k.coeffs,
+                                     vectors=k.vectors) for k in ks]
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            assert rank_one_mixed_inner(ks[i], ks[j]) == pytest.approx(
+                rank_one_mixed_inner(explicit[i], explicit[j]), rel=1e-10)
+
+    def test_json_round_trip_of_gram_only_kernel(self):
+        cov = CovarianceFunction.fgn(0.7)
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        (k,) = breuer_major_kernels(cov, 8, coeffs)
+        back = kernel_from_json(kernel_to_json(k))
+        assert back.stationary and back.dim == 8
+        assert np.array_equal(back.vectors, k.vectors)
+        assert rank_one_contraction_norm(back, 1) == pytest.approx(
+            rank_one_contraction_norm(k, 1), rel=1e-10)
+
+    def test_term_count_must_match_gram(self):
+        with pytest.raises(ValidationError, match="term vectors"):
+            RankOneSumKernel.from_gram(2, np.ones(3), Gram(matrix=np.eye(2)))
+
+
+class TestPositiveSemidefiniteCertificate:
+    def test_certificate_needs_no_eigenvalues(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("eigenvalues computed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        for H in (0.3, 0.7):
+            (k,) = breuer_major_kernels(CovarianceFunction.fgn(H), 64, coeffs)
+            assert k.gram.shape == (64, 64)
+
+    def test_failed_certificate_falls_back_to_exact_check(self, monkeypatch):
+        # the size-6 circulant embedding has eigenvalue 1 - 1.2 = -0.2, but
+        # the 3 x 3 tridiagonal Toeplitz matrix itself has smallest
+        # eigenvalue 1 - 1.2 cos(pi/4) = 0.151, so it is accepted
+        rho = {0: 1.0, 1: 0.6, -1: 0.6}
+        cov = CovarianceFunction(evaluator=lambda k: rho.get(k, 0.0), rho0=1.0)
+        lags = cov.lag_array(4)
+        assert circulant_embedding_eigenvalues(lags).min() == pytest.approx(-0.2)
+        assert np.linalg.eigvalsh(toeplitz(lags[:3]))[0] == pytest.approx(
+            1.0 - 1.2 * math.cos(math.pi / 4.0))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        (k,) = breuer_major_kernels(cov, 3, coeffs)
+        assert calls == [(3, 3)]
+        assert np.array_equal(k.gram, toeplitz([1.0, 0.6, 0.0]))
