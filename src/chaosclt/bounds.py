@@ -22,7 +22,7 @@ from .errors import ValidationError
 # contract is unused here; bench/tracer.py patches bounds.contract
 from .kernels import (MIXED_INNER_TOL, checked_sqrt_inner,  # noqa: F401
                       contract, rank_one_contraction_norm,
-                      rank_one_mixed_inner)
+                      rank_one_mixed_inner, term_scale)
 from .stationary import CovarianceFunction
 
 __all__ = [
@@ -111,9 +111,11 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
         orders = F.orders
         for i, p in enumerate(orders):
             for q in orders[i + 1:]:
-                value = rank_one_mixed_inner(F.kernels[p], F.kernels[q])
+                kp, kq = F.kernels[p], F.kernels[q]
                 term2 = max(term2, checked_sqrt_inner(
-                    value, f"mixed inner product (orders {p}, {q})"))
+                    rank_one_mixed_inner(kp, kq),
+                    f"mixed inner product (orders {p}, {q})",
+                    (term_scale(kp) * term_scale(kq)) ** 2))
 
     return BoundReport(
         terms={"max_contraction_norm": term1, "mixed_inner": term2},
@@ -134,18 +136,9 @@ def phi(f1, f2) -> float:
         raise ValidationError(f"dimension mismatch: {f1.dim} vs {f2.dim}")
     f1, f2 = as_rank_one(f1), as_rank_one(f2)
     mixed = rank_one_mixed_inner(f1, f2)
-    return math.sqrt(abs(kappa4_I2(f2))) + checked_sqrt_inner(mixed)
-
-
-def _abs_lags(rho: CovarianceFunction, n: int) -> np.ndarray:
-    return np.abs(rho.lag_array(n))
-
-
-def _covariance_43(a: np.ndarray) -> float:
-    """(sum_{|k|<n} |rho(k)|^(4/3))^(3/2) from the one-sided lags a = |rho|,
-    using rho(k) = rho(-k)."""
-    two_sided_43 = a[0] ** (4.0 / 3.0) + 2.0 * (a[1:] ** (4.0 / 3.0)).sum()
-    return float(two_sided_43 ** 1.5)
+    scale = (term_scale(f1) * term_scale(f2)) ** 2
+    return math.sqrt(abs(kappa4_I2(f2))) + checked_sqrt_inner(
+        mixed, scale=scale)
 
 
 def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,
@@ -165,8 +158,9 @@ def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,
         raise ValidationError(f"need 1 <= d <= m, got d={d}, m={m}")
     if not variance > 0.0:
         raise ValidationError(f"variance must be positive, got {variance}")
-    a = _abs_lags(rho, n)
-    term1 = _covariance_43(a)
+    a = np.abs(rho.lag_array(n))
+    two_sided_43 = a[0] ** (4.0 / 3.0) + 2.0 * (a[1:] ** (4.0 / 3.0)).sum()
+    term1 = float(two_sided_43 ** 1.5)
     term2 = float((a ** (2 * d)).sum()) * math.sqrt(float((a ** 2).sum()))
     return BoundReport(
         terms={"covariance_43": term1, "rank_cross": float(term2)},
@@ -181,23 +175,14 @@ def power_variation_bound(rho: CovarianceFunction, n: int, q: int,
     """Covariance-sum bound for the standardized power variation.
 
     The even monomial has Hermite rank 2, so this is breuer_major_bound with
-    d = 1 except that the second bracket closes to (sum_{k<n} |rho|^2)^(3/2).
-    variance is E[(sqrt(n) (Q - E Q))^2] = n * Var(Q_{q,n}).
+    d = 1, whose second bracket (sum_{k<n} |rho|^2)^(3/2) is reported as
+    covariance_sq.  variance is E[(sqrt(n) (Q - E Q))^2] = n * Var(Q_{q,n}).
     """
     if q % 2 != 0 or q < 2:
         raise ValidationError(f"power must be even and >= 2, got {q}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if not variance > 0.0:
-        raise ValidationError(f"variance must be positive, got {variance}")
-    a = _abs_lags(rho, n)
-    term1 = _covariance_43(a)
-    term2 = float((a ** 2).sum()) ** 1.5
-    return BoundReport(
-        terms={"covariance_43": term1, "covariance_sq": float(term2)},
-        normalization=variance * math.sqrt(n),
-        constant_multiplier=constant_multiplier,
-    )
+    report = breuer_major_bound(rho, n, 1, 1, variance, constant_multiplier)
+    report.terms["covariance_sq"] = report.terms.pop("rank_cross")
+    return report
 
 
 def fgn_rate(H: float, q: int) -> RatePrediction:

@@ -1,11 +1,14 @@
 """Command line entry point.
 
 Subcommands: rates, bound, ratio, diagnose-nz.  Each takes a JSON config
-(--config) whose fields can be overridden by flags (--seed, --threads);
-results land in --out as CSV tables, JSON bound reports and metadata, and
-optionally gnuplot-ready two-column files.
+(--config).  --seed and --threads override the config field of the same
+name when the subcommand's config has one; --out picks the output
+directory in place of the config's out field, and stays out of the config
+echo, so result files do not depend on where they are written.  Every run
+writes <stem>.csv and <stem>_summary.json, plus bound_report.json for
+bound and optional gnuplot-ready two-column files for rates.
 
-Exit codes: 0 success, 1 validation error, 2 numerical error.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical error.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import NumericalError, ValidationError
 from .experiments import (BoundConfig, NzConfig, RatesConfig, RatioConfig,
                           run_bound_report, run_nz_diagnostics, run_rates,
                           run_ratio)
+
+_OVERRIDES = ("seed", "threads")
 
 
 def _load_config(path: str) -> dict:
@@ -37,99 +43,91 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _apply_overrides(data: dict, args: argparse.Namespace,
-                     allow_threads: bool = True) -> dict:
-    out = dict(data)
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if allow_threads and getattr(args, "threads", None) is not None:
-        out["threads"] = args.threads
-    return out
+def _plot_data(rows, xcol: str, ycol: str) -> str:
+    return "".join(f"{int(row[xcol])} {float(row[ycol])!r}\n" for row in rows)
 
 
-def _out_dir(args: argparse.Namespace, config) -> Path:
-    out = Path(args.out if args.out is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Each runner returns (table, extra files by name, one-line summary).
 
-
-def _write_plot_data(path: Path, rows, xcol: str, ycol: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(f"{int(row[xcol])} {float(row[ycol])!r}\n")
-
-
-def _cmd_rates(args) -> int:
-    config = RatesConfig.from_dict(_apply_overrides(_load_config(args.config), args))
-    t0 = time.perf_counter()
+def _rates(config):
     table = run_rates(config)
-    elapsed = time.perf_counter() - t0
-    out = _out_dir(args, config)
-    table.write_csv(out / "rates.csv")
-    table.write_metadata(out / "rates_summary.json")
+    files = {}
     if config.emit_plot_data:
-        _write_plot_data(out / "rates_dkol.dat", table.rows, "n", "d_kol")
-        _write_plot_data(out / "rates_bound.dat", table.rows, "n", "bound_total")
+        files["rates_dkol.dat"] = _plot_data(table.rows, "n", "d_kol")
+        files["rates_bound.dat"] = _plot_data(table.rows, "n", "bound_total")
     slope = table.metadata["fitted_slope"]
     slope_text = "n/a (single grid point)" if slope is None else f"{slope:.4f}"
-    print(f"rates: {len(table.rows)} grid points in {elapsed:.1f} s; "
-          f"fitted slope {slope_text} "
-          f"(predicted {table.metadata['predicted_exponent']:.4f}); "
-          f"wrote {out / 'rates.csv'}")
-    return 0
+    return table, files, (
+        f"{len(table.rows)} grid points; fitted slope {slope_text} "
+        f"(predicted {table.metadata['predicted_exponent']:.4f})")
 
 
-def _cmd_bound(args) -> int:
-    config = BoundConfig.from_dict(_load_config(args.config))
+def _bound(config):
     table, documents = run_bound_report(config)
-    out = _out_dir(args, config)
-    table.write_csv(out / "bound.csv")
-    with open(out / "bound_report.json", "w", encoding="utf-8") as fh:
-        json.dump(documents, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"bound: {len(documents)} report(s); wrote {out / 'bound_report.json'}")
-    return 0
+    report = json.dumps(documents, indent=2, sort_keys=True) + "\n"
+    return table, {"bound_report.json": report}, f"{len(documents)} report(s)"
 
 
-def _cmd_ratio(args) -> int:
-    config = RatioConfig.from_dict(_apply_overrides(_load_config(args.config), args))
-    t0 = time.perf_counter()
+def _ratio(config):
     table = run_ratio(config)
-    elapsed = time.perf_counter() - t0
-    out = _out_dir(args, config)
-    table.write_csv(out / "ratio.csv")
-    table.write_metadata(out / "ratio_summary.json")
-    print(f"ratio: {len(table.rows)} lambda points in {elapsed:.1f} s; "
-          f"monotone within tolerance: "
-          f"{table.metadata['monotone_within_tolerance']}; "
-          f"wrote {out / 'ratio.csv'}")
-    return 0
+    return table, {}, (
+        f"{len(table.rows)} lambda points; monotone within tolerance: "
+        f"{table.metadata['monotone_within_tolerance']}")
 
 
-def _cmd_diagnose_nz(args) -> int:
-    config = NzConfig.from_dict(_apply_overrides(_load_config(args.config),
-                                                 args, allow_threads=False))
+def _diagnose_nz(config):
     table = run_nz_diagnostics(config)
-    out = _out_dir(args, config)
-    table.write_csv(out / "nz.csv")
-    table.write_metadata(out / "nz_summary.json")
-    print(f"diagnose-nz: {len(table.rows)} rows; wrote {out / 'nz.csv'}")
+    return table, {}, f"{len(table.rows)} rows"
+
+
+# subcommand -> (config class, output stem, runner, help)
+_COMMANDS = {
+    "rates": (RatesConfig, "rates", _rates,
+              "fGn power-variation rate experiment"),
+    "bound": (BoundConfig, "bound", _bound,
+              "bound report for serialized kernels"),
+    "ratio": (RatioConfig, "ratio", _ratio, "ratio family sweep"),
+    "diagnose-nz": (NzConfig, "nz", _diagnose_nz,
+                    "covariance cross-sum diagnostic"),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    config_cls, stem, runner, _ = _COMMANDS[args.command]
+    data = _load_config(args.config)
+    known = {f.name for f in fields(config_cls)}
+    for flag in _OVERRIDES:
+        if flag in known and getattr(args, flag) is not None:
+            data[flag] = getattr(args, flag)
+    config = config_cls.from_dict(data)
+    t0 = time.perf_counter()
+    table, files, summary = runner(config)
+    elapsed = time.perf_counter() - t0
+    out = Path(args.out if args.out is not None else config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    table.write_csv(out / f"{stem}.csv")
+    table.write_metadata(out / f"{stem}_summary.json")
+    for name, text in files.items():
+        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    print(f"{args.command}: {summary}; {elapsed:.1f} s; wrote {out}/{stem}.*")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 like other bad input."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaosclt",
         description="Quantitative normal approximation experiments for "
                     "finite sums of Wiener chaoses")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("rates", _cmd_rates, "fGn power-variation rate experiment"),
-        ("bound", _cmd_bound, "bound report for serialized kernels"),
-        ("ratio", _cmd_ratio, "ratio family sweep"),
-        ("diagnose-nz", _cmd_diagnose_nz, "covariance cross-sum diagnostic"),
-    ]
-    for name, handler, help_text in commands:
+    for name, (_, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
@@ -138,14 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides the config field)")
         p.add_argument("--threads", type=int, default=None,
                        help="override the config worker count")
-        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(build_parser().parse_args(argv))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,6 +39,7 @@ __all__ = [
     "DENSE_ENTRY_GUARD",
     "MIXED_INNER_TOL",
     "checked_sqrt_inner",
+    "term_scale",
     "symmetrize",
     "contract",
     "inner",
@@ -55,8 +56,8 @@ __all__ = [
 DENSE_ENTRY_GUARD = 10_000_000
 
 # Squared norms and mixed inner products are provably nonnegative; float
-# noise above this magnitude is treated as data corruption rather than
-# silently clamped or absolute-valued.
+# noise above this fraction of their terms' size is treated as data
+# corruption rather than silently clamped or absolute-valued.
 MIXED_INNER_TOL = 1e-10
 
 
@@ -286,16 +287,30 @@ def is_symmetric(f: DenseKernel, tol: float = 1e-10, rng=None) -> bool:
 # closed forms for rank-one sums
 # ---------------------------------------------------------------------------
 
-def checked_sqrt_inner(value: float, context: str = "mixed inner product") -> float:
+def checked_sqrt_inner(value: float, context: str = "mixed inner product",
+                       scale: float = 1.0) -> float:
     """sqrt of a theoretically nonnegative inner product.
 
-    Values in (-MIXED_INNER_TOL, 0) are floating-point noise and clamp to 0;
-    anything lower indicates corrupted inputs and raises.
+    Values in (-MIXED_INNER_TOL * scale, 0) are floating-point noise and
+    clamp to 0; anything lower indicates corrupted inputs and raises.
+    scale is the size of the terms the value is summed from (see
+    term_scale), so the tolerance is relative to the inputs.
     """
-    if value < -MIXED_INNER_TOL:
+    if value < -MIXED_INNER_TOL * scale:
         raise NumericalError(
             f"{context} is negative beyond tolerance: {value:.6g}")
     return math.sqrt(max(value, 0.0))
+
+
+def term_scale(k: RankOneSumKernel) -> float:
+    """s(k) = sum_i |a_i| ||v_i||^p, read off the Gram diagonal.
+
+    Since |G_ij| <= sqrt(G_ii G_jj), the terms summed into a squared
+    contraction norm of k add up in absolute value to at most s(k)^4, and
+    those of a mixed inner product of kp and kq to s(kp)^2 s(kq)^2.
+    """
+    norms = np.abs(np.diagonal(k.gram)) ** (k.order / 2)
+    return float(np.abs(k.coeffs) @ norms)
 
 
 def _is_symmetric_toeplitz(mat: np.ndarray) -> bool:
@@ -361,7 +376,8 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
     else:
         E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)
         val = float(np.sum(E * E.T))
-    return checked_sqrt_inner(val, f"squared {r}-contraction norm")
+    return checked_sqrt_inner(val, f"squared {r}-contraction norm",
+                              scale=term_scale(k) ** 4)
 
 
 def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:

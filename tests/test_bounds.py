@@ -211,6 +211,11 @@ class TestCheckedSqrtInner:
         with pytest.raises(NumericalError):
             checked_sqrt_inner(-2 * MIXED_INNER_TOL)
 
+    def test_tolerance_is_relative_to_scale(self):
+        assert checked_sqrt_inner(-1e-8, scale=1e4) == 0.0
+        with pytest.raises(NumericalError):
+            checked_sqrt_inner(-1e-24, scale=1e-24)
+
 
 class TestPhi:
     def test_orthogonal_pair(self):

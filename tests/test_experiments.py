@@ -1,10 +1,13 @@
+import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chaosclt.bounds import nz_ratio_diagnostic
 from chaosclt.chaos import SecondChaosSpectrum
 from chaosclt.cli import main
 from chaosclt.errors import ValidationError
@@ -12,6 +15,7 @@ from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
                                   RatioConfig, run_bound_report,
                                   run_nz_diagnostics, run_rates, run_ratio)
 from chaosclt.kernels import kernel_to_json, DenseKernel, RankOneSumKernel
+from chaosclt.stationary import CovarianceFunction
 from chaosclt.streams import STREAM_PROTOCOL
 
 
@@ -334,3 +338,77 @@ class TestCli:
                                 NumericalError("negative mixed inner")))
         assert main(["diagnose-nz", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["rates", "--config", "x.json", "--bogus"], id="unknown"),
+        pytest.param(["rates"], id="missing-config"),
+        pytest.param(["rates", "--config", "x.json", "--seed", "abc"],
+                     id="bad-seed"),
+        pytest.param(["nope"], id="unknown-command"),
+    ])
+    def test_usage_errors_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_bound_writes_summary(self, tmp_path):
+        cfg = self._write(tmp_path / "bound.json", {
+            "inputs": [{"label": "eq", "kernels": [eigenvalue_sum_json(4)]}],
+            "constant_multiplier": 2.0,
+        })
+        assert main(["bound", "--config", cfg, "--seed", "3", "--threads", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "bound_summary.json")
+                             .read_text())
+        assert summary["experiment"] == "bound"
+        assert summary["constant_multiplier"] == 2.0
+
+    def test_seed_flag_overrides_nz_config(self, tmp_path):
+        cfg = self._write(tmp_path / "nz.json", {
+            "hurst": 0.7, "n_grid": [16], "seed": 0,
+        })
+        assert main(["diagnose-nz", "--config", cfg, "--seed", "9",
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "nz_summary.json")
+                             .read_text())
+        assert summary["config"]["seed"] == 9
+        assert summary["config"]["out"] == "results"
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.json"))
+# the filename prefix names the subcommand
+CONFIG_CLASSES = {"rates": RatesConfig, "ratio": RatioConfig,
+                  "nz": NzConfig, "bound": BoundConfig}
+
+
+class TestCheckedInConfigs:
+    def test_configs_exist(self):
+        assert CONFIGS
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_config_loads(self, path):
+        config_cls = CONFIG_CLASSES[path.name.split("_")[0]]
+        config_cls.from_dict(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize(
+        "path", [p for p in CONFIGS if p.name.startswith("nz_")],
+        ids=lambda p: p.name)
+    def test_nz_config_rows_match_diagnostic(self, path, tmp_path):
+        assert main(["diagnose-nz", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        config = NzConfig.from_dict(json.loads(path.read_text()))
+        cov = CovarianceFunction.fgn(config.hurst)
+        with open(tmp_path / "nz.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["n"]) for row in rows] == config.n_grid
+        assert [float(row["ratio"]) for row in rows] == [
+            nz_ratio_diagnostic(cov, n, config.m, config.signs)
+            for n in config.n_grid]

@@ -13,7 +13,7 @@ from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
                               contract, inner, is_symmetric, kernel_from_json,
                               kernel_to_json, norm, rank_one_contraction_norm,
                               rank_one_mixed_inner, rank_one_norm_squared,
-                              symmetrize)
+                              symmetrize, term_scale)
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
                                  circulant_embedding_eigenvalues,
                                  exact_variance_power_variation)
@@ -475,6 +475,34 @@ class TestSquaredNormGuard:
         k = RankOneSumKernel.from_gram(2, np.array([1.0, -1.0]), gram)
         with pytest.raises(NumericalError, match="contraction norm"):
             rank_one_contraction_norm(k, 1)
+
+    def test_tolerance_scales_down_with_coefficients(self):
+        # the same indefinite case at coefficients 1e-6 gives -1e-24, far
+        # below an absolute tolerance but as wrong relative to the kernel
+        gram = Gram(matrix=np.array([[1.0, 1.0], [1.0, 0.0]]))
+        k = RankOneSumKernel.from_gram(2, 1e-6 * np.array([1.0, -1.0]), gram)
+        with pytest.raises(NumericalError, match="contraction norm"):
+            rank_one_contraction_norm(k, 1)
+
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e6])
+    def test_zero_kernel_at_large_coefficients_is_zero(self, c):
+        # c sum_i e_i e_i^T - c sum_i u_i u_i^T = c (I - Q Q^T) = 0, with
+        # rounding noise of order c^4 in the squared norm
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 6)))
+        k = RankOneSumKernel(order=2, coeffs=np.r_[np.full(6, c),
+                                                    np.full(6, -c)],
+                             vectors=np.vstack([np.eye(6), q.T]))
+        assert rank_one_contraction_norm(k, 1) <= 1e-12 * c ** 2
+
+    def test_term_scale_reads_the_gram_diagonal(self):
+        rng = np.random.default_rng(3)
+        k = random_rank_one(rng, 3, 4, 5)
+        expected = sum(abs(a) * np.linalg.norm(v) ** 3
+                       for a, v in zip(k.coeffs, k.vectors))
+        assert term_scale(k) == pytest.approx(expected, rel=1e-12)
+        gram_only = RankOneSumKernel.from_gram(3, k.coeffs, Gram(matrix=k.gram))
+        assert term_scale(gram_only) == pytest.approx(expected, rel=1e-12)
+        assert gram_only._gram._vectors is None
 
 
 class TestGramKernels:
