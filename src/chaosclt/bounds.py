@@ -186,11 +186,16 @@ def power_variation_bound(rho: CovarianceFunction, n: int, q: int,
 
 
 def fgn_rate(H: float, q: int) -> RatePrediction:
-    """Predicted Kolmogorov-distance decay for fGn power variations.
+    """Decay exponent of the covariance-sum bound for fGn power variations.
 
     Three regimes in the Hurst parameter: n**(-1/2) for H < 5/8, an extra
     log^(3/2) factor exactly at H = 5/8, and n**(4H-3) for 5/8 < H < 3/4.
     Above 3/4 the statistic leaves the normal regime entirely.
+
+    This is the rate of the upper bound, not of the Kolmogorov distance
+    itself, which can decay faster: at H = 0.7 the exact distance of the
+    quadratic variation decays as n**(-0.30) while the bound decays as
+    n**(-0.2).
     """
     if q % 2 != 0 or q < 2:
         raise ValidationError(f"power must be even and >= 2, got {q}")

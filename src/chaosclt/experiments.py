@@ -160,41 +160,60 @@ class RatesConfig:
         return _config_from_dict(cls, data, "rates config")
 
 
-def _power_variation_samples(cov: CovarianceFunction, n: int, q: int, M: int,
-                             seed: int, stream: int, threads: int) -> np.ndarray:
-    """Q_{q,n} over M replicas without materializing all paths at once."""
-    sampler = PathSampler(cov, n)
-    out = np.empty(M)
+def _power_variation_samples(cov: CovarianceFunction, n_grid: list[int],
+                             q: int, M: int, seed: int,
+                             threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q_{q,n} over M replicas for every n in n_grid, from one path each.
+
+    The first n entries of an exact stationary path of length max(n_grid)
+    are an exact path of length n, so replica r draws one such path on
+    stream 0 and reads Q_{q,n} off the prefix sums of its q-th powers.
+    Returns the sorted distinct grid ends and an (M, len(ends)) table whose
+    column j holds Q_{q,ends[j]}.
+    """
+    ends = np.unique(np.asarray(n_grid, dtype=np.intp))
+    starts = np.concatenate(([0], ends[:-1]))
+    sampler = PathSampler(cov, int(ends[-1]))
+    out = np.empty((M, ends.size))
 
     def worker(block, start, count):
-        paths = sampler.sample_block(seed, stream, block, count)
-        out[start:start + count] = (paths ** q).mean(axis=1)
+        paths = sampler.sample_block(seed, 0, block, count)
+        np.power(paths, q, out=paths)
+        segments = np.add.reduceat(paths, starts, axis=1)
+        np.cumsum(segments, axis=1, out=out[start:start + count])
 
     run_blocks(M, worker, threads=threads)
-    return out
+    out /= ends
+    return ends, out
 
 
 def run_rates(config: RatesConfig) -> ResultTable:
     """Estimate d_Kol of standardized power variations across the n grid,
-    fit the log-log rate, and report the covariance-sum bound per n."""
+    fit the log-log rate, and report the covariance-sum bound per n.
+
+    Every grid point reads the same replicas (prefixes of one path of
+    length max(n_grid)), so the points, and the residual of the rate fit,
+    are dependent."""
     cov = CovarianceFunction.fgn(config.hurst)
     mean_q = power_variation_mean(cov.rho0, config.q)
     columns = ["hurst", "q", "n", "replicas", "seed", "stream", "d_kol",
                "d_kol_se", "bound_covariance_43", "bound_covariance_sq",
                "bound_total"]
+    ends, table = _power_variation_samples(cov, config.n_grid, config.q,
+                                           config.replicas, config.seed,
+                                           config.threads)
     rows = []
     points = []
-    for idx, n in enumerate(config.n_grid):
+    for n in config.n_grid:
         variance = exact_variance_power_variation(cov, config.q, n)
-        samples = _power_variation_samples(cov, n, config.q, config.replicas,
-                                           config.seed, idx, config.threads)
+        samples = table[:, np.searchsorted(ends, n)]
         standardized = (samples - mean_q) / math.sqrt(variance)
         d = kolmogorov_distance(EmpiricalSample.from_data(standardized), 0.0, 1.0)
         report = power_variation_bound(cov, n, config.q,
                                        variance=n * variance)
         rows.append({
             "hurst": config.hurst, "q": config.q, "n": n,
-            "replicas": config.replicas, "seed": config.seed, "stream": idx,
+            "replicas": config.replicas, "seed": config.seed, "stream": 0,
             "d_kol": d,
             # ECDF fluctuation scale at the supremum point
             "d_kol_se": 0.5 / math.sqrt(config.replicas),
@@ -210,6 +229,7 @@ def run_rates(config: RatesConfig) -> ResultTable:
         "version": __version__,
         "stream_protocol": STREAM_PROTOCOL,
         "config": asdict(config),
+        "path_length": int(ends[-1]),
         "fitted_slope": None if fit is None else fit.slope,
         "fitted_intercept": None if fit is None else fit.intercept,
         "fit_residual": None if fit is None else fit.residual,

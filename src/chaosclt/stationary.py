@@ -197,14 +197,19 @@ class PathSampler:
         n, m = self.n, self._m
         # Hermitian half-spectrum: independent real weights at frequencies 0
         # and n, complex weights of unit variance in between.
-        h = np.empty((w.shape[0], n + 1), dtype=complex)
-        h[:, 0] = w[:, 0] * self._sqrt_lam[0]
-        h[:, n] = w[:, 1] * self._sqrt_lam[n]
-        if n > 1:
-            mid = (w[:, 2:n + 1] + 1j * w[:, n + 1:2 * n]) / math.sqrt(2.0)
-            h[:, 1:n] = mid * self._sqrt_lam[1:n]
-        x = np.fft.irfft(h, m, axis=1) * math.sqrt(m)
-        return x[:, :n]
+        h = np.zeros((w.shape[0], n + 1), dtype=complex)
+        h.real[:, 0] = w[:, 0]
+        h.real[:, n] = w[:, 1]
+        h.real[:, 1:n] = w[:, 2:n + 1]
+        h.imag[:, 1:n] = w[:, n + 1:2 * n]
+        # scale by the reciprocal: numpy's complex division by a real does
+        # the same, so seeded paths keep their bits, while dividing the
+        # real parts by sqrt(2) would round differently
+        h[:, 1:n] *= 1.0 / math.sqrt(2.0)
+        h *= self._sqrt_lam
+        x = np.fft.irfft(h, m, axis=1)[:, :n]
+        x *= math.sqrt(m)
+        return x
 
     def sample_block(self, seed: int, stream: int, block: int,
                      count: int) -> np.ndarray:

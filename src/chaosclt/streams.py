@@ -9,7 +9,7 @@ r % BLOCK_SIZE of a single vectorized draw.  Two consequences:
 * parallel workers that process whole blocks produce output identical to
   a serial run, because no stream is ever shared across blocks.
 
-Layout of stream protocol 2 (STREAM_PROTOCOL).  The Philox key is
+Layout of stream protocol 3 (STREAM_PROTOCOL).  The Philox key is
 (seed, stream), both in [0, 2**64).  Block b owns the counter range
 [b * 2**96, (b + 1) * 2**96), split into two substreams:
 
@@ -25,6 +25,13 @@ draws consume.  Protocol 1 had substream 0 only; protocol 2 added
 substream 1 for the ratio family's chi-square draws, so seeded ratio
 outputs differ between the two while every other stream is unchanged.
 
+What each experiment keys its streams by: the ratio sweep reads stream
+i for the i-th lambda grid point.  The rates experiment reads stream 0
+for its whole n grid: replica r draws one path of length max(n_grid) and
+every grid point n reads its first n entries.  Protocol 2 read stream i
+for the i-th n, with an independent path per grid point, so protocol 3
+changed every seeded rates output and nothing else.
+
 BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 """
 
@@ -36,7 +43,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-STREAM_PROTOCOL = 2
+STREAM_PROTOCOL = 3
 
 BLOCK_SIZE = 1024
 

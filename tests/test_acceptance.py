@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete.  The Monte Carlo heavy criterion, rate reproduction, takes
-about a minute.
+about 35 s on 2 cores.
 """
 
 import math

@@ -6,16 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from chaosclt.bounds import nz_ratio_diagnostic
 from chaosclt.chaos import SecondChaosSpectrum
 from chaosclt.cli import main
 from chaosclt.errors import ValidationError
 from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
-                                  RatioConfig, run_bound_report,
-                                  run_nz_diagnostics, run_rates, run_ratio)
+                                  RatioConfig, _power_variation_samples,
+                                  run_bound_report, run_nz_diagnostics,
+                                  run_rates, run_ratio)
 from chaosclt.kernels import kernel_to_json, DenseKernel, RankOneSumKernel
-from chaosclt.stationary import CovarianceFunction
+from chaosclt.stationary import (CovarianceFunction, power_variation,
+                                 sample_paths)
 from chaosclt.streams import STREAM_PROTOCOL
 
 
@@ -24,17 +27,30 @@ def eigenvalue_sum_json(m):
                                            vectors=np.eye(m)))
 
 
+def chi_square_kolmogorov_distance(n):
+    """sup_x |P((chi2(n) - n) / sqrt(2n) <= x) - Phi(x)| on a fine grid."""
+    x = np.linspace(-8.0, 8.0, 400_001)
+    gap = stats.chi2.cdf(n + x * math.sqrt(2.0 * n), n) - stats.norm.cdf(x)
+    return float(np.abs(gap).max())
+
+
 class TestRatesExperiment:
     def test_iid_case_recovers_clt_rate(self):
+        # at H = 1/2 the path is white noise and n Q_{2,n} ~ chi2(n), so the
+        # exact distance of the standardized statistic is known; each
+        # estimate must lie within the DKW epsilon of it
         cfg = RatesConfig(hurst=0.5, n_grid=[64, 128, 256, 512],
                           replicas=20_000, seed=7)
         table = run_rates(cfg)
         assert len(table.rows) == 4
-        assert -0.75 < table.metadata["fitted_slope"] < -0.25
         assert table.metadata["predicted_exponent"] == -0.5
-        for i, row in enumerate(table.rows):
-            assert row["stream"] == i
+        eps = math.sqrt(math.log(2.0 / 1e-9) / (2.0 * cfg.replicas))
+        for row in table.rows:
+            assert row["stream"] == 0
             assert 0.0 <= row["d_kol"] <= 1.0
+            exact = chi_square_kolmogorov_distance(row["n"])
+            assert abs(row["d_kol"] - exact) <= eps, (row["n"], row["d_kol"],
+                                                      exact)
             assert row["bound_total"] > 0.0
 
     def test_byte_identical_reruns(self):
@@ -56,6 +72,37 @@ class TestRatesExperiment:
         a = run_rates(RatesConfig(**base)).to_csv_string()
         b = run_rates(RatesConfig(**base, threads=4)).to_csv_string()
         assert a == b
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_every_grid_point_is_a_prefix_of_one_stream_zero_path(self, q):
+        cov = CovarianceFunction.fgn(0.7)
+        grid = [48, 7, 100, 1]
+        ends, table = _power_variation_samples(cov, grid, q, 1500, 9, 2)
+        assert ends.tolist() == [1, 7, 48, 100]
+        paths = sample_paths(cov, 100, 1500, 9, stream=0).values
+        for j, n in enumerate(ends):
+            want = [power_variation(path[:n], q) for path in paths]
+            np.testing.assert_allclose(table[:, j], want, rtol=1e-12, atol=0)
+
+    def test_unsorted_grid_with_duplicate_keeps_config_order(self):
+        cfg = RatesConfig(hurst=0.3, n_grid=[512, 64, 512, 128],
+                          replicas=1000, seed=4)
+        table = run_rates(cfg)
+        assert [row["n"] for row in table.rows] == [512, 64, 512, 128]
+        assert table.rows[0] == table.rows[2]
+        assert table.metadata["path_length"] == 512
+        shared = run_rates(RatesConfig(hurst=0.3, n_grid=[64, 128, 512],
+                                       replicas=1000, seed=4))
+        by_n = {row["n"]: row for row in shared.rows}
+        for row in table.rows:
+            assert row == by_n[row["n"]]
+
+    def test_multi_point_grid_is_thread_invariant(self):
+        base = dict(hurst=0.7, n_grid=[16, 300, 64, 2048], replicas=2500,
+                    seed=21)
+        texts = {threads: run_rates(RatesConfig(**base, threads=threads))
+                 .to_csv_string() for threads in (1, 2, 4)}
+        assert texts[1] == texts[2] == texts[4]
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -321,7 +368,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 0
         for name in ("rates_summary.json", "ratio_summary.json"):
             summary = json.loads((tmp_path / "out" / name).read_text())
-            assert summary["stream_protocol"] == STREAM_PROTOCOL == 2
+            assert summary["stream_protocol"] == STREAM_PROTOCOL == 3
 
     def test_numerical_failures_exit_two(self, tmp_path, monkeypatch):
         from chaosclt import cli

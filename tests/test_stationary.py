@@ -107,6 +107,24 @@ class TestSamplePaths:
         target = np.array([[cov(i - j) for j in range(n)] for i in range(n)])
         assert np.abs(implied - target).max() < 1e-12
 
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 4096])
+    def test_transform_matches_reference_expression_bitwise(self, H, n):
+        # the half-spectrum as an explicit complex expression; the sampler
+        # fills it in place and must give the same bits
+        sampler = PathSampler(CovarianceFunction.fgn(H), n)
+        assert sampler.mode == "circulant"
+        w = np.random.default_rng(n).standard_normal((3, 2 * n))
+        sqrt_lam = sampler._sqrt_lam
+        h = np.empty((3, n + 1), dtype=complex)
+        h[:, 0] = w[:, 0] * sqrt_lam[0]
+        h[:, n] = w[:, 1] * sqrt_lam[n]
+        if n > 1:
+            mid = (w[:, 2:n + 1] + 1j * w[:, n + 1:2 * n]) / math.sqrt(2.0)
+            h[:, 1:n] = mid * sqrt_lam[1:n]
+        want = (np.fft.irfft(h, 2 * n, axis=1) * math.sqrt(2 * n))[:, :n]
+        assert np.array_equal(sampler.transform(w), want)
+
     def test_transform_covariance_exact_in_dense_mode(self):
         cov = CovarianceFunction(
             evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0),
