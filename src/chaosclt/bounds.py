@@ -58,6 +58,9 @@ class BoundReport:
         if not self.normalization > 0.0:
             raise ValidationError(
                 f"normalization must be positive, got {self.normalization}")
+        if not self.constant_multiplier > 0.0:
+            raise ValidationError(f"constant_multiplier must be positive, "
+                                  f"got {self.constant_multiplier}")
 
     @property
     def total(self) -> float:

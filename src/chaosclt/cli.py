@@ -1,12 +1,11 @@
 """Command line entry point.
 
 Subcommands: rates, bound, ratio, diagnose-nz.  Each takes a JSON config
-(--config).  --seed and --threads override the config field of the same
-name when the subcommand's config has one; --out picks the output
-directory in place of the config's out field, and stays out of the config
-echo, so result files do not depend on where they are written.  Every run
-writes <stem>.csv and <stem>_summary.json, plus bound_report.json for
-bound and optional gnuplot-ready two-column files for rates.
+(--config).  --seed and --threads exist on the subcommands whose config
+has that field, and override it.  --out (default results) alone picks the
+output directory, so result files do not depend on where they are written.
+Every run writes <stem>.csv and <stem>_summary.json, plus bound_report.json
+for bound and optional gnuplot-ready two-column files for rates.
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical error.
 """
@@ -24,8 +23,6 @@ from .errors import NumericalError, ValidationError
 from .experiments import (BoundConfig, NzConfig, RatesConfig, RatioConfig,
                           run_bound_report, run_nz_diagnostics, run_rates,
                           run_ratio)
-
-_OVERRIDES = ("seed", "threads")
 
 
 def _load_config(path: str) -> dict:
@@ -93,24 +90,21 @@ _COMMANDS = {
 
 
 def _run(args: argparse.Namespace) -> int:
-    config_cls, stem, runner, _ = _COMMANDS[args.command]
-    data = _load_config(args.config)
-    known = {f.name for f in fields(config_cls)}
-    for flag in _OVERRIDES:
-        if flag in known and getattr(args, flag) is not None:
-            data[flag] = getattr(args, flag)
-    config = config_cls.from_dict(data)
+    options = vars(args)  # after these pops: the --seed/--threads given
+    command, path, out = (options.pop(k) for k in ("command", "config", "out"))
+    config_cls, stem, runner, _ = _COMMANDS[command]
+    config = config_cls.from_dict({**_load_config(path), **options})
     t0 = time.perf_counter()
     table, files, summary = runner(config)
     elapsed = time.perf_counter() - t0
-    out = Path(args.out if args.out is not None else config.out)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / f"{stem}.csv")
     table.write_metadata(out / f"{stem}_summary.json")
     for name, text in files.items():
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    print(f"{args.command}: {summary}; {elapsed:.1f} s; wrote {out}/{stem}.*")
+    print(f"{command}: {summary}; {elapsed:.1f} s; wrote {out}/{stem}.*")
     return 0
 
 
@@ -127,15 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantitative normal approximation experiments for "
                     "finite sums of Wiener chaoses")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, _, help_text) in _COMMANDS.items():
+    for name, (config_cls, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--out", default=None,
-                       help="output directory (overrides the config field)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="override the config worker count")
+        p.add_argument("--out", default="results",
+                       help="output directory (default results)")
+        for f in fields(config_cls):
+            if f.name in ("seed", "threads"):
+                p.add_argument(f"--{f.name}", type=int,
+                               default=argparse.SUPPRESS,
+                               help=f"override the config {f.name}")
     return parser
 
 

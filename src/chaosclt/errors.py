@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types, and the number checks, shared across the package.
 
 Validation failures (bad arguments, malformed configs, unparseable kernel
 files) exit the CLI with code 1; numerical failures (indefinite covariance,
 mixed inner products negative beyond tolerance) exit with code 2.
 """
+
+import math
+import numbers
 
 
 class ValidationError(ValueError):
@@ -16,3 +19,28 @@ class UnsupportedRepresentationError(ValidationError):
 
 class NumericalError(ArithmeticError):
     """A numerical guard was tripped (not a usage error)."""
+
+
+def checked_integer(value, name: str, minimum: int,
+                    limit: int | None = None) -> int:
+    """value as an int in [minimum, limit), else a ValidationError naming
+    the field; integral floats (JSON 1e5) are accepted, booleans are not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum or (limit is not None and value >= limit):
+        upper = "" if limit is None else f" and below {limit}"
+        raise ValidationError(
+            f"{name} must be >= {minimum}{upper}, got {value}")
+    return value
+
+
+def checked_real(value, name: str) -> float:
+    """value as a finite float, else a ValidationError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value)

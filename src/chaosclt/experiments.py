@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -23,7 +22,8 @@ from .bounds import chaos_sum_bound, fgn_rate, nz_ratio_diagnostic, phi, \
     power_variation_bound
 from .chaos import ChaosSum
 from .distances import EmpiricalSample, kolmogorov_distance, rate_fit
-from .errors import ValidationError
+from .errors import ValidationError, checked_integer, checked_real
+from .hermite import MAX_MONOMIAL_ORDER
 from .kernels import kernel_from_json
 from .ratio import Perturbations, make_synthetic_family, ratio_bound, \
     sample_ratio_batch
@@ -83,30 +83,6 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _integer(value, name: str, minimum: int, limit: int | None = None) -> int:
-    """value as an int in [minimum, limit), else a ValidationError naming
-    the field; integral floats (JSON 1e5) are accepted, booleans are not."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum or (limit is not None and value >= limit):
-        upper = "" if limit is None else f" and below {limit}"
-        raise ValidationError(
-            f"{name} must be >= {minimum}{upper}, got {value}")
-    return value
-
-
-def _real(value, name: str) -> float:
-    """value as a finite float, else a ValidationError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
 def _grid(values, name: str, convert, **limits) -> list:
     """A nonempty list of converted entries, each located by index."""
     if not isinstance(values, (list, tuple)) or not values:
@@ -114,12 +90,9 @@ def _grid(values, name: str, convert, **limits) -> list:
     return [convert(v, f"{name}[{i}]", **limits) for i, v in enumerate(values)]
 
 
-def _seed(value) -> int:
-    # the seed is one 64-bit word of the Philox key
-    return _integer(value, "seed", 0, KEY_LIMIT)
-
-
 def _config_from_dict(cls, data: dict, where: str):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be an object, got {data!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -143,15 +116,17 @@ class RatesConfig:
     q: int = 2
     threads: int = 1
     emit_plot_data: bool = False
-    out: str = "results"
 
     def __post_init__(self):
-        self.n_grid = _grid(self.n_grid, "n_grid", _integer, minimum=1)
-        self.replicas = _integer(self.replicas, "replicas", 100)
-        self.seed = _seed(self.seed)
-        self.q = _integer(self.q, "q", 2)
-        self.threads = _integer(self.threads, "threads", 1)
-        self.hurst = _real(self.hurst, "hurst")
+        self.n_grid = _grid(self.n_grid, "n_grid", checked_integer, minimum=1)
+        self.replicas = checked_integer(self.replicas, "replicas", 100)
+        self.seed = checked_integer(self.seed, "seed", 0, KEY_LIMIT)
+        self.q = checked_integer(self.q, "q", 2, MAX_MONOMIAL_ORDER + 1)
+        _require(self.q % 2 == 0, f"q must be even, got {self.q}")
+        _require(isinstance(self.emit_plot_data, bool),
+                 f"emit_plot_data must be a boolean, got {self.emit_plot_data!r}")
+        self.threads = checked_integer(self.threads, "threads", 1)
+        self.hurst = checked_real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 0.75,
                  f"rate experiment requires 0 < H < 3/4, got {self.hurst}")
 
@@ -247,12 +222,15 @@ def run_rates(config: RatesConfig) -> ResultTable:
 class BoundConfig:
     inputs: list[dict]
     constant_multiplier: float = 1.0
-    out: str = "results"
 
     def __post_init__(self):
-        _require(bool(self.inputs), "bound config needs at least one input")
-        self.constant_multiplier = _real(self.constant_multiplier,
-                                         "constant_multiplier")
+        _require(isinstance(self.inputs, list) and bool(self.inputs),
+                 "inputs must be a nonempty list")
+        self.constant_multiplier = checked_real(self.constant_multiplier,
+                                                "constant_multiplier")
+        _require(self.constant_multiplier > 0.0,
+                 f"constant_multiplier must be positive, "
+                 f"got {self.constant_multiplier}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundConfig":
@@ -323,30 +301,26 @@ class RatioConfig:
     sigma2: float = 1.0
     perturbations: dict = field(default_factory=dict)
     threads: int = 1
-    out: str = "results"
 
     def __post_init__(self):
-        self.lambda_grid = _grid(self.lambda_grid, "lambda_grid", _real)
-        self.replicas = _integer(self.replicas, "replicas", 100)
-        self.seed = _seed(self.seed)
-        self.threads = _integer(self.threads, "threads", 1)
-        self.rho = _real(self.rho, "rho")
-        self.sigma1 = _real(self.sigma1, "sigma1")
-        self.sigma2 = _real(self.sigma2, "sigma2")
+        self.lambda_grid = _grid(self.lambda_grid, "lambda_grid", checked_real)
+        self.replicas = checked_integer(self.replicas, "replicas", 100)
+        self.seed = checked_integer(self.seed, "seed", 0, KEY_LIMIT)
+        self.threads = checked_integer(self.threads, "threads", 1)
+        self.rho = checked_real(self.rho, "rho")
+        self.sigma1 = checked_real(self.sigma1, "sigma1")
+        self.sigma2 = checked_real(self.sigma2, "sigma2")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RatioConfig":
         return _config_from_dict(cls, data, "ratio config")
 
-    def perturbation_config(self) -> Perturbations:
-        return _config_from_dict(Perturbations, self.perturbations,
-                                 "ratio config perturbations")
-
 
 def run_ratio(config: RatioConfig) -> ResultTable:
     """Sweep the lambda grid: empirical d_Kol of the ratio against
     N(0, sigma1^2 + sigma2^2), rejection rates, and the five bound terms."""
-    pert = config.perturbation_config()
+    pert = _config_from_dict(Perturbations, config.perturbations,
+                             "ratio config perturbations")
     columns = ["lam", "rho", "sigma1", "sigma2", "replicas", "seed", "stream",
                "d_kol", "rejection_rate", "phi", "mean_drift",
                "f_second_moment_gap", "g_second_moment_gap", "remainder",
@@ -405,14 +379,15 @@ class NzConfig:
     seed: int
     m: int = 2
     signs: list[int] = field(default_factory=lambda: [1, -1])
-    out: str = "results"
 
     def __post_init__(self):
-        self.n_grid = _grid(self.n_grid, "n_grid", _integer, minimum=1)
-        self.seed = _seed(self.seed)
-        self.m = _integer(self.m, "m", 2)
-        self.signs = _grid(self.signs, "signs", _integer, minimum=-1)
-        self.hurst = _real(self.hurst, "hurst")
+        self.n_grid = _grid(self.n_grid, "n_grid", checked_integer, minimum=1)
+        self.seed = checked_integer(self.seed, "seed", 0, KEY_LIMIT)
+        self.m = checked_integer(self.m, "m", 2)
+        self.signs = _grid(self.signs, "signs", checked_integer, minimum=-1, limit=2)
+        _require(len(self.signs) == self.m and 0 not in self.signs,
+                 f"signs must be {self.m} entries +-1, got {self.signs}")
+        self.hurst = checked_real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 1.0, "hurst must lie in (0, 1)")
 
     @classmethod

@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked_integer
 from .stationary import (EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs,
                          circulant_embedding_eigenvalues)
 
@@ -62,10 +62,10 @@ MIXED_INNER_TOL = 1e-10
 
 
 def _check_entry_budget(dim: int, order: int, guard: int = DENSE_ENTRY_GUARD) -> None:
-    if dim ** order > guard:
-        raise ValidationError(
-            f"dense kernel with dim={dim}, order={order} needs {dim ** order} "
-            f"entries, above the {guard} entry guard")
+    # numpy arrays have at most 64 axes
+    if order > 64 or dim ** order > guard:
+        raise ValidationError(f"dense kernel with dim={dim}, order={order} "
+                              f"is above the {guard}-entry, 64-axis guard")
 
 
 class DenseKernel:
@@ -140,32 +140,25 @@ class Gram:
 
 
 class RankOneSumKernel:
-    """sum_i coeffs[i] * vectors[i]^(tensor order), symmetric by construction.
+    """sum_i coeffs[i] * vectors[i]^(tensor order), symmetric by construction."""
 
-    stationary=True records that the Gram matrix <v_i, v_j> depends only on
-    i - j (a Toeplitz matrix).  It is carried through JSON and nothing
-    relies on it: the contraction routines check the Gram itself before
-    taking their Toeplitz route.
-    """
-
-    def __init__(self, order: int, coeffs: np.ndarray, vectors: np.ndarray,
-                 stationary: bool = False):
+    def __init__(self, order: int, coeffs: np.ndarray, vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim != 2:
             raise ValidationError(
                 f"vectors must be (terms, dim), got {vectors.shape}")
-        self._init(order, coeffs, Gram(vectors=vectors), stationary)
+        self._init(order, coeffs, Gram(vectors=vectors))
 
     @classmethod
-    def from_gram(cls, order: int, coeffs: np.ndarray, gram: Gram,
-                  stationary: bool = False) -> "RankOneSumKernel":
+    def from_gram(cls, order: int, coeffs: np.ndarray,
+                  gram: Gram) -> "RankOneSumKernel":
         """The rank-one sum whose term vectors have Gram matrix gram; its
         vectors are a square root of gram, computed only if read."""
         kernel = cls.__new__(cls)
-        kernel._init(order, coeffs, gram, stationary)
+        kernel._init(order, coeffs, gram)
         return kernel
 
-    def _init(self, order, coeffs, gram: Gram, stationary: bool) -> None:
+    def _init(self, order, coeffs, gram: Gram) -> None:
         if order < 1:
             raise ValidationError(f"kernel order must be >= 1, got {order}")
         coeffs = np.asarray(coeffs, dtype=float)
@@ -176,7 +169,6 @@ class RankOneSumKernel:
                 f"{gram.terms} term vectors for {coeffs.size} coefficients")
         self.order = order
         self.coeffs = coeffs
-        self.stationary = stationary
         self._gram = gram
 
     @property
@@ -208,7 +200,7 @@ class RankOneSumKernel:
 
     def __repr__(self):
         return (f"RankOneSumKernel(order={self.order}, terms={self.terms}, "
-                f"dim={self.dim}, stationary={self.stationary})")
+                f"dim={self.dim})")
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +421,7 @@ def breuer_major_kernels(rho: CovarianceFunction, n: int,
     gram = Gram(matrix=corr)
     scale = 1.0 / math.sqrt(n)
     return [
-        RankOneSumKernel.from_gram(order, np.full(n, lam * scale), gram,
-                                   stationary=True)
+        RankOneSumKernel.from_gram(order, np.full(n, lam * scale), gram)
         for lam, order in zip(coeffs.lambdas, coeffs.orders())
     ]
 
@@ -453,7 +444,6 @@ def kernel_to_json(kernel: DenseKernel | RankOneSumKernel) -> dict:
             "representation": "rank_one_sum",
             "order": kernel.order,
             "dim": kernel.dim,
-            "stationary": kernel.stationary,
             "terms": [
                 {"coeff": float(a), "vector": v.tolist()}
                 for a, v in zip(kernel.coeffs, kernel.vectors)
@@ -462,18 +452,36 @@ def kernel_to_json(kernel: DenseKernel | RankOneSumKernel) -> dict:
     raise ValidationError(f"not a kernel: {type(kernel).__name__}")
 
 
+def _finite(value, where: str, shape=None) -> np.ndarray:
+    """value, a number or nested lists of numbers, as a float array of the
+    given shape; strings, nulls, booleans alone and non-finite entries
+    raise."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nested lists
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(f"{where} must hold numbers only")
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{where} must be finite")
+    if shape is not None and array.shape != shape:
+        raise ValidationError(f"{where} has shape {array.shape}, expected {shape}")
+    return array.astype(float, copy=False)
+
+
 def kernel_from_json(data: dict, where: str = "kernel") -> DenseKernel | RankOneSumKernel:
-    """Inverse of kernel_to_json; errors carry the offending location."""
+    """Inverse of kernel_to_json; errors carry the offending location.
+    Keys it does not read, such as the retired stationary flag, are
+    ignored."""
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object, got {type(data).__name__}")
     rep = data.get("representation")
-    try:
-        order = int(data["order"])
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: missing or bad order/dim ({exc})") from None
+    # E[F^2] weighs order p by p!, which overflows a float above 170
+    order = checked_integer(data.get("order"), f"{where}: order", 1, 171)
+    dim = checked_integer(data.get("dim"), f"{where}: dim", 1)
     if rep == "dense":
-        values = np.asarray(data.get("values", []), dtype=float)
+        _check_entry_budget(dim, order)
+        values = _finite(data.get("values", []), f"{where}: values")
         if values.size != dim ** order:
             raise ValidationError(
                 f"{where}: dense payload has {values.size} entries, "
@@ -486,17 +494,11 @@ def kernel_from_json(data: dict, where: str = "kernel") -> DenseKernel | RankOne
         coeffs = []
         vectors = []
         for i, term in enumerate(terms):
-            try:
-                coeffs.append(float(term["coeff"]))
-                vec = np.asarray(term["vector"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{where}.terms[{i}]: {exc}") from None
-            if vec.shape != (dim,):
-                raise ValidationError(
-                    f"{where}.terms[{i}]: vector has shape {vec.shape}, "
-                    f"expected ({dim},)")
-            vectors.append(vec)
+            loc = f"{where}.terms[{i}]"
+            if not isinstance(term, dict):
+                raise ValidationError(f"{loc}: expected an object")
+            coeffs.append(_finite(term.get("coeff"), f"{loc}: coeff", ()))
+            vectors.append(_finite(term.get("vector"), f"{loc}: vector", (dim,)))
         return RankOneSumKernel(order=order, coeffs=np.array(coeffs),
-                                vectors=np.array(vectors),
-                                stationary=bool(data.get("stationary", False)))
+                                vectors=np.array(vectors))
     raise ValidationError(f"{where}: unknown representation {rep!r}")

@@ -25,13 +25,12 @@ normals.  This is exact in law, not an approximation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bounds import BoundReport
-from .errors import ValidationError
+from .errors import ValidationError, checked_real
 from .kernels import DenseKernel, RankOneSumKernel
 from .streams import block_chisquare, block_normals, run_blocks
 
@@ -69,11 +68,7 @@ class Perturbations:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValidationError(
-                    f"{f.name} must be a finite number, got {value!r}")
+            checked_real(getattr(self, f.name), f.name)
         if self.s_norm < 0.0 or self.u_norm < 0.0:
             raise ValidationError("perturbation norms must be nonnegative")
         if not 0.0 <= self.f_overlap < 1.0:

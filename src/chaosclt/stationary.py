@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # Eigenvalues of the circulant embedding (and of the dense fallback) in
-# [-EIG_CLAMP, 0) are treated as floating-point zeros.
+# [-EIG_CLAMP * rho(0), 0) are treated as floating-point zeros.
 EIG_CLAMP = 1e-10
 
 
@@ -150,10 +150,10 @@ class PathSampler:
     """Exact sampler for a stationary Gaussian vector of length n.
 
     Embeds the covariance in a circulant of size 2n diagonalized by the FFT;
-    eigenvalues in [-EIG_CLAMP, 0) are clamped to zero, anything lower falls
-    back to a dense eigendecomposition of the n x n covariance matrix.  If
-    that also has an eigenvalue below -EIG_CLAMP the covariance is not
-    positive semidefinite and a NumericalError reports the offender.
+    eigenvalues in [-c, 0), c = EIG_CLAMP * rho(0), are clamped to zero,
+    anything lower falls back to a dense eigendecomposition of the n x n
+    covariance.  If that also has an eigenvalue below -c the covariance is
+    not positive semidefinite and a NumericalError reports the offender.
     """
 
     def __init__(self, rho: CovarianceFunction, n: int):
@@ -163,7 +163,7 @@ class PathSampler:
         self.rho = rho
         lags = rho.lag_array(n + 1)
         lam = circulant_embedding_eigenvalues(lags)
-        if lam.min() >= -EIG_CLAMP:
+        if lam.min() >= -EIG_CLAMP * rho.rho0:
             self._mode = "circulant"
             self._sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
             self._m = 2 * n
@@ -171,10 +171,10 @@ class PathSampler:
             self._mode = "dense"
             cov = toeplitz(lags[:n])
             eigvals, eigvecs = np.linalg.eigh(cov)
-            if eigvals.min() < -EIG_CLAMP:
+            if eigvals.min() < -EIG_CLAMP * rho.rho0:
                 raise NumericalError(
                     "covariance is not positive semidefinite: eigenvalue "
-                    f"{eigvals.min():.6g} below -{EIG_CLAMP:g}")
+                    f"{eigvals.min():.6g} below {-EIG_CLAMP * rho.rho0:g}")
             self._chol = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
     @property

@@ -1,11 +1,17 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from chaosclt.bounds import nz_ratio_diagnostic
@@ -287,7 +293,7 @@ class TestCli:
         })
         code = main(["diagnose-nz", "--config", cfg, "--threads", "4",
                      "--out", str(tmp_path / "out")])
-        assert code == 0
+        assert code == 1
 
     def test_validation_failures_exit_one(self, tmp_path, capsys):
         missing = main(["rates", "--config", str(tmp_path / "nope.json")])
@@ -323,6 +329,21 @@ class TestCli:
         pytest.param("diagnose-nz", {"signs": "ab"}, "signs", id="nz-signs"),
         pytest.param("bound", {"constant_multiplier": "x"},
                      "constant_multiplier", id="bound-multiplier"),
+        pytest.param("rates", {"q": 3}, "rates config: q", id="rates-odd-q"),
+        pytest.param("rates", {"q": 34}, "rates config: q", id="rates-big-q"),
+        pytest.param("diagnose-nz", {"m": 3}, "diagnose-nz config: signs",
+                     id="nz-signs-length"),
+        pytest.param("diagnose-nz", {"signs": [1, 0]},
+                     "diagnose-nz config: signs", id="nz-signs-zero"),
+        pytest.param("bound", {"constant_multiplier": -1},
+                     "bound config: constant_multiplier",
+                     id="bound-negative-multiplier"),
+        pytest.param("bound", {"inputs": [{"kernels": [{
+            "representation": "rank_one_sum", "order": 1, "dim": 1,
+            "terms": [{"coeff": float("inf"), "vector": [1.0]}]}]}]},
+            r"inputs\[0\]\.kernels\[0\]\.terms\[0\]: coeff must be finite",
+            id="bound-kernel-coeff"),
+        pytest.param("ratio", {"out": "elsewhere"}, "out", id="ratio-out"),
     ])
     def test_config_type_errors_exit_one(self, tmp_path, capsys, command,
                                          payload, field):
@@ -392,6 +413,12 @@ class TestCli:
         pytest.param(["rates", "--config", "x.json", "--seed", "abc"],
                      id="bad-seed"),
         pytest.param(["nope"], id="unknown-command"),
+        pytest.param(["bound", "--config", "x.json", "--seed", "3"],
+                     id="bound-seed"),
+        pytest.param(["bound", "--config", "x.json", "--threads", "2"],
+                     id="bound-threads"),
+        pytest.param(["diagnose-nz", "--config", "x.json", "--threads", "4"],
+                     id="nz-threads"),
     ])
     def test_usage_errors_exit_one(self, capsys, argv):
         assert main(argv) == 1
@@ -410,7 +437,7 @@ class TestCli:
             "inputs": [{"label": "eq", "kernels": [eigenvalue_sum_json(4)]}],
             "constant_multiplier": 2.0,
         })
-        assert main(["bound", "--config", cfg, "--seed", "3", "--threads", "2",
+        assert main(["bound", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "bound_summary.json")
                              .read_text())
@@ -426,7 +453,7 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "nz_summary.json")
                              .read_text())
         assert summary["config"]["seed"] == 9
-        assert summary["config"]["out"] == "results"
+        assert "out" not in summary["config"]
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
@@ -459,3 +486,81 @@ class TestCheckedInConfigs:
         assert [float(row["ratio"]) for row in rows] == [
             nz_ratio_diagnostic(cov, n, config.m, config.signs)
             for n in config.n_grid]
+
+
+# Small valid documents for the hostile-input fuzz below, one per subcommand.
+VALID_DOCUMENTS = {
+    "rates": {"hurst": 0.5, "q": 2, "n_grid": [16, 32], "replicas": 100,
+              "seed": 1, "threads": 1, "emit_plot_data": False},
+    "ratio": {"lambda_grid": [4.0], "replicas": 100, "seed": 1, "rho": 1.0,
+              "sigma1": 1.0, "sigma2": 1.0, "threads": 1,
+              "perturbations": {"s_norm": 0.0, "mu": 0.0, "f_overlap": 0.0}},
+    "diagnose-nz": {"hurst": 0.7, "n_grid": [8], "seed": 0, "m": 2,
+                    "signs": [1, -1]},
+    "bound": {"constant_multiplier": 1.0, "inputs": [{"label": "x", "kernels": [
+        {"representation": "rank_one_sum", "order": 1, "dim": 2,
+         "terms": [{"coeff": 1.0, "vector": [1.0, 0.0]}]},
+        {"representation": "dense", "order": 2, "dim": 2,
+         "values": [1.0, 0.5, 0.5, 1.0]}]}]},
+}
+# A valid but large value of these would only make the run slow.
+SIZE_FIELDS = {"replicas", "n_grid", "lambda_grid", "dim", "threads", "m"}
+BIG = 2 ** 64
+EXTRA_KEY = object()  # adds a key to an object instead of replacing it
+HOSTILE_VALUES = ["x", True, math.nan, math.inf, -1, 0, BIG, "1e400", None,
+                  [], {}, EXTRA_KEY]
+
+
+def _document_paths(node, prefix=()):
+    """Every path to a node below node, as a tuple of keys and indices."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _document_paths(child, prefix + (key,))
+
+
+@st.composite
+def hostile_documents(draw):
+    """(command, JSON text) with one field of a valid document made hostile."""
+    command = draw(st.sampled_from(sorted(VALID_DOCUMENTS)))
+    document = copy.deepcopy(VALID_DOCUMENTS[command])
+    path = draw(st.sampled_from([(), *_document_paths(document)]))
+    value = draw(st.sampled_from(HOSTILE_VALUES))
+    assume(value is not BIG or not SIZE_FIELDS & set(path))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else document
+    if value is EXTRA_KEY:
+        assume(isinstance(target, dict))
+        target["extra"] = 1
+    else:
+        assume(path)
+        parent[path[-1]] = value
+    # "1e400" stands for the JSON literal, which loads as an infinity
+    return command, json.dumps(document).replace('"1e400"', "1e400")
+
+
+class TestHostileInputs:
+    @settings(max_examples=1000, deadline=None)
+    @given(hostile_documents())
+    def test_no_input_ends_in_a_traceback(self, case):
+        command, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(text)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", str(config),
+                             "--out", str(Path(tmp) / "out")])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), text
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith(("error: ", "numerical error: ")), err

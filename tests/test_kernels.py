@@ -25,11 +25,10 @@ def basis(dim, i):
     return v
 
 
-def random_rank_one(rng, order, dim, terms, stationary=False):
+def random_rank_one(rng, order, dim, terms):
     return RankOneSumKernel(order=order,
                             coeffs=rng.uniform(-1, 1, size=terms),
-                            vectors=rng.uniform(-1, 1, size=(terms, dim)),
-                            stationary=stationary)
+                            vectors=rng.uniform(-1, 1, size=(terms, dim)))
 
 
 def dense_contraction_norm(k, r):
@@ -217,7 +216,7 @@ class TestRankOneClosedForms:
         for k in breuer_major_kernels(cov, 12, coeffs):
             slow_kernels.append(
                 RankOneSumKernel(order=k.order, coeffs=k.coeffs,
-                                 vectors=k.vectors, stationary=False))
+                                 vectors=k.vectors))
         fast_kernels = breuer_major_kernels(cov, 12, coeffs)
         for fast, slow in zip(fast_kernels, slow_kernels):
             for r in (1, fast.order - 1):
@@ -365,10 +364,10 @@ class TestSerialization:
 
     def test_rank_one_round_trip(self):
         rng = np.random.default_rng(13)
-        k = random_rank_one(rng, 3, dim=4, terms=2, stationary=True)
+        k = random_rank_one(rng, 3, dim=4, terms=2)
         back = kernel_from_json(kernel_to_json(k))
         assert isinstance(back, RankOneSumKernel)
-        assert back.order == 3 and back.stationary
+        assert back.order == 3
         assert np.array_equal(back.coeffs, k.coeffs)
         assert np.array_equal(back.vectors, k.vectors)
 
@@ -386,6 +385,35 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="entries"):
             kernel_from_json({"representation": "dense", "order": 2, "dim": 2,
                               "values": [1.0, 2.0]})
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param({"representation": "dense", "order": 1e400, "dim": 2,
+                      "values": [1.0, 2.0]}, "k: order must be an integer",
+                     id="infinite-order"),
+        pytest.param({"representation": "dense", "order": 100, "dim": 1,
+                      "values": [1.0]}, "guard", id="dense-order-above-64"),
+        pytest.param({"representation": "rank_one_sum", "order": 171, "dim": 1,
+                      "terms": [{"coeff": 1.0, "vector": [1.0]}]},
+                     "k: order must be >= 1 and below 171", id="order-above-170"),
+        pytest.param({"representation": "dense", "order": 2, "dim": 2,
+                      "values": [1, "a", 0, 1]}, "k: values must hold numbers",
+                     id="string-entry"),
+        pytest.param({"representation": "dense", "order": 1, "dim": 2,
+                      "values": [1.0, float("nan")]}, "k: values must be finite",
+                     id="nan-entry"),
+        pytest.param({"representation": "rank_one_sum", "order": 2, "dim": 1,
+                      "terms": [{"coeff": 1e400, "vector": [1.0]}]},
+                     r"k\.terms\[0\]: coeff must be finite", id="infinite-coeff"),
+        pytest.param({"representation": "rank_one_sum", "order": 2, "dim": 1,
+                      "terms": [{"coeff": [1.0], "vector": [1.0]}]},
+                     r"k\.terms\[0\]: coeff has shape", id="list-coeff"),
+        pytest.param({"representation": "rank_one_sum", "order": 2, "dim": 2,
+                      "terms": [{"coeff": 1.0, "vector": [1.0, None]}]},
+                     r"k\.terms\[0\]: vector must hold numbers", id="null-entry"),
+    ])
+    def test_malformed_numbers_are_rejected(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            kernel_from_json(data, where="k")
 
 
 class TestToeplitzProduct:
@@ -451,7 +479,6 @@ class TestStationaryFlagIsVerified:
                 "stationary": flag,
                 "terms": [{"coeff": c, "vector": v.tolist()}
                           for c, v in zip([1.0, 2.0, -0.5], vectors)]})
-            assert k.stationary is flag
             norms.append(rank_one_contraction_norm(k, 1))
         assert norms[0] == norms[1]
         assert norms[0] == pytest.approx(dense_contraction_norm(k, 1),
@@ -539,7 +566,7 @@ class TestGramKernels:
         coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
         (k,) = breuer_major_kernels(cov, 8, coeffs)
         back = kernel_from_json(kernel_to_json(k))
-        assert back.stationary and back.dim == 8
+        assert back.dim == 8
         assert np.array_equal(back.vectors, k.vectors)
         assert rank_one_contraction_norm(back, 1) == pytest.approx(
             rank_one_contraction_norm(k, 1), rel=1e-10)

@@ -154,6 +154,24 @@ class TestSamplePaths:
         with pytest.raises(NumericalError, match="eigenvalue"):
             sample_paths(cov, 3, 1, seed=0)
 
+    @pytest.mark.parametrize("s", [1.0, 4.0 ** 7, 4.0 ** 10])
+    def test_eigenvalue_clamp_is_relative_to_rho0(self, s):
+        # s cos(2 pi 5 k / 512) is exactly PSD (rank 2); at n = 256 its
+        # circulant embedding has rounding-level eigenvalues near -5e-14 s,
+        # which an absolute clamp rejected from s ~ 1e4 on.  Scaling by a
+        # power of 4 is exact in floating point, so the paths must scale by
+        # exactly sqrt(s).
+        def cosine(scale):
+            return CovarianceFunction(
+                evaluator=lambda k: scale * math.cos(2 * math.pi * 5 * k / 512),
+                rho0=scale)
+
+        assert PathSampler(cosine(s), 256).mode == "circulant"
+        np.testing.assert_allclose(
+            sample_paths(cosine(s), 256, 8, seed=3).values,
+            math.sqrt(s) * sample_paths(cosine(1.0), 256, 8, seed=3).values,
+            rtol=1e-12)
+
     def test_bad_arguments(self):
         cov = CovarianceFunction.fgn(0.5)
         with pytest.raises(ValidationError):
