@@ -11,6 +11,10 @@ vector z, is computed from the identity "order-p element of a unit rank-one
 kernel = H_p of the projection":
 
     I_p(v^(tensor p))(z) = ||v||**p * H_p(<v, z> / ||v||).
+
+sample_batch skips the projection for I1 + I2 sums in eigen-form: it reads
+its normals as the projections onto the orthonormal eigenvectors, which
+have the same law (see _eigen_terms).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
-from .kernels import (DenseKernel, RankOneSumKernel, is_symmetric,
+from .kernels import (DenseKernel, Gram, RankOneSumKernel, is_symmetric,
                       rank_one_contraction_norm, rank_one_norm_squared)
 from .streams import block_normals, run_blocks
 
@@ -75,7 +79,9 @@ def as_rank_one(kernel: Kernel) -> RankOneSumKernel:
 
     A dense order-1 kernel f becomes the single term f, and a dense order-2
     kernel its eigen-form sum_i lambda_i u_i^(tensor 2), which rejects an
-    asymmetric matrix.  Dense kernels of higher order have no cheap
+    asymmetric matrix; the eigenvectors u_i are orthonormal, so that form
+    is built on a Gram that is exactly the identity (see sample_batch).
+    Dense kernels of higher order have no cheap
     rank-one form and raise UnsupportedRepresentationError.
     """
     if isinstance(kernel, RankOneSumKernel):
@@ -85,8 +91,8 @@ def as_rank_one(kernel: Kernel) -> RankOneSumKernel:
                                 vectors=kernel.values[None, :])
     if kernel.order == 2:
         spec = SecondChaosSpectrum.from_kernel(kernel)
-        return RankOneSumKernel(order=2, coeffs=spec.eigenvalues,
-                                vectors=spec.eigenvectors.T)
+        return RankOneSumKernel.from_gram(
+            2, spec.eigenvalues, Gram.orthonormal(spec.eigenvectors.T))
     raise UnsupportedRepresentationError(
         f"dense kernels are supported only at orders 1 and 2; "
         f"use a rank-one sum for order {kernel.order}")
@@ -145,12 +151,36 @@ def _unit_terms(F: ChaosSum) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out
 
 
+def _eigen_terms(F: ChaosSum) -> list[tuple[int, None, np.ndarray]] | None:
+    """F's terms in the eigen-coordinates of its order-2 kernel, or None.
+
+    When F is I1(f) + I2(g) or I2(g), and g = sum_i lambda_i u_i^(tensor 2)
+    has dim terms on a Gram that is exactly the identity, the u_i are the
+    rows of an orthogonal V, and xi = V z is standard Gaussian with
+    I2(g)(z) = sum_i lambda_i H_2(xi_i) and I1(f)(z) = <V f, xi>.  The
+    terms are then axis-aligned (directions None) with weights lambda and
+    V f.
+    """
+    g = F.kernels.get(2)
+    if (g is None or not set(F.orders) <= {1, 2} or g.terms != F.dim
+            or not np.array_equal(g.gram, np.eye(F.dim))):
+        return None
+    terms = []
+    if 1 in F.kernels:
+        f = F.kernels[1]
+        terms.append((1, None, g.vectors @ (f.coeffs @ f.vectors)))
+    terms.append((2, None, g.coeffs))
+    return terms
+
+
 def _eval_block(terms, Z: np.ndarray) -> np.ndarray:
-    """Evaluate the chaos sum given by _unit_terms on each row of Z (rows
-    are independent Gaussian vectors)."""
+    """Evaluate the chaos sum given by _unit_terms or _eigen_terms on each
+    row of Z (rows are independent Gaussian vectors, or their
+    eigen-coordinates for axis-aligned terms)."""
     out = np.zeros(Z.shape[0])
     for order, directions, weights in terms:
-        out += hermite(order, Z @ directions) @ weights
+        out += hermite(order, Z if directions is None
+                       else Z @ directions) @ weights
     return out
 
 
@@ -164,11 +194,22 @@ def sample(F: ChaosSum, z: np.ndarray) -> float:
 
 def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
                  stream: int = 0) -> np.ndarray:
-    """M independent samples; deterministic in (seed, stream), thread-safe."""
+    """M independent samples of F; deterministic in (seed, stream),
+    thread-safe.
+
+    Replica r reads its row z of the block normals (streams.block_normals,
+    width F.dim).  In general it is sample(F, z).  When F is I1 + I2 or I2
+    with its order-2 kernel in eigen-form (see _eigen_terms, and
+    as_rank_one for dense kernels), z is read as eigen-coordinates
+    instead, and the replica is sample(F, V^T z): V^T z is again standard
+    Gaussian, and no dim x dim rotation is formed per block.  The samples
+    are exact in law; a pathwise value at a given Gaussian vector comes
+    from sample only.
+    """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
     out = np.empty(M)
-    terms = _unit_terms(F)
+    terms = _eigen_terms(F) or _unit_terms(F)
 
     def worker(block, start, count):
         Z = block_normals(seed, stream, block, count, F.dim)

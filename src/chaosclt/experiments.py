@@ -252,7 +252,9 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
         if not isinstance(item, dict) or "kernels" not in item:
             raise ValidationError(f"{where}: expected an object with a "
                                   f"'kernels' list")
-        label = str(item.get("label", f"input-{i}"))
+        label = item.get("label", f"input-{i}")
+        if not isinstance(label, str):
+            raise ValidationError(f"{where}.label: must be a string")
         kernel_list = item["kernels"]
         if not isinstance(kernel_list, list) or not kernel_list:
             raise ValidationError(f"{where}.kernels: expected a nonempty list")

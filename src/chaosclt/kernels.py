@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from functools import reduce
 
 import numpy as np
@@ -115,6 +116,15 @@ class Gram:
             raise ValidationError("a Gram needs exactly one of matrix, vectors")
         self._matrix = matrix
         self._vectors = vectors
+
+    @classmethod
+    def orthonormal(cls, vectors: np.ndarray) -> "Gram":
+        """The Gram of orthonormal rows, exactly np.eye(terms) without
+        forming V V^T; orthonormality is the caller's to certify (see
+        chaos.as_rank_one, whose rows are eigenvectors)."""
+        gram = cls(vectors=vectors)
+        gram._matrix = np.eye(vectors.shape[0])
+        return gram
 
     @property
     def terms(self) -> int:
@@ -453,20 +463,23 @@ def kernel_to_json(kernel: DenseKernel | RankOneSumKernel) -> dict:
 
 
 def _finite(value, where: str, shape=None) -> np.ndarray:
-    """value, a number or nested lists of numbers, as a float array of the
-    given shape; strings, nulls, booleans alone and non-finite entries
-    raise."""
-    try:
-        array = np.asarray(value)
-    except ValueError:  # ragged nested lists
-        array = np.asarray(None)
-    if array.dtype.kind not in "iuf":
+    """value, a number or a flat list of numbers, as a float array of the
+    given shape; strings, nulls, booleans, nested lists and non-finite
+    entries raise.  Entries are type-checked one by one, since numpy
+    would promote [true, 0.5] to [1.0, 0.5]."""
+    kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
+    if not all(issubclass(kind, numbers.Real) and kind is not bool
+               for kind in kinds):
         raise ValidationError(f"{where} must hold numbers only")
+    try:
+        array = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{where} must be finite") from None
     if not np.isfinite(array).all():
         raise ValidationError(f"{where} must be finite")
     if shape is not None and array.shape != shape:
         raise ValidationError(f"{where} has shape {array.shape}, expected {shape}")
-    return array.astype(float, copy=False)
+    return array
 
 
 def kernel_from_json(data: dict, where: str = "kernel") -> DenseKernel | RankOneSumKernel:

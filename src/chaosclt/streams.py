@@ -9,7 +9,7 @@ r % BLOCK_SIZE of a single vectorized draw.  Two consequences:
 * parallel workers that process whole blocks produce output identical to
   a serial run, because no stream is ever shared across blocks.
 
-Layout of stream protocol 3 (STREAM_PROTOCOL).  The Philox key is
+Layout of stream protocol 4 (STREAM_PROTOCOL).  The Philox key is
 (seed, stream), both in [0, 2**64).  Block b owns the counter range
 [b * 2**96, (b + 1) * 2**96), split into two substreams:
 
@@ -30,7 +30,13 @@ i for the i-th lambda grid point.  The rates experiment reads stream 0
 for its whole n grid: replica r draws one path of length max(n_grid) and
 every grid point n reads its first n entries.  Protocol 2 read stream i
 for the i-th n, with an independent path per grid point, so protocol 3
-changed every seeded rates output and nothing else.
+changed every seeded rates output and nothing else.  chaos.sample_batch
+reads stream `stream` (default 0), one row of F.dim normals per replica:
+as the Gaussian vector itself, or, when F is I1 + I2 or I2 with its
+order-2 kernel in eigen-form (every dense order-2 kernel), as the
+coordinates of that vector in the kernel's eigenbasis.  Protocol 3 read
+every row as the Gaussian vector, so protocol 4 changed the seeded
+sample_batch outputs of eigen-form sums and nothing else.
 
 BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 """
@@ -43,7 +49,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-STREAM_PROTOCOL = 3
+STREAM_PROTOCOL = 4
 
 BLOCK_SIZE = 1024
 

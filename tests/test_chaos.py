@@ -11,6 +11,7 @@ from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
                               breuer_major_kernels, contract, inner,
                               symmetrize)
 from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
+from chaosclt.streams import BLOCK_SIZE, block_normals, replica_blocks
 
 from oracles import hermite_e_value, mean_se, sample_variance_se
 
@@ -191,7 +192,6 @@ class TestSampleBatch:
         k = RankOneSumKernel(order=3, coeffs=rng.normal(size=2),
                              vectors=rng.normal(size=(2, 3)))
         F = ChaosSum({1: DenseKernel(rng.normal(size=3)), 3: k})
-        from chaosclt.streams import block_normals
         batch = sample_batch(F, 50, seed=11)
         Z = block_normals(11, 0, 0, 50, 3)
         pointwise = np.array([sample(F, z) for z in Z])
@@ -205,6 +205,58 @@ class TestSampleBatch:
         assert abs(out.mean()) < 5 * mean_se(out)
         expected_var = 2.0 * inner(g, g)
         assert abs(out.var() - expected_var) < 5 * sample_variance_se(out)
+
+
+def eigen_form_sum(rng, dim, orders):
+    """A sum over orders (a subset of {1, 2}) with dense kernels, which
+    ChaosSum stores in eigen-form."""
+    kernels = {2: random_symmetric_order2(rng, dim)}
+    if 1 in orders:
+        kernels[1] = DenseKernel(rng.normal(size=dim))
+    return ChaosSum(kernels)
+
+
+class TestEigenFormSampling:
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_eigen_form_gram_is_exact_identity(self, dim):
+        F = eigen_form_sum(np.random.default_rng(dim), dim, (2,))
+        assert np.array_equal(F.kernels[2].gram, np.eye(dim))
+
+    @pytest.mark.parametrize("orders", [(1, 2), (2,)])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_replica_is_sample_at_rotated_normals(self, dim, orders):
+        # replica r reads its normals xi as eigen-coordinates: it is F at
+        # the Gaussian vector V^T xi
+        F = eigen_form_sum(np.random.default_rng(dim), dim, orders)
+        M = BLOCK_SIZE + 37  # one full block and a partial last one
+        batch = sample_batch(F, M, seed=5, stream=2)
+        xi = np.concatenate([block_normals(5, 2, block, count, dim)
+                             for block, _, count in replica_blocks(M)])
+        V = F.kernels[2].vectors
+        expected = np.array([sample(F, V.T @ row) for row in xi])
+        assert np.abs(batch - expected).max() <= (
+            1e-10 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("orders", [(1, 2), (2,)])
+    def test_thread_count_invariant(self, orders):
+        F = eigen_form_sum(np.random.default_rng(10), 7, orders)
+        runs = [sample_batch(F, 3 * BLOCK_SIZE + 5, seed=9, threads=threads)
+                for threads in (1, 2, 4)]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+
+    def test_non_orthonormal_sum_samples_pointwise(self):
+        # as many terms as dimensions, but not orthonormal: each replica is
+        # F at its own row of normals
+        rng = np.random.default_rng(11)
+        k = RankOneSumKernel(order=2, coeffs=rng.normal(size=5),
+                             vectors=rng.normal(size=(5, 5)))
+        F = ChaosSum({1: DenseKernel(rng.normal(size=5)), 2: k})
+        batch = sample_batch(F, 40, seed=4)
+        pointwise = np.array([sample(F, z)
+                              for z in block_normals(4, 0, 0, 40, 5)])
+        assert np.abs(batch - pointwise).max() <= (
+            1e-12 * np.abs(pointwise).max())
 
 
 class TestBreuerMajorSampling:

@@ -154,6 +154,38 @@ class TestBoundExperiment:
         _, docs = run_bound_report(cfg)
         assert docs[0]["phi"] == pytest.approx(math.sqrt(48.0), rel=1e-12)
 
+    def test_dense_first_plus_second_matches_closed_forms(self):
+        rng = np.random.default_rng(12)
+        f = rng.normal(size=20)
+        a = rng.normal(size=(20, 20))
+        g = (a + a.T) / 2.0
+        cfg = BoundConfig(inputs=[{"kernels": [
+            kernel_to_json(DenseKernel(f)), kernel_to_json(DenseKernel(g))]}])
+        table, docs = run_bound_report(cfg)
+        row = table.rows[0]
+        gg = float(np.linalg.norm(g @ g))
+        gf = float(np.linalg.norm(g @ f))
+        assert row["variance"] == pytest.approx(
+            float(f @ f + 2.0 * np.sum(g * g)), rel=1e-12)
+        assert row["max_contraction_norm"] == pytest.approx(gg, rel=1e-12)
+        assert row["mixed_inner"] == pytest.approx(gf, rel=1e-12)
+        assert docs[0]["phi"] == pytest.approx(math.sqrt(48.0) * gg + gf,
+                                               rel=1e-12)
+
+    @pytest.mark.parametrize("label", [None, 3, []])
+    def test_label_must_be_a_string(self, label):
+        cfg = BoundConfig(inputs=[
+            {"label": "ok", "kernels": [eigenvalue_sum_json(2)]},
+            {"label": label, "kernels": [eigenvalue_sum_json(2)]}])
+        with pytest.raises(ValidationError,
+                           match=r"^inputs\[1\]\.label: must be a string$"):
+            run_bound_report(cfg)
+
+    def test_absent_label_defaults_to_position(self):
+        cfg = BoundConfig(inputs=[{"kernels": [eigenvalue_sum_json(2)]}])
+        table, _ = run_bound_report(cfg)
+        assert table.rows[0]["label"] == "input-0"
+
     def test_dense_second_kernel_decomposed_once(self, monkeypatch):
         # the chaos-sum bound, phi and kappa_4 all reuse the eigen-form that
         # ChaosSum builds at its boundary
@@ -344,6 +376,19 @@ class TestCli:
             r"inputs\[0\]\.kernels\[0\]\.terms\[0\]: coeff must be finite",
             id="bound-kernel-coeff"),
         pytest.param("ratio", {"out": "elsewhere"}, "out", id="ratio-out"),
+        pytest.param("bound", {"inputs": [{"kernels": [{
+            "representation": "dense", "order": 2, "dim": 2,
+            "values": [True, 0.5, 0.5, 1]}]}]},
+            r"inputs\[0\]\.kernels\[0\]: values must hold numbers only",
+            id="bound-boolean-among-values"),
+        pytest.param("bound", {"inputs": [{"kernels": [{
+            "representation": "rank_one_sum", "order": 1, "dim": 2,
+            "terms": [{"coeff": 1.0, "vector": [1, False]}]}]}]},
+            r"inputs\[0\]\.kernels\[0\]\.terms\[0\]: vector must hold "
+            r"numbers only", id="bound-boolean-in-vector"),
+        pytest.param("bound", {"inputs": [{"label": None, "kernels": [
+            eigenvalue_sum_json(2)]}]},
+            r"inputs\[0\]\.label: must be a string", id="bound-null-label"),
     ])
     def test_config_type_errors_exit_one(self, tmp_path, capsys, command,
                                          payload, field):
@@ -389,7 +434,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 0
         for name in ("rates_summary.json", "ratio_summary.json"):
             summary = json.loads((tmp_path / "out" / name).read_text())
-            assert summary["stream_protocol"] == STREAM_PROTOCOL == 3
+            assert summary["stream_protocol"] == STREAM_PROTOCOL == 4
 
     def test_numerical_failures_exit_two(self, tmp_path, monkeypatch):
         from chaosclt import cli

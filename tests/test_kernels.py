@@ -410,6 +410,13 @@ class TestSerialization:
         pytest.param({"representation": "rank_one_sum", "order": 2, "dim": 2,
                       "terms": [{"coeff": 1.0, "vector": [1.0, None]}]},
                      r"k\.terms\[0\]: vector must hold numbers", id="null-entry"),
+        pytest.param({"representation": "dense", "order": 2, "dim": 2,
+                      "values": [[1.0, 0.0], [0.0, 1.0]]},
+                     "k: values must hold numbers", id="nested-values"),
+        pytest.param({"representation": "rank_one_sum", "order": 1, "dim": 1,
+                      "terms": [{"coeff": 10 ** 400, "vector": [1.0]}]},
+                     r"k\.terms\[0\]: coeff must be finite",
+                     id="integer-beyond-float"),
     ])
     def test_malformed_numbers_are_rejected(self, data, message):
         with pytest.raises(ValidationError, match=message):

@@ -14,7 +14,7 @@ def philox_at(seed, stream, counter):
 
 class TestLayout:
     def test_protocol_version(self):
-        assert STREAM_PROTOCOL == 3
+        assert STREAM_PROTOCOL == 4
 
     def test_normals_sit_at_the_block_offset(self):
         # substream 0 kept the protocol-1 layout, so every normal stream
