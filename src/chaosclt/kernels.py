@@ -17,6 +17,13 @@ built either from explicit vectors or from their Gram matrix alone; the
 Breuer-Major kernels of a correlated sequence are built from its
 correlation matrix, and their vectors (a square root of it) are computed
 only if something reads them, such as sampling or serialization.
+
+When all coefficients are equal and the Gram matrix is exactly symmetric
+Toeplitz (checked once per Gram, never taken from the input), the closed
+forms run on its first row alone: contraction norms stream a trace of
+Toeplitz products in O(n^2) time and O(n) memory, squared norms sum over
+diagonals in O(n), and mixed inner products need one Toeplitz
+matrix-vector product, a convolution.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from scipy.linalg import toeplitz
 
 from .errors import NumericalError, ValidationError, checked_integer
 from .stationary import (EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs,
+                         _toeplitz_pair_counts,
                          circulant_embedding_eigenvalues)
 
 __all__ = [
@@ -107,7 +115,9 @@ class Gram:
     root of G (terms x terms, so dim = terms).  Kernels built on one Gram
     share both, so G is factored at most once however many kernels use it.
     A G given alone must be symmetric positive semidefinite; that is the
-    caller's to certify (see breuer_major_kernels).
+    caller's to certify (see breuer_major_kernels).  Whether G is exactly
+    symmetric Toeplitz is checked on the matrix itself, once (see
+    toeplitz_row).
     """
 
     def __init__(self, matrix: np.ndarray | None = None,
@@ -116,6 +126,8 @@ class Gram:
             raise ValidationError("a Gram needs exactly one of matrix, vectors")
         self._matrix = matrix
         self._vectors = vectors
+        self._toeplitz_checked = False
+        self._toeplitz_row = None
 
     @classmethod
     def orthonormal(cls, vectors: np.ndarray) -> "Gram":
@@ -147,6 +159,17 @@ class Gram:
             eigvals, eigvecs = np.linalg.eigh(self._matrix)
             self._vectors = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         return self._vectors
+
+    @property
+    def toeplitz_row(self) -> np.ndarray | None:
+        """The first row of G if G equals toeplitz(G[0]) exactly, else
+        None; checked on the first access only."""
+        if not self._toeplitz_checked:
+            matrix = self.matrix
+            if _is_symmetric_toeplitz(matrix):
+                self._toeplitz_row = matrix[0]
+            self._toeplitz_checked = True
+        return self._toeplitz_row
 
 
 class RankOneSumKernel:
@@ -321,33 +344,76 @@ def _is_symmetric_toeplitz(mat: np.ndarray) -> bool:
             and np.array_equal(mat[1:, 1:], mat[:-1, :-1]))
 
 
-def _toeplitz_product(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """toeplitz(alpha) @ toeplitz(beta) in O(n^2) for first rows alpha, beta.
+def _toeplitz_matvec(row: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T(row) @ v for the symmetric Toeplitz matrix T(row) with first row
+    row: one convolution with its mirrored first row, in O(n) memory."""
+    return np.convolve(np.concatenate([row[:0:-1], row]), v, "valid")
 
-    C = T(alpha) T(beta) has C[0, j] = sum_k alpha_k beta_|j-k| and
-    C[i, 0] = sum_k alpha_|i-k| beta_k, two length-n convolutions; shifting
-    the summation index one step down a diagonal gives
 
-        C[i+1, j+1] = C[i, j] + alpha_(i+1) beta_(j+1)
-                      - alpha_(n-1-i) beta_(n-1-j).
+# rows carried per block by _toeplitz_product_trace: its memory is
+# 2 (_TRACE_BLOCK + 1) n floats
+_TRACE_BLOCK = 64
+
+
+def _toeplitz_product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
+    """<T(alpha) T(beta), T(beta) T(alpha)>_F in O(n^2) time, O(n) memory.
+
+    Row i of T(beta) T(alpha) is column i of C = T(alpha) T(beta), so the
+    inner product is the sum over i of the dot products of the two rows i.
+    Row 0 of T(x) T(y) is (T(y) x)^T, and shifting the summation index one
+    step down a diagonal gives
+
+        row_(i+1)[j+1] = row_i[j] + x_(i+1) y_(j+1) - x_(n-1-i) y_(n-1-j),
+
+    with row_(i+1)[0] entry i+1 of row 0 of T(y) T(x).  Both rows are
+    carried forward together, a block of rows at a time: the rank-two terms
+    of a block are one matrix product, then each row adds its predecessor
+    shifted by one.  When alpha equals beta, T(alpha)^2 is symmetric and one
+    row is carried.
     """
     n = alpha.size
-    out = np.empty((n, n))
-    out[0] = np.convolve(np.concatenate([beta[:0:-1], beta]), alpha, "valid")
-    out[:, 0] = np.convolve(np.concatenate([alpha[:0:-1], alpha]), beta,
-                            "valid")
-    head, tail = beta[1:], beta[:0:-1]
-    spare = np.empty(n - 1)
-    for i in range(n - 1):
-        row = out[i + 1, 1:]
-        np.multiply(head, alpha[i + 1], out=row)
-        row -= np.multiply(tail, alpha[n - 1 - i], out=spare)
-        row += out[i, :-1]
-    return out
+    pairs = ([(alpha, beta)] if np.array_equal(alpha, beta)
+             else [(alpha, beta), (beta, alpha)])
+    firsts = [_toeplitz_matvec(y, x) for x, y in pairs]
+    total = float(firsts[0] @ firsts[-1])
+    # rows[t, 0] holds the last row of the previous block
+    rows = np.empty((len(pairs), _TRACE_BLOCK + 1, n))
+    rows[:, 0] = firsts
+    terms = [np.stack([y[1:], y[:0:-1]]) for _, y in pairs]
+    for start in range(1, n, _TRACE_BLOCK):
+        stop = min(start + _TRACE_BLOCK, n)
+        count = stop - start
+        # column 0 of T(x) T(y) is row 0 of T(y) T(x)
+        for (x, _), term, head, block in zip(pairs, terms, firsts[::-1], rows):
+            weights = np.stack([x[start:stop], -x[n - start:n - stop:-1]],
+                               axis=1)
+            np.matmul(weights, term, out=block[1:count + 1, 1:])
+            block[1:count + 1, 0] = head[start:stop]
+            for i in range(1, count + 1):
+                block[i, 1:] += block[i - 1, :-1]
+        total += float(np.vdot(rows[0, 1:count + 1], rows[-1, 1:count + 1]))
+        rows[:, 0] = rows[:, count]
+    return total
+
+
+def _equal_coeff_toeplitz_row(k: RankOneSumKernel) -> np.ndarray | None:
+    """The first row of k's Gram if all of k's coefficients are equal and
+    the Gram is exactly symmetric Toeplitz, else None."""
+    a = k.coeffs
+    return k._gram.toeplitz_row if np.all(a == a[0]) else None
 
 
 def rank_one_norm_squared(k: RankOneSumKernel) -> float:
-    """<k, k> = sum_{i,j} a_i a_j <v_i, v_j>**order."""
+    """<k, k> = sum_{i,j} a_i a_j <v_i, v_j>**order.
+
+    When all coefficients equal c and G is exactly symmetric Toeplitz with
+    first row g, the double sum collapses over the diagonals of G to
+    c^2 sum_d counts(d) g_d**order in O(n).
+    """
+    row = _equal_coeff_toeplitz_row(k)
+    if row is not None:
+        counts = _toeplitz_pair_counts(row.size)
+        return float(k.coeffs[0] ** 2 * (counts @ row ** k.order))
     gp = k.gram ** k.order
     return float(k.coeffs @ gp @ k.coeffs)
 
@@ -361,21 +427,22 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
         sum a_i a_j a_k a_l  G_ij^(p-r) G_kl^(p-r) G_ik^r G_jl^r,
 
     which is <B, M B M>_F = tr((M B)^2) = <E, E^T>_F for B = G**(p-r),
-    M = diag(a) G**r diag(a) and E = M B.  When G is exactly symmetric
-    Toeplitz and all coefficients equal c, E = c^2 T(alpha) T(beta) with
-    alpha, beta the first rows of G**r and G**(p-r), and E^T is
-    c^2 T(beta) T(alpha): both are formed in O(n^2).
+    M = diag(a) G**r diag(a) and E = M B, formed densely in O(n^3).  When
+    G is exactly symmetric Toeplitz and all coefficients equal c,
+    E = c^2 T(alpha) T(beta) with alpha, beta the first rows of G**r and
+    G**(p-r), and E^T is c^2 T(beta) T(alpha): their inner product is
+    streamed row by row in O(n^2) time and O(n) memory, and neither
+    matrix is formed.
     """
     p = k.order
     if not 1 <= r <= p - 1:
         raise ValidationError(f"need 1 <= r <= {p - 1}, got r={r}")
     a = k.coeffs
-    G = k.gram
-    if np.all(a == a[0]) and _is_symmetric_toeplitz(G):
-        alpha, beta = G[0] ** r, G[0] ** (p - r)
-        val = a[0] ** 4 * float(np.vdot(_toeplitz_product(alpha, beta),
-                                        _toeplitz_product(beta, alpha)))
+    row = _equal_coeff_toeplitz_row(k)
+    if row is not None:
+        val = a[0] ** 4 * _toeplitz_product_trace(row ** r, row ** (p - r))
     else:
+        G = k.gram
         E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)
         val = float(np.sum(E * E.T))
     return checked_sqrt_inner(val, f"squared {r}-contraction norm",
@@ -387,7 +454,10 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
 
     Equals sum_{i,j,k,l} a_i a_j b_k b_l <v_i,w_k>**p <v_j,w_l>**p
     <w_k,w_l>**(q-p), i.e. u^T Gw**(q-p) u with u_k = b_k sum_i a_i <v_i,w_k>**p.
-    Kernels on one Gram G have cross Gram G itself.
+    Kernels on one Gram G have cross Gram G itself.  When that G is exactly
+    symmetric Toeplitz with first row g and each kernel's coefficients are
+    equal, u is a b times the row sums of T(g**p), read off prefix sums,
+    and T(g**(q-p)) u is one convolution (see _toeplitz_matvec).
     """
     p, q = kp.order, kq.order
     if q <= p:
@@ -395,6 +465,16 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
     if kp.dim != kq.dim:
         raise ValidationError(f"dimension mismatch: {kp.dim} vs {kq.dim}")
     if kp.shares_gram(kq):
+        row = (_equal_coeff_toeplitz_row(kq)
+               if np.all(kp.coeffs == kp.coeffs[0]) else None)
+        if row is not None:
+            alpha, beta = row ** p, row ** (q - p)
+            # row i of T(alpha) sums alpha_0..alpha_i and
+            # alpha_1..alpha_(n-1-i)
+            prefix = np.cumsum(alpha)
+            u = (kp.coeffs[0] * kq.coeffs[0]
+                 * (prefix + prefix[::-1] - alpha[0]))
+            return float(u @ _toeplitz_matvec(beta, u))
         cross = kq.gram ** p
     else:
         cross = (kp.vectors @ kq.vectors.T) ** p

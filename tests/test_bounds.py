@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chaosclt import kernels as kernels_module
 from chaosclt.bounds import (BoundReport, MIXED_INNER_TOL, RatePrediction,
                              breuer_major_bound, chaos_sum_bound,
                              checked_sqrt_inner, fgn_rate,
@@ -200,6 +202,33 @@ class TestBreuerMajorChaosSumBound:
             assert report.terms[label] == pytest.approx(value, rel=1e-10)
         assert report.normalization == pytest.approx(expected.normalization,
                                                      rel=1e-10)
+
+    def test_shared_gram_is_checked_once(self, monkeypatch):
+        calls = []
+        check = kernels_module._is_symmetric_toeplitz
+        monkeypatch.setattr(kernels_module, "_is_symmetric_toeplitz",
+                            lambda mat: calls.append(mat.shape) or check(mat))
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
+        ks = breuer_major_kernels(CovarianceFunction.fgn(0.7), 64, coeffs)
+        chaos_sum_bound(ChaosSum({k.order: k for k in ks}))
+        assert calls == [(64, 64)]
+
+    def test_peak_memory_below_one_gram(self):
+        # the Gram is built before tracing starts; the bound itself needs
+        # O(n) memory, far below one more n x n float64 array
+        n = 1024
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 1.0]))
+        ks = breuer_major_kernels(CovarianceFunction.fgn(0.7), n, coeffs)
+        F = ChaosSum({k.order: k for k in ks})
+        assert ks[0].gram.shape == (n, n)
+        tracemalloc.start()
+        try:
+            report = chaos_sum_bound(F)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.terms["max_contraction_norm"] > 0.0
+        assert peak < n * n * 8
 
 
 class TestCheckedSqrtInner:

@@ -8,7 +8,7 @@ from scipy.linalg import toeplitz
 from chaosclt import kernels as kernels_module
 from chaosclt.errors import NumericalError, ValidationError
 from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
-                              RankOneSumKernel, _toeplitz_product,
+                              RankOneSumKernel, _toeplitz_product_trace,
                               breuer_major_kernels,
                               contract, inner, is_symmetric, kernel_from_json,
                               kernel_to_json, norm, rank_one_contraction_norm,
@@ -428,50 +428,151 @@ class TestToeplitzProduct:
     def test_matches_dense_product(self, n):
         rng = np.random.default_rng(n)
         alpha, beta = rng.normal(size=n), rng.normal(size=n)
-        expected = toeplitz(alpha) @ toeplitz(beta)
-        got = _toeplitz_product(alpha, beta)
-        assert got.shape == (n, n)
-        assert np.allclose(got, expected, rtol=0.0,
-                           atol=1e-13 * n * np.abs(expected).max())
+        for x, y in [(alpha, beta), (alpha, alpha.copy())]:
+            expected = float(np.vdot(toeplitz(x) @ toeplitz(y),
+                                     toeplitz(y) @ toeplitz(x)))
+            got = _toeplitz_product_trace(x, y)
+            scale = float(np.abs(x).sum() * np.abs(y).sum()) ** 2
+            assert got == pytest.approx(expected, rel=0.0,
+                                        abs=1e-13 * n * scale)
 
 
 class TestToeplitzContractionRoute:
     @pytest.fixture
-    def product_calls(self, monkeypatch):
+    def trace_calls(self, monkeypatch):
         calls = []
 
         def counted(alpha, beta):
             calls.append(alpha.size)
-            return _toeplitz_product(alpha, beta)
+            return _toeplitz_product_trace(alpha, beta)
 
-        monkeypatch.setattr(kernels_module, "_toeplitz_product", counted)
+        monkeypatch.setattr(kernels_module, "_toeplitz_product_trace", counted)
         return calls
 
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
-    def test_matches_dense_route(self, H, product_calls, monkeypatch):
+    def test_matches_dense_route(self, H, trace_calls, monkeypatch):
         # the same kernels on explicit vectors, held to the dense route (at
         # H = 0.5 their Gram is the identity, which is exactly Toeplitz)
         coeffs = HermiteEvenCoeffs(d=1, m=3, lambdas=np.array([1.0, 0.5, -0.3]))
         for fast in breuer_major_kernels(CovarianceFunction.fgn(H), 256, coeffs):
             dense = RankOneSumKernel(order=fast.order, coeffs=fast.coeffs,
                                      vectors=fast.vectors)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels_module, "_is_symmetric_toeplitz",
+                              lambda mat: False)
+                expected = [rank_one_contraction_norm(dense, r)
+                            for r in range(1, fast.order)]
+            assert trace_calls == []
             for r in range(1, fast.order):
-                with monkeypatch.context() as patch:
-                    patch.setattr(kernels_module, "_is_symmetric_toeplitz",
-                                  lambda mat: False)
-                    expected = rank_one_contraction_norm(dense, r)
-                del product_calls[:]
                 got = rank_one_contraction_norm(fast, r)
-                assert product_calls == [256, 256]
-                assert got == pytest.approx(expected, rel=1e-10)
+                assert trace_calls == [256]
+                del trace_calls[:]
+                assert got == pytest.approx(expected[r - 1], rel=1e-10)
 
-    def test_unequal_coefficients_take_dense_route(self, product_calls):
+    def test_unequal_coefficients_take_dense_route(self, trace_calls):
         gram = Gram(matrix=toeplitz([1.0, 0.5, 0.25]))
         k = RankOneSumKernel.from_gram(2, np.array([1.0, 2.0, 1.0]), gram)
         expected = dense_contraction_norm(k, 1)
         assert rank_one_contraction_norm(k, 1) == pytest.approx(expected,
                                                                 rel=1e-12)
-        assert product_calls == []
+        assert trace_calls == []
+
+
+class TestToeplitzClosedForms:
+    """rank_one_norm_squared and rank_one_mixed_inner on equal-coefficient
+    kernels over one exactly Toeplitz Gram, against the dense route."""
+
+    COEFFS = HermiteEvenCoeffs(d=1, m=3, lambdas=np.array([1.0, 0.5, -0.3]))
+
+    @pytest.fixture
+    def rows_read(self, monkeypatch):
+        # the Toeplitz rows the closed forms were handed; the dense route
+        # reads none (or only a None from a failed check)
+        rows = []
+        read = Gram.toeplitz_row.fget
+
+        def spy(gram):
+            row = read(gram)
+            if row is not None:
+                rows.append(row.size)
+            return row
+
+        monkeypatch.setattr(Gram, "toeplitz_row", property(spy))
+        return rows
+
+    @staticmethod
+    def explicit(kernels):
+        # each kernel on its own explicit vectors: the dense route, with no
+        # shared Gram
+        return [RankOneSumKernel(order=k.order, coeffs=k.coeffs,
+                                 vectors=k.vectors) for k in kernels]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 256])
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_match_dense_route(self, H, n, monkeypatch, rows_read):
+        fast = breuer_major_kernels(CovarianceFunction.fgn(H), n, self.COEFFS)
+        assert [k.order for k in fast] == [2, 4, 6]
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_module, "_is_symmetric_toeplitz",
+                          lambda mat: False)
+            dense = self.explicit(fast)
+            norms = [rank_one_norm_squared(k) for k in dense]
+            mixed = {(i, j): rank_one_mixed_inner(dense[i], dense[j])
+                     for i in range(3) for j in range(i + 1, 3)}
+        assert rows_read == []
+        for k, expected in zip(fast, norms):
+            assert rank_one_norm_squared(k) == pytest.approx(expected,
+                                                             rel=1e-10)
+        for (i, j), expected in mixed.items():
+            assert rank_one_mixed_inner(fast[i], fast[j]) == pytest.approx(
+                expected, rel=1e-10)
+        assert rows_read and set(rows_read) == {n}
+
+    @staticmethod
+    def gram_sum(k):
+        # <k, k> = sum_ij a_i a_j G_ij**order, from the whole Gram
+        return float(k.coeffs @ k.gram ** k.order @ k.coeffs)
+
+    def test_unequal_coefficients_take_dense_route(self, rows_read):
+        gram = Gram(matrix=toeplitz([1.0, 0.5, 0.25]))
+        k2 = RankOneSumKernel.from_gram(2, np.array([1.0, 2.0, 1.0]), gram)
+        k4 = RankOneSumKernel.from_gram(4, np.array([0.5, 0.5, 0.5]), gram)
+        assert rank_one_norm_squared(k2) == pytest.approx(
+            self.gram_sum(k2), rel=1e-12)
+        assert rank_one_mixed_inner(k2, k4) == pytest.approx(
+            inner(contract(k2.densify(), k2.densify(), 0),
+                  contract(k4.densify(), k4.densify(), 2)), rel=1e-10)
+        assert rows_read == []
+
+    def test_non_toeplitz_gram_takes_dense_route(self, rows_read):
+        # equal coefficients on a Gram whose first row does not determine it
+        gram = Gram(matrix=np.array([[1.0, 0.5, 0.25],
+                                     [0.5, 2.0, 0.5],
+                                     [0.25, 0.5, 1.0]]))
+        k2 = RankOneSumKernel.from_gram(2, np.full(3, 0.7), gram)
+        k4 = RankOneSumKernel.from_gram(4, np.full(3, -0.4), gram)
+        assert gram.toeplitz_row is None
+        assert rank_one_norm_squared(k4) == pytest.approx(
+            self.gram_sum(k4), rel=1e-12)
+        assert rank_one_mixed_inner(k2, k4) == pytest.approx(
+            inner(contract(k2.densify(), k2.densify(), 0),
+                  contract(k4.densify(), k4.densify(), 2)), rel=1e-10)
+        assert rows_read == []
+
+    def test_kernels_on_different_grams_take_dense_route(self, rows_read):
+        # k2's Gram is exactly the identity, but the cross Gram of the two
+        # kernels is a random orthogonal matrix
+        rng = np.random.default_rng(4)
+        k2 = RankOneSumKernel(order=2, coeffs=np.full(3, 0.6),
+                              vectors=np.eye(3))
+        k4 = RankOneSumKernel(order=4, coeffs=np.full(3, 0.6),
+                              vectors=np.linalg.qr(rng.normal(size=(3, 3)))[0])
+        assert np.array_equal(k2.gram, np.eye(3))
+        expected = inner(contract(k2.densify(), k2.densify(), 0),
+                         contract(k4.densify(), k4.densify(), 2))
+        assert rank_one_mixed_inner(k2, k4) == pytest.approx(expected,
+                                                             rel=1e-10)
+        assert rows_read == []
 
 
 class TestStationaryFlagIsVerified:
