@@ -219,15 +219,15 @@ def nz_ratio_diagnostic(rho: CovarianceFunction, n: int, M: int,
         sum_{|k_j|<=n} |rho(k . v)| prod_j |rho(k_j)|
             <= C (sum_{|k|<=n} |rho(k)|^(1+1/M))^M
 
-    for a sign vector v.  A diagnostic for the unknown constant C, not a
-    pass/fail check.
+    for a sign vector v of M >= 2 entries.  A diagnostic for the unknown
+    constant C, not a pass/fail check.
 
     The weight w(k) = |rho(k)| is even and the box |k_j| <= n is symmetric,
     so substituting k_j -> v_j k_j shows that v does not change the sum:
     LHS = sum_s |rho(s)| (w * ... * w)(s), an M-fold convolution of w.
     """
-    if M not in (2, 3):
-        raise ValidationError(f"M must be 2 or 3, got {M}")
+    if M < 2:
+        raise ValidationError(f"M must be at least 2, got {M}")
     v = np.asarray(signs, dtype=int)
     if v.shape != (M,) or not np.all(np.abs(v) == 1):
         raise ValidationError(f"signs must be a vector of {M} entries +-1")

@@ -212,6 +212,9 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
     terms = _eigen_terms(F) or _unit_terms(F)
 
     def worker(block, start, count):
+        # one whole-block draw, not row chunks (streams.row_chunks): the
+        # BLAS products in _eval_block can round a row differently with the
+        # number of rows, which would move seeded outputs
         Z = block_normals(seed, stream, block, count, F.dim)
         out[start:start + count] = _eval_block(terms, Z)
 

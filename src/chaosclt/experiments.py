@@ -152,10 +152,11 @@ def _power_variation_samples(cov: CovarianceFunction, n_grid: list[int],
     out = np.empty((M, ends.size))
 
     def worker(block, start, count):
-        paths = sampler.sample_block(seed, 0, block, count)
-        np.power(paths, q, out=paths)
-        segments = np.add.reduceat(paths, starts, axis=1)
-        np.cumsum(segments, axis=1, out=out[start:start + count])
+        for lo, paths in sampler.sample_chunks(seed, 0, block, count):
+            np.power(paths, q, out=paths)
+            segments = np.add.reduceat(paths, starts, axis=1)
+            rows = slice(start + lo, start + lo + len(paths))
+            np.cumsum(segments, axis=1, out=out[rows])
 
     run_blocks(M, worker, threads=threads)
     out /= ends

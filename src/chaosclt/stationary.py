@@ -13,7 +13,7 @@ from scipy.linalg import toeplitz
 
 from .errors import NumericalError, ValidationError
 from .hermite import hermite, hermite_monomial_coeffs
-from .streams import block_normals, run_blocks
+from .streams import block_generator, block_normals, row_chunks, run_blocks
 
 __all__ = [
     "CovarianceFunction",
@@ -211,11 +211,24 @@ class PathSampler:
         x *= math.sqrt(m)
         return x
 
-    def sample_block(self, seed: int, stream: int, block: int,
-                     count: int) -> np.ndarray:
-        """(count, n) matrix of replicas block*BLOCK_SIZE .. +count-1."""
-        w = block_normals(seed, stream, block, count, self.normals_per_replica)
-        return self.transform(w)
+    def sample_chunks(self, seed: int, stream: int, block: int, count: int):
+        """Yield (lo, paths) over the rows of one block in order, where paths
+        holds replicas block*BLOCK_SIZE + lo, lo+1, ... one per row.
+
+        The circulant route draws and transforms the rows in chunks
+        (streams.row_chunks) from the block's one generator; its FFTs work
+        row by row, so the chunks are bit-identical to transforming one
+        whole-block block_normals draw, while only one chunk is held at a
+        time.  The dense route is a BLAS product, which can round a row
+        differently with the number of rows, so it takes the whole block.
+        """
+        width = self.normals_per_replica
+        generator = block_generator(seed, stream, block)
+        chunks = (row_chunks(count, width) if self._mode == "circulant"
+                  else [(0, count)])
+        for lo, hi in chunks:
+            w = block_normals(seed, stream, block, hi - lo, width, generator)
+            yield lo, self.transform(w)
 
 
 def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
@@ -231,7 +244,8 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
     out = np.empty((M, n))
 
     def worker(block, start, count):
-        out[start:start + count] = sampler.sample_block(seed, stream, block, count)
+        for lo, paths in sampler.sample_chunks(seed, stream, block, count):
+            out[start + lo:start + lo + len(paths)] = paths
 
     run_blocks(M, worker, threads=threads)
     return PathMatrix(values=out)

@@ -21,7 +21,16 @@ Layout of stream protocol 4 (STREAM_PROTOCOL).  The Philox key is
 Each substream is consumed in row order, so the first k rows of a block
 are the same whatever its row count, and the two substreams never
 overlap, so the normals do not depend on how many uniforms the auxiliary
-draws consume.  Protocol 1 had substream 0 only; protocol 2 added
+draws consume.  For the same reason a block may be drawn in several row
+chunks from its one generator (block_generator, then block_normals with
+that generator, chunk after chunk in row order): the chunks hold the bits
+of one whole-block draw.  The circulant path sampler
+(stationary.PathSampler.sample_chunks) draws, transforms and reduces a
+block in chunks of at most CHUNK_NORMALS normals (row_chunks), so a
+worker holds a few MiB whatever the path length.  Chunking is not part of
+the protocol and changes no output: it is used only where every row is
+computed on its own, not through a BLAS product whose rounding can depend
+on the number of rows.  Protocol 1 had substream 0 only; protocol 2 added
 substream 1 for the ratio family's chi-square draws, so seeded ratio
 outputs differ between the two while every other stream is unchanged.
 
@@ -53,6 +62,11 @@ STREAM_PROTOCOL = 4
 
 BLOCK_SIZE = 1024
 
+# Most normals in one row chunk of a block: 1 MiB of float64.  Not part of
+# the stream protocol; smaller chunks stay in cache but pay more per-call
+# overhead, larger ones raise the working set.
+CHUNK_NORMALS = 1 << 17
+
 # Philox has a 256-bit counter; spacing blocks 2**96 counter steps apart and
 # starting the auxiliary substream halfway leaves each substream 2**95 steps
 # of four 64-bit words, far beyond any realistic consumption.
@@ -81,14 +95,30 @@ def block_generator(seed: int, stream: int, block: int,
 
 
 def block_normals(seed: int, stream: int, block: int, count: int,
-                  width: int) -> np.ndarray:
+                  width: int,
+                  generator: np.random.Generator | None = None) -> np.ndarray:
     """Draw a (count, width) standard normal matrix for one block.
 
     Row i is replica block * BLOCK_SIZE + i.  The first k rows are
     identical no matter how many rows are requested, so partial blocks
     are consistent with full ones.
+
+    generator, if given, must be block_generator(seed, stream, block); the
+    draw continues where its previous one stopped, so the rows come after
+    those already drawn (a row chunk of the block, see row_chunks).
     """
-    return block_generator(seed, stream, block).standard_normal((count, width))
+    if generator is None:
+        generator = block_generator(seed, stream, block)
+    return generator.standard_normal((count, width))
+
+
+def row_chunks(count: int, width: int):
+    """Yield (lo, hi) row ranges covering 0..count in order, each holding
+    at most CHUNK_NORMALS normals of the given row width (one row if a
+    single row is wider)."""
+    rows = max(1, CHUNK_NORMALS // width)
+    for lo in range(0, count, rows):
+        yield lo, min(lo + rows, count)
 
 
 def block_chisquare(seed: int, stream: int, block: int, count: int,

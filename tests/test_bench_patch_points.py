@@ -5,6 +5,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from chaosclt import chaos, experiments
+from chaosclt.kernels import DenseKernel
+from chaosclt.stationary import CovarianceFunction, PathSampler
+from chaosclt.streams import BLOCK_SIZE, CHUNK_NORMALS, replica_blocks
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -40,3 +47,38 @@ def test_patch_points_exist_and_are_restored(monkeypatch):
                    for (owner, attr), orig in zip(points, originals))
     assert all(vars(owner)[attr] is orig
                for (owner, attr), orig in zip(points, originals))
+
+
+def test_tracer_counts_every_row_chunk_of_a_rates_run(monkeypatch):
+    # the benchmark counts normals at the block_normals name it wraps; a
+    # chunk drawn around that name would make its count read low
+    tracer = load_tracer(monkeypatch)
+    n, M = 1024, BLOCK_SIZE + 100
+    rows = CHUNK_NORMALS // (2 * n)
+    assert BLOCK_SIZE >= 3 * rows  # a full block spans >= 3 chunks
+    config = experiments.RatesConfig(hurst=0.7, n_grid=[256, n],
+                                     replicas=M, seed=3)
+    with tracer.installed(tracer.Tracer()) as traced:
+        experiments.run_rates(config)
+    counts = traced.counts
+    assert counts["streams.block_normals.normals"] == M * 2 * n
+    # transform.bytes as if each block were transformed whole
+    sampler = PathSampler(CovarianceFunction.fgn(0.7), n)
+    whole = sum(tracer._transform_bytes(
+        (sampler, np.empty((count, 2 * n))), np.empty((count, n)))["bytes"]
+        for _, _, count in replica_blocks(M))
+    assert counts["stationary.PathSampler.transform.bytes"] == whole
+    assert counts["streams.block_normals.calls"] == sum(
+        -(-count // rows) for _, _, count in replica_blocks(M))
+
+
+def test_tracer_counts_the_normals_of_sample_batch(monkeypatch):
+    tracer = load_tracer(monkeypatch)
+    dim, M = 64, BLOCK_SIZE + 37
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(dim, dim))
+    F = chaos.ChaosSum({1: DenseKernel(rng.normal(size=dim)),
+                        2: DenseKernel((a + a.T) / 2.0)})
+    with tracer.installed(tracer.Tracer()) as traced:
+        chaos.sample_batch(F, M, seed=5, threads=2)
+    assert traced.counts["streams.block_normals.normals"] == M * dim

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -417,10 +418,23 @@ class TestNzDiagnostic:
                   for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
         assert ratios == pytest.approx([ratios[0]] * 8, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("signs", list(itertools.product((1, -1),
+                                                             repeat=4)))
+    def test_four_fold_brute_force(self, n, signs):
+        cov = CovarianceFunction.fgn(0.7)
+        box = range(-n, n + 1)
+        lhs = sum(abs(cov(sum(s * k for s, k in zip(signs, ks))))
+                  * math.prod(abs(cov(k)) for k in ks)
+                  for ks in itertools.product(box, repeat=4))
+        rhs = sum(abs(cov(k)) ** 1.25 for k in box) ** 4
+        assert nz_ratio_diagnostic(cov, n, 4, signs) == pytest.approx(
+            lhs / rhs, rel=1e-12)
+
     def test_m_validation(self):
         cov = CovarianceFunction.iid()
         with pytest.raises(ValidationError):
-            nz_ratio_diagnostic(cov, 8, 4, [1, 1, 1, 1])
+            nz_ratio_diagnostic(cov, 8, 1, [1])
         with pytest.raises(ValidationError):
             nz_ratio_diagnostic(cov, 8, 2, [1, 2])
 

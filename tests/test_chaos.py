@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, hermite,
-                            kappa3_I2, kappa4_I2, kappa4_I2_contraction,
-                            sample, sample_batch, second_moment)
+from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, _eigen_terms,
+                            _eval_block, _unit_terms, hermite, kappa3_I2,
+                            kappa4_I2, kappa4_I2_contraction, sample,
+                            sample_batch, second_moment)
 from chaosclt.errors import UnsupportedRepresentationError, ValidationError
 from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
                               breuer_major_kernels, contract, inner,
                               symmetrize)
 from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
-from chaosclt.streams import BLOCK_SIZE, block_normals, replica_blocks
+from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
+                              replica_blocks)
 
 from oracles import hermite_e_value, mean_se, sample_variance_se
 
@@ -244,6 +246,30 @@ class TestEigenFormSampling:
                 for threads in (1, 2, 4)]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
+
+    @pytest.mark.parametrize("route", ["eigen", "unit"])
+    def test_blocks_match_whole_block_evaluation(self, route):
+        # dim 600 spans several row chunks (streams.row_chunks) with a
+        # partial last one; evaluating such chunks through the BLAS
+        # products of _eval_block rounds some rows differently from the
+        # whole block, so sample_batch draws and evaluates blocks whole
+        dim, M = 600, BLOCK_SIZE + 37
+        assert BLOCK_SIZE % (CHUNK_NORMALS // dim) != 0
+        rng = np.random.default_rng(12)
+        if route == "eigen":
+            F = eigen_form_sum(rng, dim, (1, 2))
+        else:
+            F = ChaosSum({2: RankOneSumKernel(
+                order=2, coeffs=rng.normal(size=6),
+                vectors=rng.normal(size=(6, dim)))})
+        terms = _eigen_terms(F) or _unit_terms(F)
+        assert (terms[0][1] is None) == (route == "eigen")
+        want = np.concatenate([
+            _eval_block(terms, block_normals(2, 1, block, count, dim))
+            for block, _, count in replica_blocks(M)])
+        for threads in (1, 2, 4):
+            got = sample_batch(F, M, seed=2, threads=threads, stream=1)
+            assert np.array_equal(got, want)
 
     def test_non_orthonormal_sum_samples_pointwise(self):
         # as many terms as dimensions, but not orthonormal: each replica is

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,10 @@ from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
                                   run_bound_report, run_nz_diagnostics,
                                   run_rates, run_ratio)
 from chaosclt.kernels import kernel_to_json, DenseKernel, RankOneSumKernel
-from chaosclt.stationary import (CovarianceFunction, power_variation,
-                                 sample_paths)
-from chaosclt.streams import STREAM_PROTOCOL
+from chaosclt.stationary import (CovarianceFunction, PathSampler,
+                                 power_variation, sample_paths)
+from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, STREAM_PROTOCOL,
+                              block_normals, replica_blocks)
 
 
 def eigenvalue_sum_json(m):
@@ -89,6 +91,42 @@ class TestRatesExperiment:
         for j, n in enumerate(ends):
             want = [power_variation(path[:n], q) for path in paths]
             np.testing.assert_allclose(table[:, j], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_chunked_blocks_match_whole_block_table(self, q):
+        # each block is drawn, transformed and reduced in row chunks; the
+        # table must hold the bits of reducing whole-block draws
+        cov = CovarianceFunction.fgn(0.3)
+        grid, M = [150, 37, 300], BLOCK_SIZE + 37
+        assert BLOCK_SIZE % (CHUNK_NORMALS // (2 * max(grid))) != 0
+        ends = np.array([37, 150, 300])
+        sampler = PathSampler(cov, 300)
+        rows = []
+        for block, _, count in replica_blocks(M):
+            paths = sampler.transform(block_normals(8, 0, block, count, 600))
+            segments = np.add.reduceat(paths ** q, [0, 37, 150], axis=1)
+            rows.append(np.cumsum(segments, axis=1))
+        want = np.concatenate(rows) / ends
+        for threads in (1, 2, 4):
+            got_ends, table = _power_variation_samples(cov, grid, q, M, 8,
+                                                       threads)
+            assert np.array_equal(got_ends, ends)
+            assert np.array_equal(table, want)
+
+    def test_peak_memory_is_a_few_row_chunks(self):
+        # a whole 1024-row block at n = 4096 held its normals, complex
+        # half-spectrum and inverse FFT at once, ~190 MiB; row chunks of
+        # CHUNK_NORMALS normals keep the run to a few MiB
+        config = RatesConfig(hurst=0.7, n_grid=[256, 4096], replicas=1024,
+                             seed=2, threads=1)
+        tracemalloc.start()
+        try:
+            table = run_rates(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.metadata["path_length"] == 4096
+        assert peak < 16 * 2 ** 20
 
     def test_unsorted_grid_with_duplicate_keeps_config_order(self):
         cfg = RatesConfig(hurst=0.3, n_grid=[512, 64, 512, 128],

@@ -12,6 +12,8 @@ from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
                                  fgn_covariance, hermite_monomial_coeffs,
                                  power_variation, power_variation_mean,
                                  sample_paths)
+from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
+                              replica_blocks)
 
 from oracles import (hermite_e_value, mean_se, monomial_coeff_quadrature,
                      sample_variance_se, variance_power_variation_quadrature)
@@ -73,6 +75,27 @@ class TestSamplePaths:
         a = sample_paths(cov, 17, 3000, seed=5, threads=1).values
         b = sample_paths(cov, 17, 3000, seed=5, threads=4).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode, cov", [
+        ("circulant", CovarianceFunction.fgn(0.7)),
+        # cos(0.37 k) is PSD, but its circulant embedding at n = 300 is
+        # not; the dense product of a 218-row chunk rounds some rows
+        # differently from the whole block's
+        ("dense", CovarianceFunction(evaluator=lambda k: math.cos(0.37 * k),
+                                     rho0=1.0))])
+    def test_chunked_blocks_match_whole_block_draws(self, mode, cov):
+        n, M = 300, BLOCK_SIZE + 37
+        sampler = PathSampler(cov, n)
+        assert sampler.mode == mode
+        # a full block is several row chunks, the last one partial
+        assert BLOCK_SIZE % (CHUNK_NORMALS // (2 * n)) != 0
+        width = sampler.normals_per_replica
+        want = np.concatenate([
+            sampler.transform(block_normals(6, 3, block, count, width))
+            for block, _, count in replica_blocks(M)])
+        for threads in (1, 2, 4):
+            got = sample_paths(cov, n, M, seed=6, threads=threads, stream=3)
+            assert np.array_equal(got.values, want)
 
     def test_different_seeds_differ(self):
         cov = CovarianceFunction.fgn(0.7)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from chaosclt.errors import ValidationError
-from chaosclt.streams import (BLOCK_SIZE, KEY_LIMIT, STREAM_PROTOCOL,
-                              block_chisquare, block_generator, block_normals)
+from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, KEY_LIMIT,
+                              STREAM_PROTOCOL, block_chisquare,
+                              block_generator, block_normals, row_chunks)
 
 
 def philox_at(seed, stream, counter):
@@ -33,6 +34,30 @@ class TestLayout:
         assert np.array_equal(block_chisquare(1, 0, 0, 10, 40.0), full[:10])
         normals = block_normals(1, 0, 0, BLOCK_SIZE, 4)
         assert np.array_equal(block_normals(1, 0, 0, 10, 4), normals[:10])
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("count", [1, 37, BLOCK_SIZE])
+    @pytest.mark.parametrize("width", [1, 4, 600, 8192, CHUNK_NORMALS + 1])
+    def test_chunks_cover_the_rows_in_order(self, count, width):
+        chunks = list(row_chunks(count, width))
+        assert chunks[0][0] == 0 and chunks[-1][1] == count
+        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+        assert all((hi - lo) * width <= max(CHUNK_NORMALS, width)
+                   for lo, hi in chunks)
+        # every chunk but the last is as large as the constant allows
+        full = max(1, CHUNK_NORMALS // width)
+        assert all(hi - lo == full for lo, hi in chunks[:-1])
+
+    @pytest.mark.parametrize("width", [3, 600, 8192])
+    def test_chunks_from_one_generator_are_one_whole_draw(self, width):
+        count = BLOCK_SIZE - 5
+        whole = block_normals(7, 2, 4, count, width)
+        generator = block_generator(7, 2, 4)
+        chunks = [block_normals(7, 2, 4, hi - lo, width, generator)
+                  for lo, hi in row_chunks(count, width)]
+        assert len(chunks) > 1 or width == 3
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
 class TestKeyRange:
