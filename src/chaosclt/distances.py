@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ValidationError
 
@@ -50,14 +49,28 @@ def kolmogorov_distance(sample: EmpiricalSample, mean: float,
     routine (absolute error well below 1e-14, far under the 1/M estimator
     granularity).
     """
+    # imported here, at its only use: scipy.special takes ~0.3 s and
+    # ~25 MiB to import, which every run that computes no distance would pay
+    from scipy.special import ndtr
+
     if not variance > 0.0:
         raise ValidationError(f"variance must be positive, got {variance}")
     x = sample.values
     m = x.size
-    cdf = ndtr((x - mean) / math.sqrt(variance))
-    hi = np.arange(1, m + 1) / m
-    lo = np.arange(0, m) / m
-    return float(max((hi - cdf).max(), (cdf - lo).max()))
+    # in place: a call allocates three arrays of M entries, where the plain
+    # expression allocated nine.  Freeing those nine made glibc trim the
+    # heap and fault it back in, ~160 minor faults per call at M = 16384,
+    # unless something else had raised its trim threshold.
+    cdf = x - mean
+    cdf /= math.sqrt(variance)
+    ndtr(cdf, out=cdf)
+    levels = np.arange(1, m + 1, dtype=float)
+    levels /= m
+    above = float(np.subtract(levels, cdf, out=levels).max())
+    levels = np.arange(0, m, dtype=float)
+    levels /= m
+    below = float(np.subtract(cdf, levels, out=levels).max())
+    return max(above, below)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,16 @@ Two representations coexist:
 The ambient Hilbert space is always R^n with the Euclidean inner product,
 so every contraction below is a plain Euclidean sum.  A rank-one sum is
 built either from explicit vectors or from their Gram matrix alone; the
-Breuer-Major kernels of a correlated sequence are built from its
-correlation matrix, and their vectors (a square root of it) are computed
-only if something reads them, such as sampling or serialization.
+Breuer-Major kernels of a correlated sequence are built from the first
+row of its correlation matrix, which is symmetric Toeplitz, and neither
+the n x n matrix nor the vectors (a square root of it) are formed unless
+something reads them, such as sampling, serialization or a dense route.
 
 When all coefficients are equal and the Gram matrix is exactly symmetric
-Toeplitz (checked once per Gram, never taken from the input), the closed
-forms run on its first row alone: contraction norms stream a trace of
-Toeplitz products in O(n^2) time and O(n) memory, squared norms sum over
+Toeplitz (by construction for a Gram built from its first row, otherwise
+checked once per Gram, never taken from the input), the closed forms run
+on its first row alone: contraction norms stream a trace of Toeplitz
+products in O(n^2) time and O(n) memory, squared norms sum over
 diagonals in O(n), and mixed inner products need one Toeplitz
 matrix-vector product, a convolution.
 """
@@ -34,11 +36,10 @@ import numbers
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import NumericalError, ValidationError, checked_integer
 from .stationary import (EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs,
-                         _toeplitz_pair_counts,
+                         _toeplitz_matrix, _toeplitz_pair_counts,
                          circulant_embedding_eigenvalues)
 
 __all__ = [
@@ -110,24 +111,29 @@ class DenseKernel:
 class Gram:
     """The Gram matrix G_ij = <v_i, v_j> of a rank-one sum's term vectors.
 
-    Built from the vectors V (terms x dim) or from G alone; the missing
-    side is computed on first access, G as V V^T and V as the eigen square
-    root of G (terms x terms, so dim = terms).  Kernels built on one Gram
-    share both, so G is factored at most once however many kernels use it.
-    A G given alone must be symmetric positive semidefinite; that is the
-    caller's to certify (see breuer_major_kernels).  Whether G is exactly
-    symmetric Toeplitz is checked on the matrix itself, once (see
-    toeplitz_row).
+    Built from exactly one of: the vectors V (terms x dim), G itself, or
+    the first row of a symmetric Toeplitz G.  The missing sides are
+    computed on first access: G as V V^T or as the Toeplitz matrix of its
+    row, and V as the eigen square root of G (terms x terms, so
+    dim = terms).  Kernels built on one Gram share all of them, so G is
+    formed and factored at most once however many kernels use it.  A G
+    given as a matrix or a row must be symmetric positive semidefinite;
+    that is the caller's to certify (see breuer_major_kernels).  A G built
+    from its row is Toeplitz by construction and holds only that row until
+    its matrix is read; whether any other G is exactly symmetric Toeplitz
+    is checked on the matrix itself, once (see toeplitz_row).
     """
 
     def __init__(self, matrix: np.ndarray | None = None,
-                 vectors: np.ndarray | None = None):
-        if (matrix is None) == (vectors is None):
-            raise ValidationError("a Gram needs exactly one of matrix, vectors")
+                 vectors: np.ndarray | None = None,
+                 row: np.ndarray | None = None):
+        if sum(x is not None for x in (matrix, vectors, row)) != 1:
+            raise ValidationError(
+                "a Gram needs exactly one of matrix, vectors, row")
         self._matrix = matrix
         self._vectors = vectors
-        self._toeplitz_checked = False
-        self._toeplitz_row = None
+        self._toeplitz_checked = row is not None
+        self._toeplitz_row = row
 
     @classmethod
     def orthonormal(cls, vectors: np.ndarray) -> "Gram":
@@ -140,8 +146,9 @@ class Gram:
 
     @property
     def terms(self) -> int:
-        source = self._vectors if self._matrix is None else self._matrix
-        return source.shape[0]
+        for source in (self._matrix, self._vectors, self._toeplitz_row):
+            if source is not None:
+                return source.shape[0]
 
     @property
     def dim(self) -> int:
@@ -150,20 +157,31 @@ class Gram:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = self._vectors @ self._vectors.T
+            self._matrix = (_toeplitz_matrix(self._toeplitz_row)
+                            if self._vectors is None
+                            else self._vectors @ self._vectors.T)
         return self._matrix
 
     @property
     def vectors(self) -> np.ndarray:
         if self._vectors is None:
-            eigvals, eigvecs = np.linalg.eigh(self._matrix)
+            eigvals, eigvecs = np.linalg.eigh(self.matrix)
             self._vectors = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         return self._vectors
 
     @property
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of G; a known Toeplitz G's is its row[0]
+        throughout, read without forming G."""
+        if self._toeplitz_row is not None:
+            return np.full(self.terms, self._toeplitz_row[0])
+        return np.diagonal(self.matrix)
+
+    @property
     def toeplitz_row(self) -> np.ndarray | None:
         """The first row of G if G equals toeplitz(G[0]) exactly, else
-        None; checked on the first access only."""
+        None.  A G built from its row returns it unchecked; any other G is
+        checked on the first access only."""
         if not self._toeplitz_checked:
             matrix = self.matrix
             if _is_symmetric_toeplitz(matrix):
@@ -334,7 +352,7 @@ def term_scale(k: RankOneSumKernel) -> float:
     contraction norm of k add up in absolute value to at most s(k)^4, and
     those of a mixed inner product of kp and kq to s(kp)^2 s(kq)^2.
     """
-    norms = np.abs(np.diagonal(k.gram)) ** (k.order / 2)
+    norms = np.abs(k._gram.diagonal) ** (k.order / 2)
     return float(np.abs(k.coeffs) @ norms)
 
 
@@ -490,25 +508,26 @@ def breuer_major_kernels(rho: CovarianceFunction, n: int,
                          coeffs: HermiteEvenCoeffs) -> list[RankOneSumKernel]:
     """Kernels f_{2k} = (lambda_{2k}/sqrt(n)) sum_i eps_i^(tensor 2k).
 
-    The eps_i satisfy <eps_i, eps_j> = rho(i-j)/rho(0): the kernels are
-    built on that n x n correlation matrix alone (one shared Gram), which
-    stays exactly Toeplitz for the contraction routines; eps itself is a
-    square root of it, computed only if read.  Positive semidefiniteness is
-    certified by the size-2n circulant embedding (whose smallest eigenvalue
-    bounds the matrix's from below); only if that certificate fails are the
-    matrix's own eigenvalues computed.
+    The eps_i satisfy <eps_i, eps_j> = rho(i-j)/rho(0): the kernels share
+    one Gram built from the first row rho(0..n-1)/rho(0) of that n x n
+    symmetric Toeplitz correlation matrix, which the contraction routines
+    read directly; the matrix is formed only if something reads it, and
+    eps, a square root of it, only if eps is read.  Positive
+    semidefiniteness is certified by the size-2n circulant embedding (whose
+    smallest eigenvalue bounds the matrix's from below); only if that
+    certificate fails is the matrix formed and its own eigenvalues
+    computed.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     lags = rho.lag_array(n + 1) / rho.rho0
-    corr = toeplitz(lags[:n])
+    gram = Gram(row=lags[:n])
     if circulant_embedding_eigenvalues(lags).min() < -EIG_CLAMP:
-        lowest = np.linalg.eigvalsh(corr)[0]
+        lowest = np.linalg.eigvalsh(gram.matrix)[0]
         if lowest < -EIG_CLAMP:
             raise ValidationError(
                 "covariance matrix is not positive semidefinite: eigenvalue "
                 f"{lowest:.6g}")
-    gram = Gram(matrix=corr)
     scale = 1.0 / math.sqrt(n)
     return [
         RankOneSumKernel.from_gram(order, np.full(n, lam * scale), gram)

@@ -1,5 +1,9 @@
 """Stationary centered Gaussian sequences: covariance models, exact path
 sampling, and the even-Hermite partial-sum statistics built from them.
+
+The symmetric Toeplitz helpers (circulant_embedding_eigenvalues,
+_toeplitz_matrix, _toeplitz_pair_counts) serve both this module and the
+Toeplitz-Gram routes of kernels.
 """
 
 from __future__ import annotations
@@ -9,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import NumericalError, ValidationError
 from .hermite import hermite, hermite_monomial_coeffs
@@ -169,7 +172,7 @@ class PathSampler:
             self._m = 2 * n
         else:
             self._mode = "dense"
-            cov = toeplitz(lags[:n])
+            cov = _toeplitz_matrix(lags[:n])
             eigvals, eigvecs = np.linalg.eigh(cov)
             if eigvals.min() < -EIG_CLAMP * rho.rho0:
                 raise NumericalError(
@@ -185,19 +188,27 @@ class PathSampler:
     def normals_per_replica(self) -> int:
         return 2 * self.n if self._mode == "circulant" else self.n
 
-    def transform(self, w: np.ndarray) -> np.ndarray:
+    def transform(self, w: np.ndarray,
+                  buffers: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
         """Apply the sampler's linear map to white-noise rows w.
 
         w has shape (count, normals_per_replica); the output rows follow
         the target covariance exactly when the rows of w are iid standard
-        normal.
+        normal.  On the circulant route, buffers may be a pair of arrays
+        from _work_arrays with at least count rows, which the transform
+        fills instead of allocating its own pair; the result is a view of
+        the second.  The dense route ignores buffers.
         """
         if self._mode == "dense":
             return w @ self._chol.T
         n, m = self.n, self._m
+        if buffers is None:
+            buffers = self._work_arrays(w.shape[0])
+        h, out = (buffer[:w.shape[0]] for buffer in buffers)
         # Hermitian half-spectrum: independent real weights at frequencies 0
-        # and n, complex weights of unit variance in between.
-        h = np.zeros((w.shape[0], n + 1), dtype=complex)
+        # and n, complex weights of unit variance in between (the imaginary
+        # parts at 0 and n start at zero and are only ever scaled).
         h.real[:, 0] = w[:, 0]
         h.real[:, n] = w[:, 1]
         h.real[:, 1:n] = w[:, 2:n + 1]
@@ -207,9 +218,15 @@ class PathSampler:
         # real parts by sqrt(2) would round differently
         h[:, 1:n] *= 1.0 / math.sqrt(2.0)
         h *= self._sqrt_lam
-        x = np.fft.irfft(h, m, axis=1)[:, :n]
+        x = np.fft.irfft(h, m, axis=1, out=out)[:, :n]
         x *= math.sqrt(m)
         return x
+
+    def _work_arrays(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Work arrays for circulant transforms of up to rows rows: the
+        complex half-spectrum, zeroed, and the full-length inverse FFT."""
+        return (np.zeros((rows, self.n + 1), dtype=complex),
+                np.empty((rows, self._m)))
 
     def sample_chunks(self, seed: int, stream: int, block: int, count: int):
         """Yield (lo, paths) over the rows of one block in order, where paths
@@ -219,16 +236,24 @@ class PathSampler:
         (streams.row_chunks) from the block's one generator; its FFTs work
         row by row, so the chunks are bit-identical to transforming one
         whole-block block_normals draw, while only one chunk is held at a
-        time.  The dense route is a BLAS product, which can round a row
-        differently with the number of rows, so it takes the whole block.
+        time.  Its transforms reuse one pair of work arrays for the whole
+        block, so a yielded paths is overwritten by the next chunk: use or
+        copy it before asking for the next.  The dense route is a BLAS
+        product, which can round a row differently with the number of rows,
+        so it takes the whole block.
         """
         width = self.normals_per_replica
         generator = block_generator(seed, stream, block)
-        chunks = (row_chunks(count, width) if self._mode == "circulant"
-                  else [(0, count)])
+        if self._mode == "circulant":
+            chunks = list(row_chunks(count, width))
+            buffers = self._work_arrays(chunks[0][1])
+        else:
+            chunks, buffers = [(0, count)], None
         for lo, hi in chunks:
             w = block_normals(seed, stream, block, hi - lo, width, generator)
-            yield lo, self.transform(w)
+            # by keyword: bench/tracer.py reads transform's positional
+            # arguments as (sampler, w)
+            yield lo, self.transform(w, buffers=buffers)
 
 
 def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
@@ -283,8 +308,25 @@ def breuer_major_statistic(path: np.ndarray, coeffs: HermiteEvenCoeffs) -> float
     return total / math.sqrt(path.size)
 
 
+def _toeplitz_matrix(row: np.ndarray) -> np.ndarray:
+    """The n x n symmetric Toeplitz matrix with first row row, C-contiguous.
+
+    Row i is the window starting at n - 1 - i of the mirrored row
+    (row[n-1], ..., row[1], row[0], row[1], ..., row[n-1]), so the matrix
+    is a copy of a strided view, as scipy.linalg.toeplitz builds it, and
+    bit-identical to it.  Used by the dense PathSampler fallback and by
+    kernels.Gram when a Gram built from its first row is read as a matrix.
+    """
+    mirrored = np.concatenate([row[::-1], row[1:]])
+    windows = np.lib.stride_tricks.sliding_window_view(mirrored, row.size)
+    return windows[::-1].copy()
+
+
 def _toeplitz_pair_counts(n: int) -> np.ndarray:
-    """Number of (i, j) pairs in [0,n)^2 with |i - j| = d, d = 0..n-1."""
+    """Number of (i, j) pairs in [0,n)^2 with |i - j| = d, d = 0..n-1.
+
+    Used to sum over the diagonals of a symmetric Toeplitz matrix, by
+    exact_variance_power_variation and kernels.rank_one_norm_squared."""
     counts = 2.0 * (n - np.arange(n))
     counts[0] = n
     return counts

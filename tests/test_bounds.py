@@ -204,15 +204,27 @@ class TestBreuerMajorChaosSumBound:
         assert report.normalization == pytest.approx(expected.normalization,
                                                      rel=1e-10)
 
-    def test_shared_gram_is_checked_once(self, monkeypatch):
+    def test_bound_path_forms_no_gram_matrix(self, monkeypatch):
+        # the kernels share a Gram built from its Toeplitz row, so nothing
+        # checks a matrix for Toeplitz structure, and neither the kernels
+        # nor the bound form the n x n matrix (128 MiB at n = 4096)
         calls = []
         check = kernels_module._is_symmetric_toeplitz
         monkeypatch.setattr(kernels_module, "_is_symmetric_toeplitz",
                             lambda mat: calls.append(mat.shape) or check(mat))
+        n = 4096
         coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
-        ks = breuer_major_kernels(CovarianceFunction.fgn(0.7), 64, coeffs)
-        chaos_sum_bound(ChaosSum({k.order: k for k in ks}))
-        assert calls == [(64, 64)]
+        tracemalloc.start()
+        try:
+            ks = breuer_major_kernels(CovarianceFunction.fgn(0.7), n, coeffs)
+            report = chaos_sum_bound(ChaosSum({k.order: k for k in ks}))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert ks[0]._gram._matrix is None
+        assert report.terms["max_contraction_norm"] > 0.0
+        assert peak < 16 * 2 ** 20
 
     def test_peak_memory_below_one_gram(self):
         # the Gram is built before tracing starts; the bound itself needs

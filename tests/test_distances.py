@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from chaosclt.distances import EmpiricalSample, kolmogorov_distance, rate_fit
 from chaosclt.errors import ValidationError
@@ -60,8 +60,21 @@ class TestKolmogorovDistance:
         # all mass far right of the reference law: gap approaches Phi(min)
         s = EmpiricalSample.from_data([5.0, 6.0])
         d = kolmogorov_distance(s, 0.0, 1.0)
-        from scipy.special import ndtr
         assert d == pytest.approx(float(ndtr(5.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 16384])
+    def test_matches_plain_expression_bitwise(self, M):
+        # the in-place evaluation gives the bits of the textbook one and
+        # leaves the sample as it was
+        s = EmpiricalSample.from_data(
+            np.random.default_rng(M).normal(0.3, 1.7, size=M))
+        before = s.values.copy()
+        cdf = ndtr((s.values - 0.2) / math.sqrt(2.5))
+        hi = np.arange(1, M + 1) / M
+        lo = np.arange(0, M) / M
+        want = float(max((hi - cdf).max(), (cdf - lo).max()))
+        assert kolmogorov_distance(s, 0.2, 2.5) == want
+        assert np.array_equal(s.values, before)
 
 
 class TestRateFit:

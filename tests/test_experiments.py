@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -539,11 +542,59 @@ class TestCli:
         assert "out" not in summary["config"]
 
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
-                 .glob("*.json"))
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 # the filename prefix names the subcommand
 CONFIG_CLASSES = {"rates": RatesConfig, "ratio": RatioConfig,
                   "nz": NzConfig, "bound": BoundConfig}
+
+
+# Builds Breuer-Major kernels and their bound, then runs diagnose-nz and
+# bound through the CLI, and prints the scipy modules loaded by then.
+SCIPY_FREE_RUN = """
+import json
+import sys
+
+import numpy as np
+
+import chaosclt
+from chaosclt import cli
+from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
+
+nz_config, bound_config, out = sys.argv[1:]
+coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
+ks = chaosclt.breuer_major_kernels(CovarianceFunction.fgn(0.7), 64, coeffs)
+chaosclt.chaos_sum_bound(chaosclt.ChaosSum({k.order: k for k in ks}))
+assert cli.main(["diagnose-nz", "--config", nz_config,
+                 "--out", out + "/nz"]) == 0
+assert cli.main(["bound", "--config", bound_config,
+                 "--out", out + "/bound"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+class TestScipyFreeRuns:
+    def test_bound_and_nz_runs_load_no_scipy_submodule(self, tmp_path):
+        # scipy.special is imported only where a Kolmogorov distance is
+        # computed and scipy.linalg nowhere, so these runs never pay for
+        # either; a fresh process, since the test session loads both
+        src = Path(__file__).resolve().parents[1] / "src"
+        bound_config = tmp_path / "bound.json"
+        bound_config.write_text(json.dumps(
+            {"inputs": [{"label": "eq", "kernels": [eigenvalue_sum_json(4)]}]}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_RUN,
+             str(CONFIGS_DIR / "nz_h070.json"), str(bound_config),
+             str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert "scipy.linalg" not in loaded
+        assert "scipy.special" not in loaded
+        assert (tmp_path / "nz" / "nz_summary.json").exists()
+        assert (tmp_path / "bound" / "bound_summary.json").exists()
 
 
 class TestCheckedInConfigs:

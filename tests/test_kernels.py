@@ -6,6 +6,8 @@ import pytest
 from scipy.linalg import toeplitz
 
 from chaosclt import kernels as kernels_module
+from chaosclt.bounds import chaos_sum_bound
+from chaosclt.chaos import ChaosSum, second_moment
 from chaosclt.errors import NumericalError, ValidationError
 from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
                               RankOneSumKernel, _toeplitz_product_trace,
@@ -682,6 +684,50 @@ class TestGramKernels:
     def test_term_count_must_match_gram(self):
         with pytest.raises(ValidationError, match="term vectors"):
             RankOneSumKernel.from_gram(2, np.ones(3), Gram(matrix=np.eye(2)))
+
+
+class TestRowBuiltGram:
+    """A Gram built from its first row gives the same bits as the same
+    Gram built from the matrix of that row, which is checked Toeplitz."""
+
+    COEFFS = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 256])
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_matches_matrix_built_gram_exactly(self, H, n):
+        by_row = breuer_major_kernels(CovarianceFunction.fgn(H), n,
+                                      self.COEFFS)
+        row = by_row[0]._gram.toeplitz_row
+        gram = Gram(matrix=toeplitz(row))
+        by_matrix = [RankOneSumKernel.from_gram(k.order, k.coeffs, gram)
+                     for k in by_row]
+        sums = [ChaosSum({k.order: k for k in ks})
+                for ks in (by_row, by_matrix)]
+        assert chaos_sum_bound(sums[0]) == chaos_sum_bound(sums[1])
+        assert second_moment(sums[0]) == second_moment(sums[1])
+        for fast, slow in zip(by_row, by_matrix):
+            assert term_scale(fast) == term_scale(slow)
+        # the matrix-built Gram passed the Toeplitz check, so both sides
+        # took the Toeplitz routes; the row-built one formed no matrix
+        assert gram.toeplitz_row is not None
+        assert by_row[0]._gram._matrix is None
+        for fast, slow in zip(by_row, by_matrix):
+            assert np.array_equal(fast.vectors, slow.vectors)
+            assert kernel_to_json(fast) == kernel_to_json(slow)
+        assert np.array_equal(by_row[0].gram, gram.matrix)
+
+    def test_needs_exactly_one_source(self):
+        row = np.array([1.0, 0.5])
+        for sources in ({}, {"row": row, "matrix": toeplitz(row)},
+                        {"row": row, "vectors": np.eye(2)}):
+            with pytest.raises(ValidationError, match="exactly one"):
+                Gram(**sources)
+
+    def test_diagonal_needs_no_matrix(self):
+        gram = Gram(row=np.array([2.0, 0.5, 0.25]))
+        assert np.array_equal(gram.diagonal, np.full(3, 2.0))
+        assert gram._matrix is None
+        assert gram.terms == gram.dim == 3
 
 
 class TestPositiveSemidefiniteCertificate:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from chaosclt.errors import NumericalError, ValidationError
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
-                                 PathSampler, breuer_major_statistic,
+                                 PathSampler, _toeplitz_matrix,
+                                 breuer_major_statistic,
                                  exact_variance_power_variation,
                                  fgn_covariance, hermite_monomial_coeffs,
                                  power_variation, power_variation_mean,
@@ -96,6 +98,20 @@ class TestSamplePaths:
         for threads in (1, 2, 4):
             got = sample_paths(cov, n, M, seed=6, threads=threads, stream=3)
             assert np.array_equal(got.values, want)
+
+    def test_chunks_of_a_block_share_one_output_buffer(self):
+        # the circulant route transforms every chunk of a block into one
+        # pair of work arrays, so a chunk is overwritten by the next one
+        n = 300
+        sampler = PathSampler(CovarianceFunction.fgn(0.7), n)
+        chunks = list(sampler.sample_chunks(6, 3, 0, BLOCK_SIZE))
+        assert len(chunks) > 2
+        first, last = chunks[0][1], chunks[-1][1]
+        assert np.shares_memory(first, last)
+        width = sampler.normals_per_replica
+        whole = sampler.transform(block_normals(6, 3, 0, BLOCK_SIZE, width))
+        lo = chunks[-1][0]
+        assert np.array_equal(last, whole[lo:lo + len(last)])
 
     def test_different_seeds_differ(self):
         cov = CovarianceFunction.fgn(0.7)
@@ -201,6 +217,15 @@ class TestSamplePaths:
             sample_paths(cov, 0, 1, seed=0)
         with pytest.raises(ValidationError):
             sample_paths(cov, 4, 0, seed=0)
+
+
+class TestToeplitzMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 500])
+    def test_matches_scipy_bitwise(self, n):
+        row = np.random.default_rng(n).normal(size=n)
+        got = _toeplitz_matrix(row)
+        assert np.array_equal(got, toeplitz(row))
+        assert got.flags.c_contiguous and got.flags.writeable
 
 
 class TestPowerVariation:
