@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSum, as_rank_one, kappa4_I2
-from .errors import ValidationError
+from .errors import ValidationError, check_even_power
 # contract is unused here; bench/tracer.py patches bounds.contract
 from .kernels import (MIXED_INNER_TOL, checked_sqrt_inner,  # noqa: F401
                       contract, rank_one_contraction_norm,
@@ -181,8 +181,7 @@ def power_variation_bound(rho: CovarianceFunction, n: int, q: int,
     d = 1, whose second bracket (sum_{k<n} |rho|^2)^(3/2) is reported as
     covariance_sq.  variance is E[(sqrt(n) (Q - E Q))^2] = n * Var(Q_{q,n}).
     """
-    if q % 2 != 0 or q < 2:
-        raise ValidationError(f"power must be even and >= 2, got {q}")
+    check_even_power(q)
     report = breuer_major_bound(rho, n, 1, 1, variance, constant_multiplier)
     report.terms["covariance_sq"] = report.terms.pop("rank_cross")
     return report
@@ -200,8 +199,7 @@ def fgn_rate(H: float, q: int) -> RatePrediction:
     quadratic variation decays as n**(-0.30) while the bound decays as
     n**(-0.2).
     """
-    if q % 2 != 0 or q < 2:
-        raise ValidationError(f"power must be even and >= 2, got {q}")
+    check_even_power(q)
     if not 0.0 < H < 0.75:
         raise ValidationError(
             f"rate prediction requires 0 < H < 3/4, got H={H}")

@@ -44,3 +44,9 @@ def checked_real(value, name: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def check_even_power(q: int) -> None:
+    """Raise a ValidationError unless the power q is even and >= 2."""
+    if q % 2 != 0 or q < 2:
+        raise ValidationError(f"power must be even and >= 2, got {q}")

@@ -19,13 +19,11 @@ row of its correlation matrix, which is symmetric Toeplitz, and neither
 the n x n matrix nor the vectors (a square root of it) are formed unless
 something reads them, such as sampling, serialization or a dense route.
 
-When all coefficients are equal and the Gram matrix is exactly symmetric
-Toeplitz (by construction for a Gram built from its first row, otherwise
-checked once per Gram, never taken from the input), the closed forms run
-on its first row alone: contraction norms stream a trace of Toeplitz
-products in O(n^2) time and O(n) memory, squared norms sum over
-diagonals in O(n), and mixed inner products need one Toeplitz
-matrix-vector product, a convolution.
+When all coefficients are equal and the Gram was built from its first
+row, the closed forms run on that row alone (see chaosclt.toeplitz):
+contraction norms stream a trace of Toeplitz products in O(n^2) time and
+O(n) memory, squared norms sum over diagonals in O(n), and mixed inner
+products need one Toeplitz matrix-vector product, a convolution.
 """
 
 from __future__ import annotations
@@ -37,10 +35,9 @@ from functools import reduce
 
 import numpy as np
 
+from . import toeplitz
 from .errors import NumericalError, ValidationError, checked_integer
-from .stationary import (EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs,
-                         _toeplitz_matrix, _toeplitz_pair_counts,
-                         circulant_embedding_eigenvalues)
+from .stationary import EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs
 
 __all__ = [
     "DenseKernel",
@@ -119,9 +116,7 @@ class Gram:
     formed and factored at most once however many kernels use it.  A G
     given as a matrix or a row must be symmetric positive semidefinite;
     that is the caller's to certify (see breuer_major_kernels).  A G built
-    from its row is Toeplitz by construction and holds only that row until
-    its matrix is read; whether any other G is exactly symmetric Toeplitz
-    is checked on the matrix itself, once (see toeplitz_row).
+    from its row holds only that row until its matrix is read.
     """
 
     def __init__(self, matrix: np.ndarray | None = None,
@@ -132,7 +127,6 @@ class Gram:
                 "a Gram needs exactly one of matrix, vectors, row")
         self._matrix = matrix
         self._vectors = vectors
-        self._toeplitz_checked = row is not None
         self._toeplitz_row = row
 
     @classmethod
@@ -157,7 +151,7 @@ class Gram:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = (_toeplitz_matrix(self._toeplitz_row)
+            self._matrix = (toeplitz.matrix(self._toeplitz_row)
                             if self._vectors is None
                             else self._vectors @ self._vectors.T)
         return self._matrix
@@ -171,22 +165,16 @@ class Gram:
 
     @property
     def diagonal(self) -> np.ndarray:
-        """The diagonal of G; a known Toeplitz G's is its row[0]
-        throughout, read without forming G."""
+        """The diagonal of G; a row-built G's is its row[0] throughout,
+        read without forming G."""
         if self._toeplitz_row is not None:
             return np.full(self.terms, self._toeplitz_row[0])
         return np.diagonal(self.matrix)
 
     @property
     def toeplitz_row(self) -> np.ndarray | None:
-        """The first row of G if G equals toeplitz(G[0]) exactly, else
-        None.  A G built from its row returns it unchecked; any other G is
-        checked on the first access only."""
-        if not self._toeplitz_checked:
-            matrix = self.matrix
-            if _is_symmetric_toeplitz(matrix):
-                self._toeplitz_row = matrix[0]
-            self._toeplitz_checked = True
+        """The first row G was built from, or None for a G built from a
+        matrix or from vectors, whatever its values."""
         return self._toeplitz_row
 
 
@@ -356,67 +344,9 @@ def term_scale(k: RankOneSumKernel) -> float:
     return float(np.abs(k.coeffs) @ norms)
 
 
-def _is_symmetric_toeplitz(mat: np.ndarray) -> bool:
-    """Whether mat equals toeplitz(mat[0]) exactly."""
-    return (np.array_equal(mat[0], mat[:, 0])
-            and np.array_equal(mat[1:, 1:], mat[:-1, :-1]))
-
-
-def _toeplitz_matvec(row: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T(row) @ v for the symmetric Toeplitz matrix T(row) with first row
-    row: one convolution with its mirrored first row, in O(n) memory."""
-    return np.convolve(np.concatenate([row[:0:-1], row]), v, "valid")
-
-
-# rows carried per block by _toeplitz_product_trace: its memory is
-# 2 (_TRACE_BLOCK + 1) n floats
-_TRACE_BLOCK = 64
-
-
-def _toeplitz_product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
-    """<T(alpha) T(beta), T(beta) T(alpha)>_F in O(n^2) time, O(n) memory.
-
-    Row i of T(beta) T(alpha) is column i of C = T(alpha) T(beta), so the
-    inner product is the sum over i of the dot products of the two rows i.
-    Row 0 of T(x) T(y) is (T(y) x)^T, and shifting the summation index one
-    step down a diagonal gives
-
-        row_(i+1)[j+1] = row_i[j] + x_(i+1) y_(j+1) - x_(n-1-i) y_(n-1-j),
-
-    with row_(i+1)[0] entry i+1 of row 0 of T(y) T(x).  Both rows are
-    carried forward together, a block of rows at a time: the rank-two terms
-    of a block are one matrix product, then each row adds its predecessor
-    shifted by one.  When alpha equals beta, T(alpha)^2 is symmetric and one
-    row is carried.
-    """
-    n = alpha.size
-    pairs = ([(alpha, beta)] if np.array_equal(alpha, beta)
-             else [(alpha, beta), (beta, alpha)])
-    firsts = [_toeplitz_matvec(y, x) for x, y in pairs]
-    total = float(firsts[0] @ firsts[-1])
-    # rows[t, 0] holds the last row of the previous block
-    rows = np.empty((len(pairs), _TRACE_BLOCK + 1, n))
-    rows[:, 0] = firsts
-    terms = [np.stack([y[1:], y[:0:-1]]) for _, y in pairs]
-    for start in range(1, n, _TRACE_BLOCK):
-        stop = min(start + _TRACE_BLOCK, n)
-        count = stop - start
-        # column 0 of T(x) T(y) is row 0 of T(y) T(x)
-        for (x, _), term, head, block in zip(pairs, terms, firsts[::-1], rows):
-            weights = np.stack([x[start:stop], -x[n - start:n - stop:-1]],
-                               axis=1)
-            np.matmul(weights, term, out=block[1:count + 1, 1:])
-            block[1:count + 1, 0] = head[start:stop]
-            for i in range(1, count + 1):
-                block[i, 1:] += block[i - 1, :-1]
-        total += float(np.vdot(rows[0, 1:count + 1], rows[-1, 1:count + 1]))
-        rows[:, 0] = rows[:, count]
-    return total
-
-
 def _equal_coeff_toeplitz_row(k: RankOneSumKernel) -> np.ndarray | None:
     """The first row of k's Gram if all of k's coefficients are equal and
-    the Gram is exactly symmetric Toeplitz, else None."""
+    the Gram was built from that row, else None."""
     a = k.coeffs
     return k._gram.toeplitz_row if np.all(a == a[0]) else None
 
@@ -424,13 +354,13 @@ def _equal_coeff_toeplitz_row(k: RankOneSumKernel) -> np.ndarray | None:
 def rank_one_norm_squared(k: RankOneSumKernel) -> float:
     """<k, k> = sum_{i,j} a_i a_j <v_i, v_j>**order.
 
-    When all coefficients equal c and G is exactly symmetric Toeplitz with
-    first row g, the double sum collapses over the diagonals of G to
+    When all coefficients equal c and G was built from its first row g,
+    the double sum collapses over the diagonals of G to
     c^2 sum_d counts(d) g_d**order in O(n).
     """
     row = _equal_coeff_toeplitz_row(k)
     if row is not None:
-        counts = _toeplitz_pair_counts(row.size)
+        counts = toeplitz.pair_counts(row.size)
         return float(k.coeffs[0] ** 2 * (counts @ row ** k.order))
     gp = k.gram ** k.order
     return float(k.coeffs @ gp @ k.coeffs)
@@ -446,7 +376,7 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
 
     which is <B, M B M>_F = tr((M B)^2) = <E, E^T>_F for B = G**(p-r),
     M = diag(a) G**r diag(a) and E = M B, formed densely in O(n^3).  When
-    G is exactly symmetric Toeplitz and all coefficients equal c,
+    G was built from its first row and all coefficients equal c,
     E = c^2 T(alpha) T(beta) with alpha, beta the first rows of G**r and
     G**(p-r), and E^T is c^2 T(beta) T(alpha): their inner product is
     streamed row by row in O(n^2) time and O(n) memory, and neither
@@ -458,7 +388,7 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
     a = k.coeffs
     row = _equal_coeff_toeplitz_row(k)
     if row is not None:
-        val = a[0] ** 4 * _toeplitz_product_trace(row ** r, row ** (p - r))
+        val = a[0] ** 4 * toeplitz.product_trace(row ** r, row ** (p - r))
     else:
         G = k.gram
         E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)
@@ -472,10 +402,10 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
 
     Equals sum_{i,j,k,l} a_i a_j b_k b_l <v_i,w_k>**p <v_j,w_l>**p
     <w_k,w_l>**(q-p), i.e. u^T Gw**(q-p) u with u_k = b_k sum_i a_i <v_i,w_k>**p.
-    Kernels on one Gram G have cross Gram G itself.  When that G is exactly
-    symmetric Toeplitz with first row g and each kernel's coefficients are
-    equal, u is a b times the row sums of T(g**p), read off prefix sums,
-    and T(g**(q-p)) u is one convolution (see _toeplitz_matvec).
+    Kernels on one Gram G have cross Gram G itself.  When that G was built
+    from its first row g and each kernel's coefficients are equal, u is
+    a b times the row sums of T(g**p), read off prefix sums, and
+    T(g**(q-p)) u is one convolution (see toeplitz.matvec).
     """
     p, q = kp.order, kq.order
     if q <= p:
@@ -492,7 +422,7 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
             prefix = np.cumsum(alpha)
             u = (kp.coeffs[0] * kq.coeffs[0]
                  * (prefix + prefix[::-1] - alpha[0]))
-            return float(u @ _toeplitz_matvec(beta, u))
+            return float(u @ toeplitz.matvec(beta, u))
         cross = kq.gram ** p
     else:
         cross = (kp.vectors @ kq.vectors.T) ** p
@@ -516,13 +446,17 @@ def breuer_major_kernels(rho: CovarianceFunction, n: int,
     semidefiniteness is certified by the size-2n circulant embedding (whose
     smallest eigenvalue bounds the matrix's from below); only if that
     certificate fails is the matrix formed and its own eigenvalues
-    computed.
+    computed.  coeffs.rho0 must equal rho.rho0, the scale that
+    breuer_major_statistic divides the path by.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    if coeffs.rho0 != rho.rho0:
+        raise ValidationError(
+            f"coeffs.rho0 = {coeffs.rho0} differs from rho.rho0 = {rho.rho0}")
     lags = rho.lag_array(n + 1) / rho.rho0
     gram = Gram(row=lags[:n])
-    if circulant_embedding_eigenvalues(lags).min() < -EIG_CLAMP:
+    if toeplitz.circulant_eigenvalues(lags).min() < -EIG_CLAMP:
         lowest = np.linalg.eigvalsh(gram.matrix)[0]
         if lowest < -EIG_CLAMP:
             raise ValidationError(

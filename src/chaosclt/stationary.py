@@ -1,9 +1,5 @@
 """Stationary centered Gaussian sequences: covariance models, exact path
 sampling, and the even-Hermite partial-sum statistics built from them.
-
-The symmetric Toeplitz helpers (circulant_embedding_eigenvalues,
-_toeplitz_matrix, _toeplitz_pair_counts) serve both this module and the
-Toeplitz-Gram routes of kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from . import toeplitz
+from .errors import NumericalError, ValidationError, check_even_power
 from .hermite import hermite, hermite_monomial_coeffs
 from .streams import block_generator, block_normals, row_chunks, run_blocks
 
@@ -30,7 +27,6 @@ __all__ = [
     "breuer_major_statistic",
     "exact_variance_power_variation",
     "hermite_monomial_coeffs",
-    "circulant_embedding_eigenvalues",
 ]
 
 # Eigenvalues of the circulant embedding (and of the dense fallback) in
@@ -135,20 +131,6 @@ class HermiteEvenCoeffs:
         return range(2 * self.d, 2 * self.m + 1, 2)
 
 
-def circulant_embedding_eigenvalues(lags: np.ndarray) -> np.ndarray:
-    """Eigenvalues at frequencies 0..n of the size-2n circulant embedding of
-    the n x n symmetric Toeplitz matrix with first row lags[:n] (those at
-    n+1..2n-1 repeat them).
-
-    lags holds rho(0..n).  The circulant's first row is rho(0..n) followed
-    by the mirrored lags n-1..1, so the Toeplitz matrix is its leading
-    principal block and, by Cauchy interlacing, has no eigenvalue below
-    the smallest of these.
-    """
-    circ = np.concatenate([lags, lags[-2:0:-1]])
-    return np.fft.rfft(circ).real
-
-
 class PathSampler:
     """Exact sampler for a stationary Gaussian vector of length n.
 
@@ -165,14 +147,14 @@ class PathSampler:
         self.n = n
         self.rho = rho
         lags = rho.lag_array(n + 1)
-        lam = circulant_embedding_eigenvalues(lags)
+        lam = toeplitz.circulant_eigenvalues(lags)
         if lam.min() >= -EIG_CLAMP * rho.rho0:
             self._mode = "circulant"
             self._sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
             self._m = 2 * n
         else:
             self._mode = "dense"
-            cov = _toeplitz_matrix(lags[:n])
+            cov = toeplitz.matrix(lags[:n])
             eigvals, eigvecs = np.linalg.eigh(cov)
             if eigvals.min() < -EIG_CLAMP * rho.rho0:
                 raise NumericalError(
@@ -276,14 +258,9 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
     return PathMatrix(values=out)
 
 
-def _check_even_order(q: int) -> None:
-    if q % 2 != 0 or q < 2:
-        raise ValidationError(f"power must be even and >= 2, got {q}")
-
-
 def power_variation(path: np.ndarray, q: int) -> float:
     """Empirical q-th moment (1/n) sum_i path_i**q for even q >= 2."""
-    _check_even_order(q)
+    check_even_power(q)
     path = np.asarray(path, dtype=float)
     if path.size == 0:
         raise ValidationError("path must be nonempty")
@@ -292,7 +269,7 @@ def power_variation(path: np.ndarray, q: int) -> float:
 
 def power_variation_mean(rho0: float, q: int) -> float:
     """E[Z**q] for Z ~ N(0, rho0): rho0^(q/2) (q-1)!!."""
-    _check_even_order(q)
+    check_even_power(q)
     return rho0 ** (q // 2) * float(hermite_monomial_coeffs(q)[0])
 
 
@@ -308,30 +285,6 @@ def breuer_major_statistic(path: np.ndarray, coeffs: HermiteEvenCoeffs) -> float
     return total / math.sqrt(path.size)
 
 
-def _toeplitz_matrix(row: np.ndarray) -> np.ndarray:
-    """The n x n symmetric Toeplitz matrix with first row row, C-contiguous.
-
-    Row i is the window starting at n - 1 - i of the mirrored row
-    (row[n-1], ..., row[1], row[0], row[1], ..., row[n-1]), so the matrix
-    is a copy of a strided view, as scipy.linalg.toeplitz builds it, and
-    bit-identical to it.  Used by the dense PathSampler fallback and by
-    kernels.Gram when a Gram built from its first row is read as a matrix.
-    """
-    mirrored = np.concatenate([row[::-1], row[1:]])
-    windows = np.lib.stride_tricks.sliding_window_view(mirrored, row.size)
-    return windows[::-1].copy()
-
-
-def _toeplitz_pair_counts(n: int) -> np.ndarray:
-    """Number of (i, j) pairs in [0,n)^2 with |i - j| = d, d = 0..n-1.
-
-    Used to sum over the diagonals of a symmetric Toeplitz matrix, by
-    exact_variance_power_variation and kernels.rank_one_norm_squared."""
-    counts = 2.0 * (n - np.arange(n))
-    counts[0] = n
-    return counts
-
-
 def exact_variance_power_variation(rho: CovarianceFunction, q: int, n: int) -> float:
     """Var((1/n) sum Z_i**q) from the even-Hermite expansion of x**q.
 
@@ -339,12 +292,12 @@ def exact_variance_power_variation(rho: CovarianceFunction, q: int, n: int) -> f
     (rho0^q / n^2) sum_{i,j} sum_{k>=1} c_{q,2k}^2 (2k)! (rho(i-j)/rho0)^{2k};
     the double sum collapses over Toeplitz diagonals.
     """
-    _check_even_order(q)
+    check_even_power(q)
     if n < 1:
         raise ValidationError(f"path length must be >= 1, got {n}")
     coeffs = hermite_monomial_coeffs(q)
     corr = rho.lag_array(n) / rho.rho0
-    counts = _toeplitz_pair_counts(n)
+    counts = toeplitz.pair_counts(n)
     total = 0.0
     for k in range(1, q // 2 + 1):
         total += float(coeffs[k]) ** 2 * math.factorial(2 * k) * float(

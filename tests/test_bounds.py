@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaosclt import kernels as kernels_module
 from chaosclt.bounds import (BoundReport, MIXED_INNER_TOL, RatePrediction,
                              breuer_major_bound, chaos_sum_bound,
                              checked_sqrt_inner, fgn_rate,
@@ -205,13 +204,9 @@ class TestBreuerMajorChaosSumBound:
                                                      rel=1e-10)
 
     def test_bound_path_forms_no_gram_matrix(self, monkeypatch):
-        # the kernels share a Gram built from its Toeplitz row, so nothing
-        # checks a matrix for Toeplitz structure, and neither the kernels
-        # nor the bound form the n x n matrix (128 MiB at n = 4096)
-        calls = []
-        check = kernels_module._is_symmetric_toeplitz
-        monkeypatch.setattr(kernels_module, "_is_symmetric_toeplitz",
-                            lambda mat: calls.append(mat.shape) or check(mat))
+        # the kernels share a Gram built from its Toeplitz row, and neither
+        # the kernels nor the bound form the n x n matrix (128 MiB at
+        # n = 4096)
         n = 4096
         coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
         tracemalloc.start()
@@ -221,7 +216,6 @@ class TestBreuerMajorChaosSumBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert calls == []
         assert ks[0]._gram._matrix is None
         assert report.terms["max_contraction_norm"] > 0.0
         assert peak < 16 * 2 ** 20

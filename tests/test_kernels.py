@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from chaosclt import kernels as kernels_module
+from chaosclt import toeplitz as toeplitz_module
 from chaosclt.bounds import chaos_sum_bound
 from chaosclt.chaos import ChaosSum, second_moment
 from chaosclt.errors import NumericalError, ValidationError
 from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
-                              RankOneSumKernel, _toeplitz_product_trace,
-                              breuer_major_kernels,
+                              RankOneSumKernel, breuer_major_kernels,
                               contract, inner, is_symmetric, kernel_from_json,
                               kernel_to_json, norm, rank_one_contraction_norm,
                               rank_one_mixed_inner, rank_one_norm_squared,
                               symmetrize, term_scale)
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
-                                 circulant_embedding_eigenvalues,
                                  exact_variance_power_variation)
 
 
@@ -314,6 +312,18 @@ class TestBreuerMajorKernels:
         with pytest.raises(ValidationError, match="positive semidefinite"):
             breuer_major_kernels(cov, 3, coeffs)
 
+    def test_rejects_rho0_mismatch(self):
+        # breuer_major_statistic scales the path by coeffs.rho0; kernels
+        # scaled by rho.rho0 instead gave E[F^2] = 2.578 for a statistic of
+        # variance 41.2 at rho.rho0 = 4, coeffs.rho0 = 1
+        cov = CovarianceFunction(evaluator=lambda k: 4.0 if k == 0 else 0.0,
+                                 rho0=4.0)
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        with pytest.raises(ValidationError,
+                           match=r"coeffs.rho0 = 1.0 differs from "
+                                 r"rho.rho0 = 4.0"):
+            breuer_major_kernels(cov, 3, coeffs)
+
 
 class TestCovarianceQuadrupleSums:
     """The closed-form contraction quantities of the stationary kernels
@@ -433,7 +443,7 @@ class TestToeplitzProduct:
         for x, y in [(alpha, beta), (alpha, alpha.copy())]:
             expected = float(np.vdot(toeplitz(x) @ toeplitz(y),
                                      toeplitz(y) @ toeplitz(x)))
-            got = _toeplitz_product_trace(x, y)
+            got = toeplitz_module.product_trace(x, y)
             scale = float(np.abs(x).sum() * np.abs(y).sum()) ** 2
             assert got == pytest.approx(expected, rel=0.0,
                                         abs=1e-13 * n * scale)
@@ -446,24 +456,21 @@ class TestToeplitzContractionRoute:
 
         def counted(alpha, beta):
             calls.append(alpha.size)
-            return _toeplitz_product_trace(alpha, beta)
+            return product_trace(alpha, beta)
 
-        monkeypatch.setattr(kernels_module, "_toeplitz_product_trace", counted)
+        product_trace = toeplitz_module.product_trace
+        monkeypatch.setattr(toeplitz_module, "product_trace", counted)
         return calls
 
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
-    def test_matches_dense_route(self, H, trace_calls, monkeypatch):
-        # the same kernels on explicit vectors, held to the dense route (at
-        # H = 0.5 their Gram is the identity, which is exactly Toeplitz)
+    def test_matches_dense_route(self, H, trace_calls):
+        # the same kernels on explicit vectors take the dense route
         coeffs = HermiteEvenCoeffs(d=1, m=3, lambdas=np.array([1.0, 0.5, -0.3]))
         for fast in breuer_major_kernels(CovarianceFunction.fgn(H), 256, coeffs):
             dense = RankOneSumKernel(order=fast.order, coeffs=fast.coeffs,
                                      vectors=fast.vectors)
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels_module, "_is_symmetric_toeplitz",
-                              lambda mat: False)
-                expected = [rank_one_contraction_norm(dense, r)
-                            for r in range(1, fast.order)]
+            expected = [rank_one_contraction_norm(dense, r)
+                        for r in range(1, fast.order)]
             assert trace_calls == []
             for r in range(1, fast.order):
                 got = rank_one_contraction_norm(fast, r)
@@ -472,7 +479,7 @@ class TestToeplitzContractionRoute:
                 assert got == pytest.approx(expected[r - 1], rel=1e-10)
 
     def test_unequal_coefficients_take_dense_route(self, trace_calls):
-        gram = Gram(matrix=toeplitz([1.0, 0.5, 0.25]))
+        gram = Gram(row=np.array([1.0, 0.5, 0.25]))
         k = RankOneSumKernel.from_gram(2, np.array([1.0, 2.0, 1.0]), gram)
         expected = dense_contraction_norm(k, 1)
         assert rank_one_contraction_norm(k, 1) == pytest.approx(expected,
@@ -482,14 +489,15 @@ class TestToeplitzContractionRoute:
 
 class TestToeplitzClosedForms:
     """rank_one_norm_squared and rank_one_mixed_inner on equal-coefficient
-    kernels over one exactly Toeplitz Gram, against the dense route."""
+    kernels over one Gram built from its first row, against the dense
+    route."""
 
     COEFFS = HermiteEvenCoeffs(d=1, m=3, lambdas=np.array([1.0, 0.5, -0.3]))
 
     @pytest.fixture
     def rows_read(self, monkeypatch):
         # the Toeplitz rows the closed forms were handed; the dense route
-        # reads none (or only a None from a failed check)
+        # reads none (or only a None)
         rows = []
         read = Gram.toeplitz_row.fget
 
@@ -511,16 +519,13 @@ class TestToeplitzClosedForms:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 256])
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
-    def test_match_dense_route(self, H, n, monkeypatch, rows_read):
+    def test_match_dense_route(self, H, n, rows_read):
         fast = breuer_major_kernels(CovarianceFunction.fgn(H), n, self.COEFFS)
         assert [k.order for k in fast] == [2, 4, 6]
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels_module, "_is_symmetric_toeplitz",
-                          lambda mat: False)
-            dense = self.explicit(fast)
-            norms = [rank_one_norm_squared(k) for k in dense]
-            mixed = {(i, j): rank_one_mixed_inner(dense[i], dense[j])
-                     for i in range(3) for j in range(i + 1, 3)}
+        dense = self.explicit(fast)
+        norms = [rank_one_norm_squared(k) for k in dense]
+        mixed = {(i, j): rank_one_mixed_inner(dense[i], dense[j])
+                 for i in range(3) for j in range(i + 1, 3)}
         assert rows_read == []
         for k, expected in zip(fast, norms):
             assert rank_one_norm_squared(k) == pytest.approx(expected,
@@ -536,7 +541,7 @@ class TestToeplitzClosedForms:
         return float(k.coeffs @ k.gram ** k.order @ k.coeffs)
 
     def test_unequal_coefficients_take_dense_route(self, rows_read):
-        gram = Gram(matrix=toeplitz([1.0, 0.5, 0.25]))
+        gram = Gram(row=np.array([1.0, 0.5, 0.25]))
         k2 = RankOneSumKernel.from_gram(2, np.array([1.0, 2.0, 1.0]), gram)
         k4 = RankOneSumKernel.from_gram(4, np.array([0.5, 0.5, 0.5]), gram)
         assert rank_one_norm_squared(k2) == pytest.approx(
@@ -687,8 +692,8 @@ class TestGramKernels:
 
 
 class TestRowBuiltGram:
-    """A Gram built from its first row gives the same bits as the same
-    Gram built from the matrix of that row, which is checked Toeplitz."""
+    """A Gram built from its first row gives the numbers of the same Gram
+    built from the matrix of that row, which takes the dense routes."""
 
     COEFFS = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
 
@@ -703,13 +708,18 @@ class TestRowBuiltGram:
                      for k in by_row]
         sums = [ChaosSum({k.order: k for k in ks})
                 for ks in (by_row, by_matrix)]
-        assert chaos_sum_bound(sums[0]) == chaos_sum_bound(sums[1])
-        assert second_moment(sums[0]) == second_moment(sums[1])
+        fast, slow = (chaos_sum_bound(F) for F in sums)
+        assert fast.terms.keys() == slow.terms.keys()
+        for label, value in slow.terms.items():
+            assert fast.terms[label] == pytest.approx(value, rel=1e-12)
+        assert fast.normalization == pytest.approx(slow.normalization,
+                                                   rel=1e-12)
+        assert second_moment(sums[0]) == pytest.approx(second_moment(sums[1]),
+                                                       rel=1e-12)
         for fast, slow in zip(by_row, by_matrix):
             assert term_scale(fast) == term_scale(slow)
-        # the matrix-built Gram passed the Toeplitz check, so both sides
-        # took the Toeplitz routes; the row-built one formed no matrix
-        assert gram.toeplitz_row is not None
+        # only the row-built Gram knows its row, and it formed no matrix
+        assert gram.toeplitz_row is None
         assert by_row[0]._gram._matrix is None
         for fast, slow in zip(by_row, by_matrix):
             assert np.array_equal(fast.vectors, slow.vectors)
@@ -749,7 +759,8 @@ class TestPositiveSemidefiniteCertificate:
         rho = {0: 1.0, 1: 0.6, -1: 0.6}
         cov = CovarianceFunction(evaluator=lambda k: rho.get(k, 0.0), rho0=1.0)
         lags = cov.lag_array(4)
-        assert circulant_embedding_eigenvalues(lags).min() == pytest.approx(-0.2)
+        assert toeplitz_module.circulant_eigenvalues(lags).min() == \
+            pytest.approx(-0.2)
         assert np.linalg.eigvalsh(toeplitz(lags[:3]))[0] == pytest.approx(
             1.0 - 1.2 * math.cos(math.pi / 4.0))
         calls = []

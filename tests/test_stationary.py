@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
+from chaosclt import toeplitz as toeplitz_module
 from chaosclt.errors import NumericalError, ValidationError
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
-                                 PathSampler, _toeplitz_matrix,
-                                 breuer_major_statistic,
+                                 PathSampler, breuer_major_statistic,
                                  exact_variance_power_variation,
                                  fgn_covariance, hermite_monomial_coeffs,
                                  power_variation, power_variation_mean,
@@ -223,7 +223,7 @@ class TestToeplitzMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 500])
     def test_matches_scipy_bitwise(self, n):
         row = np.random.default_rng(n).normal(size=n)
-        got = _toeplitz_matrix(row)
+        got = toeplitz_module.matrix(row)
         assert np.array_equal(got, toeplitz(row))
         assert got.flags.c_contiguous and got.flags.writeable
 
