@@ -177,10 +177,18 @@ def _eval_block(terms, Z: np.ndarray) -> np.ndarray:
     """Evaluate the chaos sum given by _unit_terms or _eigen_terms on each
     row of Z (rows are independent Gaussian vectors, or their
     eigen-coordinates for axis-aligned terms)."""
+    if terms[0][1] is None:
+        # axis-aligned: sum_i lambda_i (z_i**2 - 1) + (V f)_i z_i, summed
+        # along each row on its own; unlike a BLAS product, a row's rounding
+        # does not depend on how many rows Z has
+        weights = {order: w for order, _, w in terms}
+        out = np.einsum("ij,ij,j->i", Z, Z, weights[2]) - weights[2].sum()
+        if 1 in weights:
+            out += np.einsum("ij,j->i", Z, weights[1])
+        return out
     out = np.zeros(Z.shape[0])
     for order, directions, weights in terms:
-        out += hermite(order, Z if directions is None
-                       else Z @ directions) @ weights
+        out += hermite(order, Z @ directions) @ weights
     return out
 
 
@@ -202,9 +210,10 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
     with its order-2 kernel in eigen-form (see _eigen_terms, and
     as_rank_one for dense kernels), z is read as eigen-coordinates
     instead, and the replica is sample(F, V^T z): V^T z is again standard
-    Gaussian, and no dim x dim rotation is formed per block.  The samples
-    are exact in law; a pathwise value at a given Gaussian vector comes
-    from sample only.
+    Gaussian, and no dim x dim rotation is formed per block.  That route
+    evaluates each row on its own, so its replicas do not depend on the
+    block's row count.  The samples are exact in law; a pathwise value at
+    a given Gaussian vector comes from sample only.
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
@@ -213,8 +222,8 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
 
     def worker(block, start, count):
         # one whole-block draw, not row chunks (streams.row_chunks): the
-        # BLAS products in _eval_block can round a row differently with the
-        # number of rows, which would move seeded outputs
+        # BLAS products of the unit-term route can round a row differently
+        # with the number of rows, which would move seeded outputs
         Z = block_normals(seed, stream, block, count, F.dim)
         out[start:start + count] = _eval_block(terms, Z)
 

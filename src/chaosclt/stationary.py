@@ -243,7 +243,8 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
     """M independent exact samples of (Z_0..Z_{n-1}), deterministic in seed.
 
     Output is bit-identical for any thread count: replica r always reads a
-    fixed row of block r // BLOCK_SIZE of the (seed, stream) Philox stream.
+    fixed row of block r // BLOCK_SIZE of the (seed, stream) stream
+    (streams.block_generator).
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")

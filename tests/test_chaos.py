@@ -251,8 +251,9 @@ class TestEigenFormSampling:
     def test_blocks_match_whole_block_evaluation(self, route):
         # dim 600 spans several row chunks (streams.row_chunks) with a
         # partial last one; evaluating such chunks through the BLAS
-        # products of _eval_block rounds some rows differently from the
-        # whole block, so sample_batch draws and evaluates blocks whole
+        # products of the unit-term route rounds some rows differently
+        # from the whole block, so sample_batch draws and evaluates blocks
+        # whole
         dim, M = 600, BLOCK_SIZE + 37
         assert BLOCK_SIZE % (CHUNK_NORMALS // dim) != 0
         rng = np.random.default_rng(12)
@@ -270,6 +271,25 @@ class TestEigenFormSampling:
         for threads in (1, 2, 4):
             got = sample_batch(F, M, seed=2, threads=threads, stream=1)
             assert np.array_equal(got, want)
+
+    def test_replicas_do_not_depend_on_the_block_row_count(self):
+        # eigen-form sums are evaluated row by row, so the 37-row partial
+        # block of 1061 replicas holds the bits of the full block's first
+        # 37 rows
+        F = eigen_form_sum(np.random.default_rng(13), 600, (1, 2))
+        assert _eigen_terms(F) is not None
+        short = sample_batch(F, BLOCK_SIZE + 37, seed=6, threads=2)
+        full = sample_batch(F, 2 * BLOCK_SIZE, seed=6)
+        assert np.array_equal(short, full[:BLOCK_SIZE + 37])
+
+    def test_replica_matches_sample_at_rotated_normals_closely(self):
+        F = eigen_form_sum(np.random.default_rng(14), 600, (1, 2))
+        batch = sample_batch(F, 50, seed=8)
+        V = F.kernels[2].vectors
+        expected = np.array([sample(F, V.T @ xi)
+                             for xi in block_normals(8, 0, 0, 50, 600)])
+        assert np.abs(batch - expected).max() <= (
+            1e-12 * np.abs(expected).max())
 
     def test_non_orthonormal_sum_samples_pointwise(self):
         # as many terms as dimensions, but not orthonormal: each replica is

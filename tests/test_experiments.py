@@ -475,7 +475,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 0
         for name in ("rates_summary.json", "ratio_summary.json"):
             summary = json.loads((tmp_path / "out" / name).read_text())
-            assert summary["stream_protocol"] == STREAM_PROTOCOL == 4
+            assert summary["stream_protocol"] == STREAM_PROTOCOL == 5
 
     def test_numerical_failures_exit_two(self, tmp_path, monkeypatch):
         from chaosclt import cli

@@ -1,32 +1,52 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chaosclt
 from chaosclt.errors import ValidationError
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, KEY_LIMIT,
                               STREAM_PROTOCOL, block_chisquare,
                               block_generator, block_normals, row_chunks)
 
 
-def philox_at(seed, stream, counter):
-    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance(counter)
-    return np.random.Generator(bg)
+def sfc64_at(seed, stream, block, substream):
+    words = np.array([seed, stream, block, substream],
+                     dtype="<u8").view("<u4")
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(words)))
+
+
+# First normals and chi-square(3) draws of block_normals(*key, 1, 3) and
+# block_chisquare(*key, 2, 3.0), recorded with numpy 2.4.  A numpy upgrade
+# that changes SeedSequence, SFC64 or its normal or chi-square samplers
+# changes every seeded output and fails here.
+FROZEN_DRAWS = [
+    ((0, 0, 0),
+     [-0.6739084659445024, 0.6576525606487069, -0.371815860727009],
+     [1.0091654077769185, 2.7517531011100984]),
+    ((20260809, 1, 3),
+     [1.0661554642693098, 0.9427626640350247, 0.9576702127386484],
+     [1.62930453410668, 2.325332256706993]),
+    ((KEY_LIMIT - 1, KEY_LIMIT - 1, 0),
+     [-1.2842735968155186, -1.2393498620522123, 0.5986485600281772],
+     [6.660570334999702, 6.633761485357633]),
+]
 
 
 class TestLayout:
     def test_protocol_version(self):
-        assert STREAM_PROTOCOL == 4
+        assert STREAM_PROTOCOL == 5
 
-    def test_normals_sit_at_the_block_offset(self):
-        # substream 0 kept the protocol-1 layout, so every normal stream
-        # (paths, chaos samples) is unchanged
+    def test_normals_come_from_substream_0(self):
         got = block_normals(5, 2, 3, 7, 4)
-        want = philox_at(5, 2, 3 << 96).standard_normal((7, 4))
+        want = sfc64_at(5, 2, 3, 0).standard_normal((7, 4))
         assert np.array_equal(got, want)
 
-    def test_chisquare_sits_halfway_through_the_block(self):
+    def test_chisquare_comes_from_substream_1(self):
         got = block_chisquare(5, 2, 3, 6, 9.0)
-        want = philox_at(5, 2, (3 << 96) + (1 << 95)).chisquare(9.0, size=6)
+        want = sfc64_at(5, 2, 3, 1).chisquare(9.0, size=6)
         assert np.array_equal(got, want)
 
     def test_prefix_property(self):
@@ -34,6 +54,48 @@ class TestLayout:
         assert np.array_equal(block_chisquare(1, 0, 0, 10, 40.0), full[:10])
         normals = block_normals(1, 0, 0, BLOCK_SIZE, 4)
         assert np.array_equal(block_normals(1, 0, 0, 10, 4), normals[:10])
+
+    @pytest.mark.parametrize("key, normals, chisquare", FROZEN_DRAWS)
+    def test_first_draws_are_frozen(self, key, normals, chisquare):
+        assert block_normals(*key, 1, 3)[0].tolist() == normals
+        assert block_chisquare(*key, 2, 3.0).tolist() == chisquare
+
+    def test_keys_that_share_entropy_words_as_ints_differ(self):
+        # SeedSequence([2**32, 5, 0, 0]) equals SeedSequence([0,
+        # 5 * 2**32 + 1, 0, 0]): numpy writes each int in as many 32-bit
+        # words as it needs, so the key is written in fixed-width words
+        a = block_normals(1 << 32, 5, 0, 1, 4)
+        b = block_normals(0, 5 * (1 << 32) + 1, 0, 1, 4)
+        assert not np.array_equal(a, b)
+
+
+# every numpy BitGenerator class, and the SeedSequence that seeds them
+_GENERATOR_NAMES = {
+    name for name, obj in vars(np.random).items()
+    if isinstance(obj, type) and issubclass(obj, np.random.BitGenerator)
+} | {"SeedSequence"}
+
+
+def test_only_streams_names_bit_generators():
+    # one owner of the stream protocol: every other module draws through
+    # chaosclt.streams (kernels.is_symmetric's default_rng probe is not a
+    # Monte Carlo stream and names no bit generator)
+    offenders = []
+    for path in sorted(Path(chaosclt.__file__).parent.glob("*.py")):
+        if path.name == "streams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            offenders += [f"{path.name}:{node.lineno} {name}"
+                          for name in names if name in _GENERATOR_NAMES]
+    assert "Philox" in _GENERATOR_NAMES and "SFC64" in _GENERATOR_NAMES
+    assert not offenders
 
 
 class TestRowChunks:
