@@ -242,11 +242,16 @@ def _eigenvalue_power_sums(g: Kernel) -> tuple[float, float]:
 
     The nonzero spectrum of sum_i a_i v_i v_i^T equals the spectrum of
     diag(a) G, so power sums reduce to traces of its powers in the
-    (terms x terms) space.
+    (terms x terms) space.  On an orthonormal Gram (the eigen-form of a
+    dense kernel, see as_rank_one) diag(a) G = diag(a), and they are
+    sums of powers of a, in O(terms).
     """
     g = as_rank_one(g)
     if g.order != 2:
         raise ValidationError(f"expected an order-2 kernel, got order {g.order}")
+    if g.orthonormal_terms:
+        a = g.coeffs
+        return float(np.sum(a ** 3)), float(np.sum(a ** 4))
     P = g.coeffs[:, None] * g.gram
     P2 = P @ P
     tr3 = float(np.sum(P2 * P.T))

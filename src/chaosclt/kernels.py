@@ -23,7 +23,9 @@ When all coefficients are equal and the Gram was built from its first
 row, the closed forms run on that row alone (see chaosclt.toeplitz):
 contraction norms stream a trace of Toeplitz products in O(n^2) time and
 O(n) memory, squared norms sum over diagonals in O(n), and mixed inner
-products need one Toeplitz matrix-vector product, a convolution.
+products need one Toeplitz matrix-vector product, a convolution.  On a
+Gram built orthonormal (the eigen-form of a dense order-2 kernel),
+contraction norms are O(n) sums of the coefficients.
 """
 
 from __future__ import annotations
@@ -116,7 +118,9 @@ class Gram:
     formed and factored at most once however many kernels use it.  A G
     given as a matrix or a row must be symmetric positive semidefinite;
     that is the caller's to certify (see breuer_major_kernels).  A G built
-    from its row holds only that row until its matrix is read.
+    from its row holds only that row until its matrix is read.  A G built
+    by Gram.orthonormal is exactly the identity and known to be
+    (is_orthonormal), so closed forms need not multiply by it.
     """
 
     def __init__(self, matrix: np.ndarray | None = None,
@@ -128,6 +132,7 @@ class Gram:
         self._matrix = matrix
         self._vectors = vectors
         self._toeplitz_row = row
+        self._orthonormal = False
 
     @classmethod
     def orthonormal(cls, vectors: np.ndarray) -> "Gram":
@@ -136,6 +141,7 @@ class Gram:
         chaos.as_rank_one, whose rows are eigenvectors)."""
         gram = cls(vectors=vectors)
         gram._matrix = np.eye(vectors.shape[0])
+        gram._orthonormal = True
         return gram
 
     @property
@@ -176,6 +182,12 @@ class Gram:
         """The first row G was built from, or None for a G built from a
         matrix or from vectors, whatever its values."""
         return self._toeplitz_row
+
+    @property
+    def is_orthonormal(self) -> bool:
+        """Whether G was built by Gram.orthonormal, and so is exactly the
+        identity; False for any other G, whatever its values."""
+        return self._orthonormal
 
 
 class RankOneSumKernel:
@@ -225,6 +237,12 @@ class RankOneSumKernel:
     @property
     def gram(self) -> np.ndarray:
         return self._gram.matrix
+
+    @property
+    def orthonormal_terms(self) -> bool:
+        """Whether the term vectors are orthonormal by construction (see
+        Gram.orthonormal), so that the Gram is exactly the identity."""
+        return self._gram.is_orthonormal
 
     def shares_gram(self, other: "RankOneSumKernel") -> bool:
         """Whether both kernels are built on one set of term vectors."""
@@ -380,7 +398,8 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
     E = c^2 T(alpha) T(beta) with alpha, beta the first rows of G**r and
     G**(p-r), and E^T is c^2 T(beta) T(alpha): their inner product is
     streamed row by row in O(n^2) time and O(n) memory, and neither
-    matrix is formed.
+    matrix is formed.  On an orthonormal Gram, G**r = G**(p-r) = I and
+    E = diag(a)^2, so the sum is sum_i a_i^4, in O(n).
     """
     p = k.order
     if not 1 <= r <= p - 1:
@@ -389,6 +408,9 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
     row = _equal_coeff_toeplitz_row(k)
     if row is not None:
         val = a[0] ** 4 * toeplitz.product_trace(row ** r, row ** (p - r))
+    elif k.orthonormal_terms:
+        squares = a * a
+        val = float(squares @ squares)
     else:
         G = k.gram
         E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)

@@ -74,18 +74,28 @@ def product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
     of a block are one matrix product, then each row adds its predecessor
     shifted by one.  When alpha equals beta, T(alpha)^2 is symmetric and one
     row is carried.
+
+    Only rows 0 .. ceil(n/2) - 1 are streamed.  A symmetric Toeplitz T is
+    persymmetric, J T J = T for the index reversal J, so J C J = C: row
+    n-1-i of C is row i reversed, and so is that of T(beta) T(alpha).  As
+    <rev u, rev v> = <u, v>, rows i and n-1-i add the same dot product, and
+    the trace is twice the sum over i < floor(n/2), plus the middle row's
+    once when n is odd.
     """
     n = alpha.size
+    half, odd = divmod(n, 2)
+    streamed = half + odd
     pairs = ([(alpha, beta)] if np.array_equal(alpha, beta)
              else [(alpha, beta), (beta, alpha)])
     firsts = [matvec(y, x) for x, y in pairs]
-    total = float(firsts[0] @ firsts[-1])
+    # the dot products of rows 0 .. half - 1, each standing for two rows
+    total = float(firsts[0] @ firsts[-1]) if half else 0.0
     # rows[t, 0] holds the last row of the previous block
     rows = np.empty((len(pairs), _TRACE_BLOCK + 1, n))
     rows[:, 0] = firsts
     terms = [np.stack([y[1:], y[:0:-1]]) for _, y in pairs]
-    for start in range(1, n, _TRACE_BLOCK):
-        stop = min(start + _TRACE_BLOCK, n)
+    for start in range(1, streamed, _TRACE_BLOCK):
+        stop = min(start + _TRACE_BLOCK, streamed)
         count = stop - start
         # column 0 of T(x) T(y) is row 0 of T(y) T(x)
         for (x, _), term, head, block in zip(pairs, terms, firsts[::-1], rows):
@@ -95,6 +105,9 @@ def product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
             block[1:count + 1, 0] = head[start:stop]
             for i in range(1, count + 1):
                 block[i, 1:] += block[i - 1, :-1]
-        total += float(np.vdot(rows[0, 1:count + 1], rows[-1, 1:count + 1]))
+        paired = min(stop, half) - start
+        total += float(np.vdot(rows[0, 1:paired + 1], rows[-1, 1:paired + 1]))
         rows[:, 0] = rows[:, count]
-    return total
+    # rows[:, 0] now holds row streamed - 1, the middle row when n is odd
+    middle = float(rows[0, 0] @ rows[-1, 0]) if odd else 0.0
+    return 2.0 * total + middle

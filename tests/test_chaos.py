@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, _eigen_terms,
-                            _eval_block, _unit_terms, hermite, kappa3_I2,
-                            kappa4_I2, kappa4_I2_contraction, sample,
-                            sample_batch, second_moment)
+                            _eval_block, _unit_terms, as_rank_one, hermite,
+                            kappa3_I2, kappa4_I2, kappa4_I2_contraction,
+                            sample, sample_batch, second_moment)
 from chaosclt.errors import UnsupportedRepresentationError, ValidationError
 from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
                               breuer_major_kernels, contract, inner,
@@ -395,6 +395,26 @@ class TestCumulants:
             assert abs(spectral - contraction) <= 1e-9 * max(1.0, abs(spectral))
             c1 = inner(contract(g, g, 1), contract(g, g, 1))
             assert 16.0 * c1 - 1e-9 <= spectral <= 48.0 * c1 + 1e-9
+
+    def test_eigen_form_matches_dense_contractions(self, monkeypatch):
+        # a dense order-2 kernel's eigen-form sits on an orthonormal Gram,
+        # and its power sums are those of the eigenvalues, read without
+        # the Gram matrix
+        g = random_symmetric_order2(np.random.default_rng(9), 40)
+        c = contract(g, g, 1)
+        tr3 = inner(c, g)
+        tr4 = inner(c, c)
+        k = as_rank_one(g)
+        assert k.orthonormal_terms
+
+        def refuse(self):
+            raise AssertionError("the Gram matrix was read")
+
+        monkeypatch.setattr(RankOneSumKernel, "gram", property(refuse))
+        assert kappa3_I2(k) == pytest.approx(8.0 * tr3, rel=1e-11)
+        assert kappa4_I2(k) == pytest.approx(48.0 * tr4, rel=1e-12)
+        assert kappa4_I2(k) == pytest.approx(kappa4_I2_contraction(g),
+                                             rel=1e-12)
 
     def test_monte_carlo_kappa4(self):
         g = DenseKernel(np.diag([1.0, 0.5]))

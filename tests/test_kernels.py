@@ -487,6 +487,60 @@ class TestToeplitzContractionRoute:
         assert trace_calls == []
 
 
+class TestContractionNormMirror:
+    @pytest.mark.parametrize("n", [1, 2, 129, 256])
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_r_and_p_minus_r_agree_bitwise(self, H, n):
+        # ||f (x)_r f|| = ||f (x)_(p-r) f||: the streamed trace is symmetric
+        # in its two rows to the bit, so evaluating only r <= p/2 would
+        # move no output
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, -0.5]))
+        _, f4 = breuer_major_kernels(CovarianceFunction.fgn(H), n, coeffs)
+        assert f4.order == 4
+        assert (rank_one_contraction_norm(f4, 1)
+                == rank_one_contraction_norm(f4, 3))
+
+
+class TestOrthonormalGram:
+    """Closed forms on a Gram built by Gram.orthonormal (exactly the
+    identity) against the dense contraction calculus."""
+
+    @staticmethod
+    def kernel(order, dim, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        return RankOneSumKernel.from_gram(order, rng.normal(size=dim),
+                                          Gram.orthonormal(q.T))
+
+    @pytest.mark.parametrize("order, dim", [(2, 40), (3, 12)])
+    def test_contraction_norms_match_dense(self, order, dim):
+        k = self.kernel(order, dim, seed=order)
+        assert k.orthonormal_terms
+        expected = [dense_contraction_norm(k, r) for r in range(1, order)]
+        got = [rank_one_contraction_norm(k, r) for r in range(1, order)]
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_contraction_norm_reads_no_gram(self, monkeypatch):
+        k = self.kernel(2, 40, seed=5)
+
+        def refuse(self):
+            raise AssertionError("the Gram matrix was read")
+
+        monkeypatch.setattr(RankOneSumKernel, "gram", property(refuse))
+        assert rank_one_contraction_norm(k, 1) == pytest.approx(
+            math.sqrt(np.sum(k.coeffs ** 4)), rel=1e-14)
+
+    def test_only_orthonormal_construction_is_known(self):
+        k = self.kernel(2, 4, seed=6)
+        for gram in (Gram(matrix=np.eye(4)), Gram(vectors=np.eye(4)),
+                     Gram(row=np.array([1.0, 0.0, 0.0, 0.0]))):
+            assert not gram.is_orthonormal
+        same = RankOneSumKernel.from_gram(2, k.coeffs, Gram(matrix=k.gram))
+        assert not same.orthonormal_terms
+        assert rank_one_contraction_norm(same, 1) == pytest.approx(
+            rank_one_contraction_norm(k, 1), rel=1e-14)
+
+
 class TestToeplitzClosedForms:
     """rank_one_norm_squared and rank_one_mixed_inner on equal-coefficient
     kernels over one Gram built from its first row, against the dense

@@ -7,6 +7,7 @@ from scipy.linalg import toeplitz
 
 import chaosclt
 from chaosclt import toeplitz as toeplitz_module
+from chaosclt.stationary import CovarianceFunction
 
 
 class TestMatvec:
@@ -29,6 +30,56 @@ class TestPairCounts:
             for j in range(n):
                 expected[abs(i - j)] += 1
         assert np.array_equal(toeplitz_module.pair_counts(n), expected)
+
+
+def dense_trace(x, y):
+    """<T(x) T(y), T(y) T(x)>_F from the dense matrices, and the sum of
+    the absolute values of its terms."""
+    tx, ty = toeplitz(x), toeplitz(y)
+    c, d = tx @ ty, ty @ tx
+    return float(np.vdot(c, d)), float(np.vdot(np.abs(tx) @ np.abs(ty),
+                                               np.abs(ty) @ np.abs(tx)))
+
+
+class TestProductTrace:
+    # half of n is streamed: these n put the last streamed row on either
+    # side of the 64-row block edge, with and without a middle row
+    @pytest.mark.parametrize("n", [127, 128, 129, 130, 131])
+    def test_matches_dense_around_the_block_edge(self, n):
+        rng = np.random.default_rng(n)
+        alpha, beta = rng.normal(size=n), rng.normal(size=n)
+        for x, y in [(alpha, beta), (alpha, alpha.copy())]:
+            expected, scale = dense_trace(x, y)
+            got = toeplitz_module.product_trace(x, y)
+            assert abs(got - expected) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [3, 6, 129])
+    def test_products_are_centrosymmetric(self, n):
+        # the premise of streaming half the rows: J C J = C, so row
+        # n-1-i of C is row i reversed
+        rng = np.random.default_rng(10 + n)
+        alpha, beta = rng.normal(size=n), rng.normal(size=n)
+        c = toeplitz(alpha) @ toeplitz(beta)
+        assert np.allclose(c[::-1, ::-1], c, rtol=0.0,
+                           atol=1e-14 * np.abs(c).max())
+        assert not np.allclose(c, c.T)
+
+    @pytest.mark.parametrize("powers", [(1, 3), (2, 2)])
+    def test_fgn_rows_match_dense(self, powers):
+        n = 300
+        cov = CovarianceFunction.fgn(0.7)
+        row = cov.lag_array(n) / cov.rho0
+        alpha, beta = row ** powers[0], row ** powers[1]
+        expected, _ = dense_trace(alpha, beta)
+        assert toeplitz_module.product_trace(alpha, beta) == pytest.approx(
+            expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 129, 300])
+    def test_swapping_the_rows_keeps_every_bit(self, n):
+        rng = np.random.default_rng(20 + n)
+        alpha, beta = rng.normal(size=n), rng.normal(size=n)
+        assert (toeplitz_module.product_trace(alpha, beta)
+                == toeplitz_module.product_trace(beta, alpha))
 
 
 def private_sibling_imports(path: Path) -> list[str]:
