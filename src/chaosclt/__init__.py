@@ -1,10 +1,11 @@
 """chaosclt: quantitative normal approximation for finite sums of Wiener
 chaoses on finite-dimensional Gaussian spaces.
 
-The package provides exact stationary Gaussian path sampling, a symmetric
-tensor contraction calculus (dense and rank-one-sum representations), exact
-chaos sampling and moments, the explicit bound evaluators, empirical
-Kolmogorov distances with rate fitting, and an experiment CLI.
+The package provides exact stationary Gaussian path sampling, symmetric
+tensor kernels with closed-form contraction norms on rank-one sums (dense
+kernels are an input format), exact chaos sampling and moments, the
+explicit bound evaluators, empirical Kolmogorov distances with rate
+fitting, and an experiment CLI.
 """
 
 __version__ = "0.1.0"
@@ -19,9 +20,9 @@ from .distances import EmpiricalSample, RateFit, kolmogorov_distance, rate_fit
 from .errors import (NumericalError, UnsupportedRepresentationError,
                      ValidationError)
 from .kernels import (DenseKernel, RankOneSumKernel, breuer_major_kernels,
-                      contract, inner, kernel_from_json, kernel_to_json, norm,
+                      kernel_from_json, kernel_to_json,
                       rank_one_contraction_norm, rank_one_mixed_inner,
-                      rank_one_norm_squared, symmetrize)
+                      rank_one_norm_squared)
 from .ratio import (Perturbations, RatioFamily, RatioSample,
                     make_synthetic_family, ratio_bound, sample_ratio,
                     sample_ratio_batch)

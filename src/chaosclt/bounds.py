@@ -11,7 +11,6 @@ checks compare rates and ratios, never absolute levels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -75,16 +74,6 @@ class BoundReport:
             "total": float(self.total),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BoundReport":
-        report = cls(terms={k: float(v) for k, v in data["terms"].items()},
-                     normalization=float(data["normalization"]),
-                     constant_multiplier=float(data.get("constant_multiplier", 1.0)))
-        return report
-
-    def to_json_string(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -102,6 +91,8 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
     largest sqrt<f_p (x) f_p, f_q (x)_{q-p} f_q> over present pairs p < q;
     zero for a single chaos.  Normalization is E[F^2].
     """
+    # looked up at each call, not at import: bench/tracer.py patches
+    # chaos.second_moment, and a module-level name would bypass the patch
     from .chaos import second_moment
 
     term1 = 0.0

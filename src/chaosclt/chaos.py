@@ -63,9 +63,6 @@ class SecondChaosSpectrum:
         w, u = np.linalg.eigh(g.values)
         return cls(eigenvalues=w, eigenvectors=u)
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
 
 def _require_symmetric_order2(g: DenseKernel) -> None:
     if g.order != 2:
@@ -271,11 +268,11 @@ def kappa4_I2(g: Kernel) -> float:
     return 48.0 * tr4
 
 
+# test-only; kept so bench/tracer.py can patch chaos.rank_one_contraction_norm
 def kappa4_I2_contraction(g: Kernel) -> float:
     """|kappa_4| via contractions: 16 (||g (x)_1 g||^2 + 2 ||g (x~)_1 g||^2).
 
-    Must agree with kappa4_I2; kept as an independent route because the
-    bound evaluators consume the contraction form.
+    Must agree with kappa4_I2, which it is an independent route to.
     """
     if isinstance(g, DenseKernel):
         _require_symmetric_order2(g)

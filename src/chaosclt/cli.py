@@ -7,7 +7,8 @@ output directory, so result files do not depend on where they are written.
 Every run writes <stem>.csv and <stem>_summary.json, plus bound_report.json
 for bound and optional gnuplot-ready two-column files for rates.
 
-Exit codes: 0 success, 1 validation or usage error, 2 numerical error.
+Exit codes: 0 success, 1 validation or usage error (an --out that cannot
+be created or written included), 2 numerical error.
 """
 
 from __future__ import annotations
@@ -94,16 +95,23 @@ def _run(args: argparse.Namespace) -> int:
     command, path, out = (options.pop(k) for k in ("command", "config", "out"))
     config_cls, stem, runner, _ = _COMMANDS[command]
     config = config_cls.from_dict({**_load_config(path), **options})
+    out = Path(out)
+    # before the run, so an unusable --out fails fast
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create --out {out}: {exc}") from None
     t0 = time.perf_counter()
     table, files, summary = runner(config)
     elapsed = time.perf_counter() - t0
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    table.write_csv(out / f"{stem}.csv")
-    table.write_metadata(out / f"{stem}_summary.json")
-    for name, text in files.items():
-        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    try:
+        table.write_csv(out / f"{stem}.csv")
+        table.write_metadata(out / f"{stem}_summary.json")
+        for name, text in files.items():
+            with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write to --out {out}: {exc}") from None
     print(f"{command}: {summary}; {elapsed:.1f} s; wrote {out}/{stem}.*")
     return 0
 

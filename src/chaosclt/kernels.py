@@ -2,11 +2,10 @@
 
 Two representations coexist:
 
-* DenseKernel stores all n**p entries and supports the full calculus
-  (symmetrize, contract, inner).  It serves as the oracle that the closed
-  forms are tested against and as a JSON input format (chaos.ChaosSum
-  converts dense inputs to rank-one sums once), so storage is deliberately
-  naive and guarded.
+* DenseKernel stores all n**p entries.  It is a JSON input format
+  (chaos.ChaosSum converts dense inputs to rank-one sums once), so storage
+  is deliberately naive and guarded.  The dense calculus that the closed
+  forms are tested against lives with the tests (tests/oracles.py).
 * RankOneSumKernel represents sum_i a_i v_i^(tensor p) and evaluates norms,
   self-contraction norms, and mixed inner products in closed form through
   the Gram matrix of its vectors, without ever materializing n**p entries.
@@ -33,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from functools import reduce
 
 import numpy as np
 
@@ -49,10 +47,7 @@ __all__ = [
     "MIXED_INNER_TOL",
     "checked_sqrt_inner",
     "term_scale",
-    "symmetrize",
     "contract",
-    "inner",
-    "norm",
     "is_symmetric",
     "rank_one_norm_squared",
     "rank_one_contraction_norm",
@@ -70,11 +65,12 @@ DENSE_ENTRY_GUARD = 10_000_000
 MIXED_INNER_TOL = 1e-10
 
 
-def _check_entry_budget(dim: int, order: int, guard: int = DENSE_ENTRY_GUARD) -> None:
+def _check_entry_budget(dim: int, order: int) -> None:
     # numpy arrays have at most 64 axes
-    if order > 64 or dim ** order > guard:
+    if order > 64 or dim ** order > DENSE_ENTRY_GUARD:
         raise ValidationError(f"dense kernel with dim={dim}, order={order} "
-                              f"is above the {guard}-entry, 64-axis guard")
+                              f"is above the {DENSE_ENTRY_GUARD}-entry, "
+                              f"64-axis guard")
 
 
 class DenseKernel:
@@ -98,10 +94,6 @@ class DenseKernel:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "DenseKernel":
-        return cls(np.asarray(v, dtype=float))
 
     def __repr__(self):
         return f"DenseKernel(order={self.order}, dim={self.dim})"
@@ -248,13 +240,6 @@ class RankOneSumKernel:
         """Whether both kernels are built on one set of term vectors."""
         return self._gram is other._gram
 
-    def densify(self) -> DenseKernel:
-        _check_entry_budget(self.dim, self.order)
-        acc = np.zeros((self.dim,) * self.order)
-        for a, v in zip(self.coeffs, self.vectors):
-            acc += a * reduce(np.multiply.outer, [v] * self.order)
-        return DenseKernel(acc)
-
     def __repr__(self):
         return (f"RankOneSumKernel(order={self.order}, terms={self.terms}, "
                 f"dim={self.dim})")
@@ -264,19 +249,7 @@ class RankOneSumKernel:
 # dense calculus
 # ---------------------------------------------------------------------------
 
-def symmetrize(f: DenseKernel) -> DenseKernel:
-    """Average of f over all order! permutations of its indices."""
-    p = f.order
-    if p == 1:
-        return f
-    acc = np.zeros_like(f.values)
-    count = 0
-    for perm in itertools.permutations(range(p)):
-        acc += np.transpose(f.values, perm)
-        count += 1
-    return DenseKernel(acc / count)
-
-
+# a test-only oracle, kept while bench/tracer.py patches bounds.contract
 def contract(f: DenseKernel, g: DenseKernel, r: int) -> DenseKernel | float:
     """The r-th contraction f (x)_r g, pairing r arguments of each kernel.
 
@@ -298,18 +271,6 @@ def contract(f: DenseKernel, g: DenseKernel, r: int) -> DenseKernel | float:
     out = np.tensordot(f.values, g.values,
                        axes=(tuple(range(r)), tuple(range(r))))
     return DenseKernel(out)
-
-
-def inner(f: DenseKernel, g: DenseKernel) -> float:
-    """Euclidean inner product of the coefficient arrays."""
-    if f.values.shape != g.values.shape:
-        raise ValidationError(
-            f"shape mismatch: {f.values.shape} vs {g.values.shape}")
-    return float(np.vdot(f.values, g.values))
-
-
-def norm(f: DenseKernel) -> float:
-    return math.sqrt(inner(f, f))
 
 
 def is_symmetric(f: DenseKernel, tol: float = 1e-10, rng=None) -> bool:

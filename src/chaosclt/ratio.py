@@ -31,7 +31,6 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import ValidationError, checked_real
-from .kernels import DenseKernel, RankOneSumKernel
 from .streams import block_chisquare, block_normals, run_blocks
 
 __all__ = [
@@ -43,10 +42,6 @@ __all__ = [
     "sample_ratio_batch",
     "ratio_bound",
 ]
-
-# Above this eigenvalue count the family's kernels are not materialized;
-# bound terms come from the analytic spectrum instead.
-MATERIALIZE_GUARD = 512
 
 
 @dataclass(frozen=True)
@@ -125,28 +120,6 @@ class RatioFamily:
     def sigma_sq(self) -> float:
         """Variance of the limiting normal: sigma1^2 + sigma2^2."""
         return self.sigma1 ** 2 + self.sigma2 ** 2
-
-    def f_vector(self) -> np.ndarray:
-        ov = self.perturbations.f_overlap
-        f = np.zeros(self.dim)
-        f[self.m] = self.sigma2 * math.sqrt(1.0 - ov * ov)
-        f[0] = self.sigma2 * ov
-        return f
-
-    def g_kernel(self) -> RankOneSumKernel:
-        """V's kernel, materialized; guarded because it costs m * dim floats."""
-        if self.m > MATERIALIZE_GUARD:
-            raise ValidationError(
-                f"family with m={self.m} eigenvalues is too large to "
-                f"materialize; bound terms use the analytic spectrum")
-        vectors = np.zeros((self.m, self.dim))
-        vectors[np.arange(self.m), np.arange(self.m)] = 1.0
-        return RankOneSumKernel(order=2,
-                                coeffs=np.full(self.m, self.g_eigenvalue),
-                                vectors=vectors)
-
-    def f_kernel(self) -> DenseKernel:
-        return DenseKernel.from_vector(self.f_vector())
 
     # exact moments (closed form; criterion-level exactness matters here)
 

@@ -2,11 +2,21 @@
 
 Everything here deliberately avoids the library's own computation paths:
 quadrature uses numpy's hermite_e module, moments use raw sample statistics,
-and brute-force contractions below go through densified tensors only.
+and the dense tensor calculus below (symmetrize, inner, norm, densify, with
+chaosclt.kernels.contract) works on all n**p entries, where the library
+uses closed forms on rank-one sums.  The ratio family's kernels are built
+here from its basis layout, which the library reads only analytically.
 """
+
+import math
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 from numpy.polynomial import hermite_e
+
+from chaosclt.errors import ValidationError
+from chaosclt.kernels import DenseKernel, RankOneSumKernel, _check_entry_budget
 
 
 def gauss_hermite_nodes(deg=24):
@@ -70,3 +80,71 @@ def sample_variance_se(samples):
 
 def mean_se(samples):
     return float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
+
+
+# ---------------------------------------------------------------------------
+# dense tensor calculus
+# ---------------------------------------------------------------------------
+
+def symmetrize(f):
+    """Average of the DenseKernel f over all order! permutations of its
+    indices."""
+    p = f.order
+    if p == 1:
+        return f
+    acc = np.zeros_like(f.values)
+    count = 0
+    for perm in permutations(range(p)):
+        acc += np.transpose(f.values, perm)
+        count += 1
+    return DenseKernel(acc / count)
+
+
+def inner(f, g):
+    """Euclidean inner product of two DenseKernels' coefficient arrays."""
+    if f.values.shape != g.values.shape:
+        raise ValidationError(
+            f"shape mismatch: {f.values.shape} vs {g.values.shape}")
+    return float(np.vdot(f.values, g.values))
+
+
+def norm(f):
+    return math.sqrt(inner(f, f))
+
+
+def densify(k):
+    """The DenseKernel of the RankOneSumKernel k; the entry guard fires
+    before anything is allocated."""
+    _check_entry_budget(k.dim, k.order)
+    acc = np.zeros((k.dim,) * k.order)
+    for a, v in zip(k.coeffs, k.vectors):
+        acc += a * reduce(np.multiply.outer, [v] * k.order)
+    return DenseKernel(acc)
+
+
+def reconstruct(spec):
+    """The matrix of a SecondChaosSpectrum, U diag(w) U^T."""
+    return (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
+
+
+# ---------------------------------------------------------------------------
+# the ratio family's kernels (see chaosclt.ratio.RatioFamily's basis layout)
+# ---------------------------------------------------------------------------
+
+def f_kernel(fam):
+    """F's kernel: direction m, rotated by f_overlap into direction 0."""
+    ov = fam.perturbations.f_overlap
+    f = np.zeros(fam.dim)
+    f[fam.m] = fam.sigma2 * math.sqrt(1.0 - ov * ov)
+    f[0] = fam.sigma2 * ov
+    return DenseKernel(f)
+
+
+def g_kernel(fam):
+    """V's kernel: the m-fold eigenvalue on directions 0..m-1; it costs
+    m * dim floats."""
+    vectors = np.zeros((fam.m, fam.dim))
+    vectors[np.arange(fam.m), np.arange(fam.m)] = 1.0
+    return RankOneSumKernel(order=2,
+                            coeffs=np.full(fam.m, fam.g_eigenvalue),
+                            vectors=vectors)

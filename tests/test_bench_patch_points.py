@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from chaosclt import chaos, experiments
-from chaosclt.kernels import DenseKernel
+from chaosclt import bounds, chaos, experiments
+from chaosclt.kernels import DenseKernel, RankOneSumKernel
 from chaosclt.stationary import CovarianceFunction, PathSampler
 from chaosclt.streams import BLOCK_SIZE, CHUNK_NORMALS, replica_blocks
 
@@ -82,3 +82,16 @@ def test_tracer_counts_the_normals_of_sample_batch(monkeypatch):
     with tracer.installed(tracer.Tracer()) as traced:
         chaos.sample_batch(F, M, seed=5, threads=2)
     assert traced.counts["streams.block_normals.normals"] == M * dim
+
+
+def test_tracer_sees_the_second_moment_of_chaos_sum_bound(monkeypatch):
+    # chaos_sum_bound looks second_moment up at each call; a name bound at
+    # import would keep the unpatched function and the tracer would see none
+    tracer = load_tracer(monkeypatch)
+    rng = np.random.default_rng(6)
+    F = chaos.ChaosSum({2: RankOneSumKernel(order=2,
+                                            coeffs=rng.normal(size=3),
+                                            vectors=rng.normal(size=(3, 5)))})
+    with tracer.installed(tracer.Tracer()) as traced:
+        bounds.chaos_sum_bound(F)
+    assert traced.counts["chaos.second_moment.calls"] == 1

@@ -493,6 +493,36 @@ class TestCli:
         assert main(["diagnose-nz", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_exits_one_before_the_run(self, tmp_path, capsys,
+                                                   monkeypatch, out):
+        from chaosclt import cli
+
+        def runner(config):
+            raise AssertionError("the runner must not be called")
+
+        (tmp_path / "file").write_text("")
+        cfg = self._write(tmp_path / "nz.json", {
+            "hurst": 0.7, "n_grid": [4], "seed": 0,
+        })
+        monkeypatch.setitem(cli.__dict__, "run_nz_diagnostics", runner)
+        assert main(["diagnose-nz", "--config", cfg,
+                     "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_result_file_exits_one(self, tmp_path, capsys):
+        cfg = self._write(tmp_path / "nz.json", {
+            "hurst": 0.7, "n_grid": [4], "seed": 0,
+        })
+        (tmp_path / "out" / "nz.csv").mkdir(parents=True)
+        assert main(["diagnose-nz", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["rates", "--config", "x.json", "--bogus"], id="unknown"),
         pytest.param(["rates"], id="missing-config"),

@@ -10,7 +10,7 @@ from chaosclt.errors import ValidationError
 from chaosclt.ratio import (Perturbations, make_synthetic_family,
                             ratio_bound, sample_ratio, sample_ratio_batch)
 
-from oracles import mean_se
+from oracles import f_kernel, g_kernel, mean_se
 
 
 def default_family(lam, **kwargs):
@@ -54,18 +54,13 @@ class TestFamilyConstruction:
 
     def test_materialized_kernels_match_analytic_moments(self):
         fam = default_family(16.0)
-        g = fam.g_kernel()
-        f = fam.f_kernel()
+        g = g_kernel(fam)
+        f = f_kernel(fam)
         # isometry: E[V^2] = 2 ||g||^2 = sigma1^2
         assert second_moment(ChaosSum({2: g})) == pytest.approx(
             fam.sigma1 ** 2, rel=1e-12)
         assert second_moment(ChaosSum({1: f})) == pytest.approx(
             fam.sigma2 ** 2, rel=1e-12)
-
-    def test_materialization_guard(self):
-        fam = default_family(100_000.0)
-        with pytest.raises(ValidationError, match="materialize"):
-            fam.g_kernel()
 
 
 class TestSampleRatio:
@@ -159,8 +154,8 @@ class TestRatioBound:
             fam = default_family(
                 32.0, perturbations=Perturbations(f_overlap=overlap))
             report = ratio_bound(fam)
-            g = fam.g_kernel()
-            f = fam.f_kernel()
+            g = g_kernel(fam)
+            f = f_kernel(fam)
             assert math.sqrt(abs(kappa4_I2(g))) == pytest.approx(
                 math.sqrt(48.0 * fam.m * fam.g_eigenvalue ** 4), rel=1e-12)
             assert report.terms["phi"] == pytest.approx(phi(f, g), rel=1e-10)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +105,44 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert len(sources) > 10
     found = [name for path in sources for name in private_sibling_imports(path)]
     assert found == []
+
+
+# bench/tracer.py patches bounds.contract, which bounds itself never calls
+UNUSED_IMPORTS_ALLOWED = {"bounds.py: contract"}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names the module at path imports, anywhere in it, but neither reads
+    nor lists in its __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}: {name}"
+            for name in sorted(imported - read - exported)]
+
+
+def test_every_import_is_used_and_every_export_exists():
+    sources = [path for path in
+               sorted(Path(chaosclt.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert len(sources) > 10
+    unused = {name for path in sources for name in unused_imports(path)}
+    assert unused == UNUSED_IMPORTS_ALLOWED
+    missing = []
+    for path in sources:
+        module = importlib.import_module(f"chaosclt.{path.stem}")
+        missing += [f"{path.name}: {name}"
+                    for name in getattr(module, "__all__", [])
+                    if not hasattr(module, name)]
+    assert missing == []
