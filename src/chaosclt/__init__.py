@@ -14,8 +14,7 @@ from .bounds import (BoundReport, RatePrediction, breuer_major_bound,
                      chaos_sum_bound, fgn_rate, nz_ratio_diagnostic, phi,
                      power_variation_bound)
 from .chaos import (ChaosSum, SecondChaosSpectrum, hermite, kappa3_I2,
-                    kappa4_I2, kappa4_I2_contraction, sample, sample_batch,
-                    second_moment)
+                    kappa4_I2, sample, sample_batch, second_moment)
 from .distances import EmpiricalSample, RateFit, kolmogorov_distance, rate_fit
 from .errors import (NumericalError, UnsupportedRepresentationError,
                      ValidationError)

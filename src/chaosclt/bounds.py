@@ -19,15 +19,14 @@ import numpy as np
 from .chaos import ChaosSum, as_rank_one, kappa4_I2
 from .errors import ValidationError, check_even_power
 # contract is unused here; bench/tracer.py patches bounds.contract
-from .kernels import (MIXED_INNER_TOL, checked_sqrt_inner,  # noqa: F401
-                      contract, rank_one_contraction_norm,
-                      rank_one_mixed_inner, term_scale)
+from .kernels import (checked_sqrt_inner, contract,  # noqa: F401
+                      rank_one_contraction_norm, rank_one_mixed_inner,
+                      term_scale)
 from .stationary import CovarianceFunction
 
 __all__ = [
     "BoundReport",
     "RatePrediction",
-    "MIXED_INNER_TOL",
     "chaos_sum_bound",
     "phi",
     "breuer_major_bound",
@@ -89,12 +88,16 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
     max_contraction_norm: largest ||f_p (x)_r f_p|| over present orders
     p >= 2 and 1 <= r <= p-1.  mixed_inner: for genuine sums (d < N), the
     largest sqrt<f_p (x) f_p, f_q (x)_{q-p} f_q> over present pairs p < q;
-    zero for a single chaos.  Normalization is E[F^2].
+    zero for a single chaos.  Normalization is E[F^2], which must be > 0.
     """
     # looked up at each call, not at import: bench/tracer.py patches
     # chaos.second_moment, and a module-level name would bypass the patch
     from .chaos import second_moment
 
+    variance = second_moment(F)
+    if not variance > 0.0:
+        raise ValidationError(
+            f"E[F^2] is {variance}, so F cannot be standardized")
     term1 = 0.0
     for p, kernel in F.kernels.items():
         for r in range(1, p):
@@ -113,7 +116,7 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
 
     return BoundReport(
         terms={"max_contraction_norm": term1, "mixed_inner": term2},
-        normalization=second_moment(F),
+        normalization=variance,
         constant_multiplier=constant_multiplier,
     )
 
@@ -121,7 +124,7 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
 def phi(f1, f2) -> float:
     """Two-term functional for F = I_1(f1) + I_2(f2):
 
-    sqrt|kappa_4(I_2(f2))| + sqrt<f1 (x) f1, f2 (x)_1 f2>.
+    sqrt kappa_4(I_2(f2)) + sqrt<f1 (x) f1, f2 (x)_1 f2>.
     """
     if f1.order != 1 or f2.order != 2:
         raise ValidationError(
@@ -131,7 +134,7 @@ def phi(f1, f2) -> float:
     f1, f2 = as_rank_one(f1), as_rank_one(f2)
     mixed = rank_one_mixed_inner(f1, f2)
     scale = (term_scale(f1) * term_scale(f2)) ** 2
-    return math.sqrt(abs(kappa4_I2(f2))) + checked_sqrt_inner(
+    return math.sqrt(kappa4_I2(f2)) + checked_sqrt_inner(
         mixed, scale=scale)
 
 

@@ -1,5 +1,6 @@
 """Finite chaos sums: exact sampling on explicit Gaussian vectors, exact
-second moments through the isometry, and second-chaos cumulants.
+second moments through the isometry, and second-chaos cumulants (kappa_3
+from the spectrum, kappa_4 from the 1-contraction norm).
 
 Every computation here runs on the rank-one-sum representation.  Dense
 kernels are accepted at the ChaosSum boundary, at orders 1 (one term) and 2
@@ -40,7 +41,6 @@ __all__ = [
     "second_moment",
     "kappa3_I2",
     "kappa4_I2",
-    "kappa4_I2_contraction",
 ]
 
 Kernel = DenseKernel | RankOneSumKernel
@@ -59,16 +59,13 @@ class SecondChaosSpectrum:
 
     @classmethod
     def from_kernel(cls, g: DenseKernel) -> "SecondChaosSpectrum":
-        _require_symmetric_order2(g)
+        if g.order != 2:
+            raise ValidationError(
+                f"expected an order-2 kernel, got order {g.order}")
+        if not is_symmetric(g):
+            raise ValidationError("order-2 kernel is not symmetric")
         w, u = np.linalg.eigh(g.values)
         return cls(eigenvalues=w, eigenvectors=u)
-
-
-def _require_symmetric_order2(g: DenseKernel) -> None:
-    if g.order != 2:
-        raise ValidationError(f"expected an order-2 kernel, got order {g.order}")
-    if not is_symmetric(g):
-        raise ValidationError("order-2 kernel is not symmetric")
 
 
 def as_rank_one(kernel: Kernel) -> RankOneSumKernel:
@@ -234,54 +231,31 @@ def second_moment(F: ChaosSum) -> float:
                for p, k in F.kernels.items())
 
 
-def _eigenvalue_power_sums(g: Kernel) -> tuple[float, float]:
-    """(sum lambda^3, sum lambda^4) of an order-2 kernel.
-
-    The nonzero spectrum of sum_i a_i v_i v_i^T equals the spectrum of
-    diag(a) G, so power sums reduce to traces of its powers in the
-    (terms x terms) space.  On an orthonormal Gram (the eigen-form of a
-    dense kernel, see as_rank_one) diag(a) G = diag(a), and they are
-    sums of powers of a, in O(terms).
-    """
+def _order2(g: Kernel) -> RankOneSumKernel:
     g = as_rank_one(g)
     if g.order != 2:
         raise ValidationError(f"expected an order-2 kernel, got order {g.order}")
-    if g.orthonormal_terms:
-        a = g.coeffs
-        return float(np.sum(a ** 3)), float(np.sum(a ** 4))
-    P = g.coeffs[:, None] * g.gram
-    P2 = P @ P
-    tr3 = float(np.sum(P2 * P.T))
-    tr4 = float(np.sum(P2 * P2.T))
-    return tr3, tr4
+    return g
 
 
 def kappa3_I2(g: Kernel) -> float:
-    """Third cumulant of the order-2 element with kernel g: 8 sum lambda^3."""
-    tr3, _ = _eigenvalue_power_sums(g)
-    return 8.0 * tr3
+    """Third cumulant of the order-2 element with kernel g: 8 sum lambda^3.
+
+    The nonzero spectrum of sum_i a_i v_i v_i^T equals the spectrum of
+    diag(a) G, so sum lambda^3 is the trace of its cube in the
+    (terms x terms) space.  On an orthonormal Gram (the eigen-form of a
+    dense kernel, see as_rank_one) diag(a) G = diag(a), and it is
+    sum a^3, in O(terms).
+    """
+    g = _order2(g)
+    if g.orthonormal_terms:
+        return 8.0 * float(np.sum(g.coeffs ** 3))
+    P = g.coeffs[:, None] * g.gram
+    return 8.0 * float(np.sum((P @ P) * P.T))
 
 
 def kappa4_I2(g: Kernel) -> float:
-    """Fourth cumulant of the order-2 element with kernel g: 48 sum lambda^4."""
-    _, tr4 = _eigenvalue_power_sums(g)
-    return 48.0 * tr4
-
-
-# test-only; kept so bench/tracer.py can patch chaos.rank_one_contraction_norm
-def kappa4_I2_contraction(g: Kernel) -> float:
-    """|kappa_4| via contractions: 16 (||g (x)_1 g||^2 + 2 ||g (x~)_1 g||^2).
-
-    Must agree with kappa4_I2, which it is an independent route to.
-    """
-    if isinstance(g, DenseKernel):
-        _require_symmetric_order2(g)
-        c = g.values @ g.values
-        c_sym = 0.5 * (c + c.T)
-        return 16.0 * (float(np.vdot(c, c)) + 2.0 * float(np.vdot(c_sym, c_sym)))
-    if g.order != 2:
-        raise ValidationError(f"expected an order-2 kernel, got order {g.order}")
-    # the 1-contraction of a symmetric matrix with itself is symmetric, so
-    # the symmetrized norm coincides with the raw one
-    c2 = rank_one_contraction_norm(g, 1) ** 2
-    return 16.0 * 3.0 * c2
+    """Fourth cumulant of the order-2 element with kernel g:
+    48 sum lambda^4 = 48 ||g (x)_1 g||^2, on the routes of
+    rank_one_contraction_norm (a Toeplitz row, an orthonormal Gram)."""
+    return 48.0 * rank_one_contraction_norm(_order2(g), 1) ** 2

@@ -21,7 +21,8 @@ __all__ = ["EmpiricalSample", "RateFit", "kolmogorov_distance", "rate_fit"]
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted observations; construct via from_data to guarantee order."""
+    """Sorted observations; construct via from_data to guarantee order.
+    NaN is rejected; +-inf is kept, as Phi(+-inf) is exact."""
 
     values: np.ndarray
 
@@ -29,6 +30,8 @@ class EmpiricalSample:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValidationError("sample must be a nonempty 1-d array")
+        if math.isnan(v[-1]):  # np.sort puts any NaN last
+            raise ValidationError("sample must not contain NaN")
         object.__setattr__(self, "values", v)
 
     @classmethod

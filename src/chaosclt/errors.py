@@ -1,4 +1,5 @@
-"""Exception types, and the number checks, shared across the package.
+"""Exception types, the number checks, and the tolerance shared across
+the package.
 
 Validation failures (bad arguments, malformed configs, unparseable kernel
 files) exit the CLI with code 1; numerical failures (indefinite covariance,
@@ -7,6 +8,11 @@ mixed inner products negative beyond tolerance) exit with code 2.
 
 import math
 import numbers
+
+# The one floating-point tolerance: a quantity that is zero in exact
+# arithmetic counts as zero while it is at most TOLERANCE times the scale
+# its guard states (rho(0), the largest entry, or the size of the terms).
+TOLERANCE = 1e-10
 
 
 class ValidationError(ValueError):

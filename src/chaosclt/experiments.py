@@ -266,11 +266,15 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
                 raise ValidationError(
                     f"{where}: duplicate kernel order {kernel.order}")
             kernels[kernel.order] = kernel
-        F = ChaosSum(kernels)
-        report = chaos_sum_bound(F, constant_multiplier=config.constant_multiplier)
-        phi_value = None
-        if set(F.orders) == {1, 2}:
-            phi_value = phi(F.kernels[1], F.kernels[2])
+        try:
+            F = ChaosSum(kernels)
+            report = chaos_sum_bound(
+                F, constant_multiplier=config.constant_multiplier)
+            phi_value = None
+            if set(F.orders) == {1, 2}:
+                phi_value = phi(F.kernels[1], F.kernels[2])
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
         doc = {"label": label, "orders": F.orders,
                "report": report.to_json()}
         if phi_value is not None:

@@ -29,22 +29,21 @@ contraction norms are O(n) sums of the coefficients.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 
 import numpy as np
 
 from . import toeplitz
-from .errors import NumericalError, ValidationError, checked_integer
-from .stationary import EIG_CLAMP, CovarianceFunction, HermiteEvenCoeffs
+from .errors import (TOLERANCE, NumericalError, ValidationError,
+                     checked_integer)
+from .stationary import CovarianceFunction, HermiteEvenCoeffs
 
 __all__ = [
     "DenseKernel",
     "RankOneSumKernel",
     "Gram",
     "DENSE_ENTRY_GUARD",
-    "MIXED_INNER_TOL",
     "checked_sqrt_inner",
     "term_scale",
     "contract",
@@ -58,11 +57,6 @@ __all__ = [
 ]
 
 DENSE_ENTRY_GUARD = 10_000_000
-
-# Squared norms and mixed inner products are provably nonnegative; float
-# noise above this fraction of their terms' size is treated as data
-# corruption rather than silently clamped or absolute-valued.
-MIXED_INNER_TOL = 1e-10
 
 
 def _check_entry_budget(dim: int, order: int) -> None:
@@ -157,6 +151,8 @@ class Gram:
     @property
     def vectors(self) -> np.ndarray:
         if self._vectors is None:
+            # unguarded clip: a row-built G is certified when it is built,
+            # and at large n eigh can round below a row[0]-relative floor
             eigvals, eigvecs = np.linalg.eigh(self.matrix)
             self._vectors = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         return self._vectors
@@ -273,24 +269,13 @@ def contract(f: DenseKernel, g: DenseKernel, r: int) -> DenseKernel | float:
     return DenseKernel(out)
 
 
-def is_symmetric(f: DenseKernel, tol: float = 1e-10, rng=None) -> bool:
-    """Check permutation symmetry; exhaustive for order <= 4, sampled above."""
-    p = f.order
-    if p == 1:
-        return True
-    scale = max(1.0, float(np.abs(f.values).max()))
-    if p <= 4:
-        for perm in itertools.permutations(range(p)):
-            if np.abs(np.transpose(f.values, perm) - f.values).max() > tol * scale:
-                return False
-        return True
-    rng = np.random.default_rng(0) if rng is None else rng
-    for _ in range(64):
-        idx = tuple(rng.integers(0, f.dim, size=p))
-        perm = tuple(rng.permutation(p))
-        if abs(f.values[idx] - f.values[tuple(idx[k] for k in perm)]) > tol * scale:
-            return False
-    return True
+def is_symmetric(f: DenseKernel) -> bool:
+    """Whether no swap of two adjacent indices of f (these swaps generate
+    every permutation) moves an entry by more than TOLERANCE times the
+    largest entry in absolute value, a bound that scales with f."""
+    bound = TOLERANCE * float(np.abs(f.values).max())
+    swapped = (np.swapaxes(f.values, i, i + 1) for i in range(f.order - 1))
+    return all(np.abs(s - f.values).max() <= bound for s in swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +286,12 @@ def checked_sqrt_inner(value: float, context: str = "mixed inner product",
                        scale: float = 1.0) -> float:
     """sqrt of a theoretically nonnegative inner product.
 
-    Values in (-MIXED_INNER_TOL * scale, 0) are floating-point noise and
-    clamp to 0; anything lower indicates corrupted inputs and raises.
-    scale is the size of the terms the value is summed from (see
-    term_scale), so the tolerance is relative to the inputs.
+    Values in [-TOLERANCE * scale, 0) are floating-point noise and clamp
+    to 0; anything lower indicates corrupted inputs and raises.  scale is
+    the size of the terms the value is summed from (see term_scale), so
+    the tolerance is relative to the inputs.
     """
-    if value < -MIXED_INNER_TOL * scale:
+    if value < -TOLERANCE * scale:
         raise NumericalError(
             f"{context} is negative beyond tolerance: {value:.6g}")
     return math.sqrt(max(value, 0.0))
@@ -425,12 +410,10 @@ def breuer_major_kernels(rho: CovarianceFunction, n: int,
     one Gram built from the first row rho(0..n-1)/rho(0) of that n x n
     symmetric Toeplitz correlation matrix, which the contraction routines
     read directly; the matrix is formed only if something reads it, and
-    eps, a square root of it, only if eps is read.  Positive
-    semidefiniteness is certified by the size-2n circulant embedding (whose
-    smallest eigenvalue bounds the matrix's from below); only if that
-    certificate fails is the matrix formed and its own eigenvalues
-    computed.  coeffs.rho0 must equal rho.rho0, the scale that
-    breuer_major_statistic divides the path by.
+    eps, a square root of it, only if eps is read.  An indefinite matrix
+    raises the NumericalError of toeplitz.certify_psd, which forms it only
+    if the circulant certificate fails.  coeffs.rho0 must equal rho.rho0,
+    the scale that breuer_major_statistic divides the path by.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -438,13 +421,8 @@ def breuer_major_kernels(rho: CovarianceFunction, n: int,
         raise ValidationError(
             f"coeffs.rho0 = {coeffs.rho0} differs from rho.rho0 = {rho.rho0}")
     lags = rho.lag_array(n + 1) / rho.rho0
+    toeplitz.certify_psd(lags)
     gram = Gram(row=lags[:n])
-    if toeplitz.circulant_eigenvalues(lags).min() < -EIG_CLAMP:
-        lowest = np.linalg.eigvalsh(gram.matrix)[0]
-        if lowest < -EIG_CLAMP:
-            raise ValidationError(
-                "covariance matrix is not positive semidefinite: eigenvalue "
-                f"{lowest:.6g}")
     scale = 1.0 / math.sqrt(n)
     return [
         RankOneSumKernel.from_gram(order, np.full(n, lam * scale), gram)

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import toeplitz
-from .errors import NumericalError, ValidationError, check_even_power
+from .errors import ValidationError, check_even_power
 from .hermite import hermite, hermite_monomial_coeffs
 from .streams import block_generator, block_normals, row_chunks, run_blocks
 
@@ -28,10 +28,6 @@ __all__ = [
     "exact_variance_power_variation",
     "hermite_monomial_coeffs",
 ]
-
-# Eigenvalues of the circulant embedding (and of the dense fallback) in
-# [-EIG_CLAMP * rho(0), 0) are treated as floating-point zeros.
-EIG_CLAMP = 1e-10
 
 
 def fgn_covariance(H: float, k: int) -> float:
@@ -134,11 +130,11 @@ class HermiteEvenCoeffs:
 class PathSampler:
     """Exact sampler for a stationary Gaussian vector of length n.
 
-    Embeds the covariance in a circulant of size 2n diagonalized by the FFT;
-    eigenvalues in [-c, 0), c = EIG_CLAMP * rho(0), are clamped to zero,
-    anything lower falls back to a dense eigendecomposition of the n x n
-    covariance.  If that also has an eigenvalue below -c the covariance is
-    not positive semidefinite and a NumericalError reports the offender.
+    Embeds the covariance in a circulant of size 2n diagonalized by the FFT
+    ("circulant" mode) or, if that embedding is not positive semidefinite,
+    factors the n x n covariance by its eigendecomposition ("dense" mode).
+    toeplitz.certify_psd decides, clamps rounding-level negative
+    eigenvalues, and raises a NumericalError for an indefinite covariance.
     """
 
     def __init__(self, rho: CovarianceFunction, n: int):
@@ -146,21 +142,12 @@ class PathSampler:
             raise ValidationError(f"path length must be >= 1, got {n}")
         self.n = n
         self.rho = rho
-        lags = rho.lag_array(n + 1)
-        lam = toeplitz.circulant_eigenvalues(lags)
-        if lam.min() >= -EIG_CLAMP * rho.rho0:
-            self._mode = "circulant"
-            self._sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
-            self._m = 2 * n
+        lam, vectors = toeplitz.certify_psd(rho.lag_array(n + 1), factor=True)
+        if vectors is None:
+            self._mode, self._m = "circulant", 2 * n
+            self._sqrt_lam = np.sqrt(lam)
         else:
-            self._mode = "dense"
-            cov = toeplitz.matrix(lags[:n])
-            eigvals, eigvecs = np.linalg.eigh(cov)
-            if eigvals.min() < -EIG_CLAMP * rho.rho0:
-                raise NumericalError(
-                    "covariance is not positive semidefinite: eigenvalue "
-                    f"{eigvals.min():.6g} below {-EIG_CLAMP * rho.rho0:g}")
-            self._chol = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+            self._mode, self._chol = "dense", vectors * np.sqrt(lam)
 
     @property
     def mode(self) -> str:

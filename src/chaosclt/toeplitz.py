@@ -3,12 +3,15 @@
 T(row)_ij = row[|i - j|].  The stationary covariance of a path and the
 Gram of the Breuer-Major kernels are both of this form; stationary and
 kernels reach them through the helpers here and never build the mirrored
-row or the dense matrix themselves.
+row or the dense matrix themselves.  Whether such a covariance is
+positive semidefinite is decided here too, once for both (certify_psd).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import TOLERANCE, NumericalError
 
 
 def mirrored(row: np.ndarray) -> np.ndarray:
@@ -52,6 +55,31 @@ def circulant_eigenvalues(lags: np.ndarray) -> np.ndarray:
     """
     circ = np.concatenate([lags, lags[-2:0:-1]])
     return np.fft.rfft(circ).real
+
+
+def certify_psd(lags: np.ndarray, factor: bool = False
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Certify that T = T(lags[:n]) is positive semidefinite, or raise a
+    NumericalError naming its eigenvalue; lags holds rho(0..n).
+
+    Eigenvalues in [-TOLERANCE * rho(0), 0) count as zeros.  If none of the
+    size-2n circulant embedding's is lower, T has none either (see
+    circulant_eigenvalues): they are returned, clipped at 0, with None.
+    Else T's own decide, by one eigvalsh, or one eigh if factor is set;
+    they are returned clipped, with the eigenvectors (columns) or None.
+    """
+    floor = -TOLERANCE * lags[0]
+    lam, vectors = circulant_eigenvalues(lags), None
+    if lam.min() < floor:
+        cov = matrix(lags[:-1])
+        if factor:
+            lam, vectors = np.linalg.eigh(cov)
+        else:
+            lam = np.linalg.eigvalsh(cov)
+        if lam.min() < floor:
+            raise NumericalError("covariance is not positive semidefinite: "
+                                 f"eigenvalue {lam.min():.6g} below {floor:g}")
+    return np.clip(lam, 0.0, None), vectors
 
 
 # rows carried per block by product_trace: its memory is

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own computation paths:
 quadrature uses numpy's hermite_e module, moments use raw sample statistics,
 and the dense tensor calculus below (symmetrize, inner, norm, densify, with
-chaosclt.kernels.contract) works on all n**p entries, where the library
-uses closed forms on rank-one sums.  The ratio family's kernels are built
-here from its basis layout, which the library reads only analytically.
+chaosclt.kernels.contract, and the fourth cumulant kappa4_I2_contraction)
+works on all n**p entries, where the library uses closed forms on rank-one
+sums.  The ratio family's kernels are built here from its basis layout,
+which the library reads only analytically.
 """
 
 import math
@@ -16,7 +17,8 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from chaosclt.errors import ValidationError
-from chaosclt.kernels import DenseKernel, RankOneSumKernel, _check_entry_budget
+from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
+                              _check_entry_budget, is_symmetric)
 
 
 def gauss_hermite_nodes(deg=24):
@@ -120,6 +122,21 @@ def densify(k):
     for a, v in zip(k.coeffs, k.vectors):
         acc += a * reduce(np.multiply.outer, [v] * k.order)
     return DenseKernel(acc)
+
+
+def kappa4_I2_contraction(g):
+    """kappa_4 of I_2(g) from the dense matrix g, a rank-one sum densified
+    first: 16 (||g (x)_1 g||^2 + 2 ||g (x~)_1 g||^2), an independent route
+    to chaosclt.chaos.kappa4_I2."""
+    if isinstance(g, RankOneSumKernel):
+        g = densify(g)
+    if g.order != 2:
+        raise ValidationError(f"expected an order-2 kernel, got order {g.order}")
+    if not is_symmetric(g):
+        raise ValidationError("order-2 kernel is not symmetric")
+    c = g.values @ g.values
+    c_sym = 0.5 * (c + c.T)
+    return 16.0 * (float(np.vdot(c, c)) + 2.0 * float(np.vdot(c_sym, c_sym)))
 
 
 def reconstruct(spec):

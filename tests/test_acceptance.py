@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete.  The Monte Carlo heavy criterion, rate reproduction, takes
-about 35 s on 2 cores.
+about 30 s on 2 cores (28-31 s on a 2-vCPU Xeon).
 """
 
 import math
@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from chaosclt.chaos import (ChaosSum, kappa4_I2, kappa4_I2_contraction,
-                            sample, sample_batch, second_moment)
+from chaosclt.chaos import (ChaosSum, kappa4_I2, sample, sample_batch,
+                            second_moment)
 from chaosclt.distances import rate_fit
 from chaosclt.experiments import RatesConfig, RatioConfig, run_rates, run_ratio
 from chaosclt.hermite import hermite_monomial_coeffs
@@ -20,9 +20,9 @@ from chaosclt.kernels import (DenseKernel, RankOneSumKernel, contract,
                               rank_one_contraction_norm, rank_one_mixed_inner)
 from chaosclt.stationary import CovarianceFunction, sample_paths
 
-from oracles import (densify, hermite_e_value, inner, mean_se,
-                     monomial_coeff_quadrature, norm, sample_variance_se,
-                     symmetrize)
+from oracles import (densify, hermite_e_value, inner, kappa4_I2_contraction,
+                     mean_se, monomial_coeff_quadrature, norm,
+                     sample_variance_se, symmetrize)
 
 SEED = 20260809
 THREADS = 2

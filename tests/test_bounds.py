@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaosclt.bounds import (BoundReport, MIXED_INNER_TOL, RatePrediction,
-                             breuer_major_bound, chaos_sum_bound,
-                             checked_sqrt_inner, fgn_rate,
+from chaosclt.bounds import (BoundReport, RatePrediction, breuer_major_bound,
+                             chaos_sum_bound, checked_sqrt_inner, fgn_rate,
                              nz_ratio_diagnostic, phi, power_variation_bound)
 from chaosclt.chaos import ChaosSum
-from chaosclt.errors import NumericalError, ValidationError
+from chaosclt.errors import TOLERANCE, NumericalError, ValidationError
 from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
                               breuer_major_kernels, contract,
                               rank_one_contraction_norm,
@@ -246,7 +245,7 @@ class TestCheckedSqrtInner:
 
     def test_raises_beyond_tolerance(self):
         with pytest.raises(NumericalError):
-            checked_sqrt_inner(-2 * MIXED_INNER_TOL)
+            checked_sqrt_inner(-2 * TOLERANCE)
 
     def test_tolerance_is_relative_to_scale(self):
         assert checked_sqrt_inner(-1e-8, scale=1e4) == 0.0

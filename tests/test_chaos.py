@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz as scipy_toeplitz
 
+from chaosclt import toeplitz as toeplitz_module
 from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, _eigen_terms,
                             _eval_block, _unit_terms, as_rank_one, hermite,
-                            kappa3_I2, kappa4_I2, kappa4_I2_contraction,
-                            sample, sample_batch, second_moment)
+                            kappa3_I2, kappa4_I2, sample, sample_batch,
+                            second_moment)
 from chaosclt.errors import UnsupportedRepresentationError, ValidationError
 from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
                               breuer_major_kernels, contract)
@@ -14,8 +16,8 @@ from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
                               replica_blocks)
 
-from oracles import (densify, hermite_e_value, inner, mean_se, reconstruct,
-                     sample_variance_se, symmetrize)
+from oracles import (densify, hermite_e_value, inner, kappa4_I2_contraction,
+                     mean_se, reconstruct, sample_variance_se, symmetrize)
 
 
 def basis(dim, i):
@@ -427,6 +429,26 @@ class TestCumulants:
         # rough large-sample error scale for the fourth cumulant
         se = np.sqrt(((centered ** 4 - m4) ** 2).mean() / out.size) * 3
         assert abs(k4_hat - kappa4_I2(g)) < 5 * se
+
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_breuer_major_kappa4_needs_no_matrix(self, H, monkeypatch):
+        # f_2 = (lam / sqrt(n)) sum_i eps_i (x) eps_i has the nonzero
+        # spectrum of (lam / sqrt(n)) T(rho), so kappa_4 = 48 sum mu^4 for
+        # the eigenvalues mu of that matrix; the closed form reads only its
+        # first row
+        n, lam = 256, 1.5
+        cov = CovarianceFunction.fgn(H)
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([lam]))
+        (k,) = breuer_major_kernels(cov, n, coeffs)
+        mu = lam / math.sqrt(n) * np.linalg.eigvalsh(
+            scipy_toeplitz(cov.lag_array(n)))
+        expected = 48.0 * float(np.sum(mu ** 4))
+
+        def refuse(row):
+            raise AssertionError("the Toeplitz matrix was formed")
+
+        monkeypatch.setattr(toeplitz_module, "matrix", refuse)
+        assert kappa4_I2(k) == pytest.approx(expected, rel=1e-12)
 
 
 class TestHermiteOrthogonality:

@@ -116,3 +116,11 @@ class TestEmpiricalSample:
     def test_rejects_matrix(self):
         with pytest.raises(ValidationError):
             EmpiricalSample.from_data(np.zeros((2, 2)))
+
+    def test_rejects_nan_and_keeps_infinities(self):
+        # a NaN sorted last made the distance NaN, silently
+        with pytest.raises(ValidationError, match="NaN"):
+            EmpiricalSample.from_data([0.1, math.nan, 0.3])
+        # Phi(-inf) = 0 and Phi(inf) = 1 exactly: both gaps are 1/3
+        s = EmpiricalSample.from_data([math.inf, 0.0, -math.inf])
+        assert kolmogorov_distance(s, 0.0, 1.0) == pytest.approx(1.0 / 3.0)

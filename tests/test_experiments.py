@@ -430,6 +430,27 @@ class TestCli:
         pytest.param("bound", {"inputs": [{"label": None, "kernels": [
             eigenvalue_sum_json(2)]}]},
             r"inputs\[0\]\.label: must be a string", id="bound-null-label"),
+        pytest.param("bound", {"inputs": [{"kernels": [{
+            "representation": "dense", "order": 2, "dim": 2,
+            "values": [1.0, 1.0, 0.0, 1.0]}]}]},
+            r"inputs\[0\]: order-2 kernel is not symmetric",
+            id="bound-asymmetric-dense"),
+        # symmetry is relative to the largest entry: an absolute check
+        # passed this kernel and bounded its lower triangle alone
+        pytest.param("bound", {"inputs": [{"kernels": [{
+            "representation": "dense", "order": 2, "dim": 2,
+            "values": [1e-11, 1e-11, 0.0, 1e-11]}]}]},
+            r"inputs\[0\]: order-2 kernel is not symmetric",
+            id="bound-tiny-asymmetric-dense"),
+        pytest.param("bound", {"inputs": [{"kernels": [{
+            "representation": "dense", "order": 3, "dim": 2,
+            "values": [0.0] * 8}]}]},
+            r"inputs\[0\]: dense kernels are supported only at orders 1 "
+            r"and 2", id="bound-dense-order-3"),
+        pytest.param("bound", {"inputs": [
+            {"kernels": [eigenvalue_sum_json(2)]},
+            {"kernels": [kernel_to_json(DenseKernel(np.zeros((2, 2))))]}]},
+            r"inputs\[1\]: E\[F\^2\] is 0\.0", id="bound-zero-kernel"),
     ])
     def test_config_type_errors_exit_one(self, tmp_path, capsys, command,
                                          payload, field):

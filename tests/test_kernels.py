@@ -16,7 +16,7 @@ from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
                               rank_one_mixed_inner, rank_one_norm_squared,
                               term_scale)
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
-                                 exact_variance_power_variation)
+                                 PathSampler, exact_variance_power_variation)
 
 from oracles import densify, inner, norm, symmetrize
 
@@ -311,7 +311,7 @@ class TestBreuerMajorKernels:
         cov = CovarianceFunction(
             evaluator=lambda k: {0: 1.0, 1: 0.9, -1: 0.9}.get(k, 0.0), rho0=1.0)
         coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
-        with pytest.raises(ValidationError, match="positive semidefinite"):
+        with pytest.raises(NumericalError, match="positive semidefinite"):
             breuer_major_kernels(cov, 3, coeffs)
 
     def test_rejects_rho0_mismatch(self):
@@ -831,3 +831,18 @@ class TestPositiveSemidefiniteCertificate:
         (k,) = breuer_major_kernels(cov, 3, coeffs)
         assert calls == [(3, 3)]
         assert np.array_equal(k.gram, toeplitz([1.0, 0.6, 0.0]))
+
+    def test_sampler_and_kernels_reject_alike(self):
+        # one decision in toeplitz.certify_psd: an indefinite covariance is
+        # a NumericalError (CLI exit 2) on both routes, with one message
+        rho = {0: 1.0, 1: 0.9, -1: 0.9}
+        cov = CovarianceFunction(evaluator=lambda k: rho.get(k, 0.0), rho0=1.0)
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        with pytest.raises(NumericalError) as sampler:
+            PathSampler(cov, 3)
+        with pytest.raises(NumericalError) as kernels:
+            breuer_major_kernels(cov, 3, coeffs)
+        message = str(sampler.value)
+        assert message == str(kernels.value)
+        assert "positive semidefinite" in message
+        assert "eigenvalue" in message

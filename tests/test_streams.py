@@ -78,8 +78,7 @@ _GENERATOR_NAMES = {
 
 def test_only_streams_names_bit_generators():
     # one owner of the stream protocol: every other module draws through
-    # chaosclt.streams (kernels.is_symmetric's default_rng probe is not a
-    # Monte Carlo stream and names no bit generator)
+    # chaosclt.streams
     offenders = []
     for path in sorted(Path(chaosclt.__file__).parent.glob("*.py")):
         if path.name == "streams.py":

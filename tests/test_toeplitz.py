@@ -146,3 +146,25 @@ def test_every_import_is_used_and_every_export_exists():
                     for name in getattr(module, "__all__", [])
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def small_float_literals(path: Path) -> list[str]:
+    """Float literals in (0, 1e-6] in the module at path: tolerances.
+    Docstrings are strings, so a number quoted in one is not counted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float) and 0.0 < node.value <= 1e-6]
+
+
+def test_only_errors_holds_a_tolerance():
+    # every numerical guard reads errors.TOLERANCE against its own scale;
+    # a module with a literal of its own would start a second policy
+    sources = sorted(Path(chaosclt.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = [literal for path in sources if path.name != "errors.py"
+             for literal in small_float_literals(path)]
+    assert found == []
+    errors = Path(chaosclt.__file__).parent / "errors.py"
+    assert len(small_float_literals(errors)) == 1
