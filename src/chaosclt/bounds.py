@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosSum, as_rank_one, kappa4_I2
-from .errors import ValidationError, check_even_power
+from .errors import NumericalError, ValidationError, check_even_power
 # contract is unused here; bench/tracer.py patches bounds.contract
 from .kernels import (checked_sqrt_inner, contract,  # noqa: F401
                       rank_one_contraction_norm, rank_one_mixed_inner,
@@ -95,6 +95,8 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
     from .chaos import second_moment
 
     variance = second_moment(F)
+    if not math.isfinite(variance):
+        raise NumericalError(f"E[F^2] is not finite in float64: {variance}")
     if not variance > 0.0:
         raise ValidationError(
             f"E[F^2] is {variance}, so F cannot be standardized")
@@ -109,10 +111,10 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
         for i, p in enumerate(orders):
             for q in orders[i + 1:]:
                 kp, kq = F.kernels[p], F.kernels[q]
+                scale = term_scale(kp) * term_scale(kq)
                 term2 = max(term2, checked_sqrt_inner(
                     rank_one_mixed_inner(kp, kq),
-                    f"mixed inner product (orders {p}, {q})",
-                    (term_scale(kp) * term_scale(kq)) ** 2))
+                    f"mixed inner product (orders {p}, {q})", scale * scale))
 
     return BoundReport(
         terms={"max_contraction_norm": term1, "mixed_inner": term2},
@@ -132,10 +134,12 @@ def phi(f1, f2) -> float:
     if f1.dim != f2.dim:
         raise ValidationError(f"dimension mismatch: {f1.dim} vs {f2.dim}")
     f1, f2 = as_rank_one(f1), as_rank_one(f2)
-    mixed = rank_one_mixed_inner(f1, f2)
-    scale = (term_scale(f1) * term_scale(f2)) ** 2
-    return math.sqrt(kappa4_I2(f2)) + checked_sqrt_inner(
-        mixed, scale=scale)
+    scale = term_scale(f1) * term_scale(f2)
+    value = math.sqrt(kappa4_I2(f2)) + checked_sqrt_inner(
+        rank_one_mixed_inner(f1, f2), scale=scale * scale)
+    if not math.isfinite(value):
+        raise NumericalError(f"phi is not finite in float64: {value}")
+    return value
 
 
 def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,

@@ -35,7 +35,6 @@ __all__ = [
     "ChaosSum",
     "SecondChaosSpectrum",
     "as_rank_one",
-    "hermite",
     "sample",
     "sample_batch",
     "second_moment",

@@ -54,7 +54,7 @@ def _rates(config):
         files["rates_dkol.dat"] = _plot_data(table.rows, "n", "d_kol")
         files["rates_bound.dat"] = _plot_data(table.rows, "n", "bound_total")
     slope = table.metadata["fitted_slope"]
-    slope_text = "n/a (single grid point)" if slope is None else f"{slope:.4f}"
+    slope_text = "n/a (one distinct n)" if slope is None else f"{slope:.4f}"
     return table, files, (
         f"{len(table.rows)} grid points; fitted slope {slope_text} "
         f"(predicted {table.metadata['predicted_exponent']:.4f})")

@@ -86,10 +86,12 @@ class RateFit:
 
 
 def rate_fit(points: list[tuple[int, float]]) -> RateFit:
-    """Fit d ~ C * n**slope from (n, d) pairs with d > 0."""
-    if len(points) < 2:
-        raise ValidationError(f"need at least 2 points, got {len(points)}")
+    """Fit d ~ C * n**slope from (n, d) pairs with d > 0, at 2 or more
+    distinct n."""
     ns = np.array([float(n) for n, _ in points])
+    distinct = np.unique(ns).size
+    if distinct < 2:
+        raise ValidationError(f"need at least 2 distinct n, got {distinct}")
     ds = np.array([float(d) for _, d in points])
     if (ns <= 0).any():
         raise ValidationError("grid sizes must be positive")

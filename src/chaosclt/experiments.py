@@ -22,10 +22,11 @@ from .bounds import chaos_sum_bound, fgn_rate, nz_ratio_diagnostic, phi, \
     power_variation_bound
 from .chaos import ChaosSum
 from .distances import EmpiricalSample, kolmogorov_distance, rate_fit
-from .errors import ValidationError, checked_integer, checked_real
+from .errors import (NumericalError, ValidationError, checked_integer,
+                     checked_real)
 from .hermite import MAX_MONOMIAL_ORDER
 from .kernels import kernel_from_json
-from .ratio import Perturbations, make_synthetic_family, ratio_bound, \
+from .ratio import Perturbations, RatioFamily, ratio_bound, \
     sample_ratio_batch
 from .stationary import CovarianceFunction, PathSampler, \
     exact_variance_power_variation, power_variation_mean
@@ -165,7 +166,8 @@ def _power_variation_samples(cov: CovarianceFunction, n_grid: list[int],
 
 def run_rates(config: RatesConfig) -> ResultTable:
     """Estimate d_Kol of standardized power variations across the n grid,
-    fit the log-log rate, and report the covariance-sum bound per n.
+    fit the log-log rate over the distinct n (none with fewer than two),
+    and report the covariance-sum bound per n.
 
     Every grid point reads the same replicas (prefixes of one path of
     length max(n_grid)), so the points, and the residual of the rate fit,
@@ -179,7 +181,7 @@ def run_rates(config: RatesConfig) -> ResultTable:
                                            config.replicas, config.seed,
                                            config.threads)
     rows = []
-    points = []
+    distances = {}  # one point per distinct n: duplicated rows are equal
     for n in config.n_grid:
         variance = exact_variance_power_variation(cov, config.q, n)
         samples = table[:, np.searchsorted(ends, n)]
@@ -197,8 +199,8 @@ def run_rates(config: RatesConfig) -> ResultTable:
             "bound_covariance_sq": report.terms["covariance_sq"],
             "bound_total": report.total,
         })
-        points.append((n, d))
-    fit = rate_fit(points) if len(points) >= 2 else None
+        distances[n] = d
+    fit = rate_fit(list(distances.items())) if len(distances) >= 2 else None
     prediction = fgn_rate(config.hurst, config.q)
     metadata = {
         "experiment": "rates",
@@ -266,15 +268,20 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
                 raise ValidationError(
                     f"{where}: duplicate kernel order {kernel.order}")
             kernels[kernel.order] = kernel
+        # a sum that overflows float64 raises a located NumericalError
+        # below, so numpy's overflow warnings would only repeat it
         try:
-            F = ChaosSum(kernels)
-            report = chaos_sum_bound(
-                F, constant_multiplier=config.constant_multiplier)
-            phi_value = None
-            if set(F.orders) == {1, 2}:
-                phi_value = phi(F.kernels[1], F.kernels[2])
+            with np.errstate(over="ignore", invalid="ignore"):
+                F = ChaosSum(kernels)
+                report = chaos_sum_bound(
+                    F, constant_multiplier=config.constant_multiplier)
+                phi_value = None
+                if set(F.orders) == {1, 2}:
+                    phi_value = phi(F.kernels[1], F.kernels[2])
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
+        except NumericalError as exc:
+            raise NumericalError(f"{where}: {exc}") from None
         doc = {"label": label, "orders": F.orders,
                "report": report.to_json()}
         if phi_value is not None:
@@ -325,31 +332,41 @@ class RatioConfig:
 
 def run_ratio(config: RatioConfig) -> ResultTable:
     """Sweep the lambda grid: empirical d_Kol of the ratio against
-    N(0, sigma1^2 + sigma2^2), rejection rates, and the five bound terms."""
+    N(0, sigma1^2 + sigma2^2), rejection rates, and the five bound terms.
+    Every lambda's family is built, and so checked, before any replica is
+    drawn."""
     pert = _config_from_dict(Perturbations, config.perturbations,
                              "ratio config perturbations")
     columns = ["lam", "rho", "sigma1", "sigma2", "replicas", "seed", "stream",
                "d_kol", "rejection_rate", "phi", "mean_drift",
                "f_second_moment_gap", "g_second_moment_gap", "remainder",
                "bound_total"]
+    families = []
+    for idx, lam in enumerate(config.lambda_grid):
+        try:
+            families.append(RatioFamily(lam=lam, rho_const=config.rho,
+                                        sigma1=config.sigma1,
+                                        sigma2=config.sigma2,
+                                        perturbations=pert))
+        except ValidationError as exc:
+            raise ValidationError(
+                f"ratio config: lambda_grid[{idx}]: {exc}") from None
     rows = []
     distances = []
-    for idx, lam in enumerate(config.lambda_grid):
-        fam = make_synthetic_family(config.rho, config.sigma1, config.sigma2,
-                                    lam, perturbations=pert)
+    for idx, fam in enumerate(families):
         values, rejected = sample_ratio_batch(fam, config.replicas,
                                               config.seed, threads=config.threads,
                                               stream=idx)
         kept = values[~rejected]
         if kept.size == 0:
             raise ValidationError(
-                f"every replica was rejected at lambda={lam}")
+                f"every replica was rejected at lambda={fam.lam}")
         d = kolmogorov_distance(EmpiricalSample.from_data(kept), 0.0,
                                 fam.sigma_sq)
         report = ratio_bound(fam)
         distances.append(d)
         rows.append({
-            "lam": lam, "rho": config.rho, "sigma1": config.sigma1,
+            "lam": fam.lam, "rho": config.rho, "sigma1": config.sigma1,
             "sigma2": config.sigma2, "replicas": config.replicas,
             "seed": config.seed, "stream": idx, "d_kol": d,
             "rejection_rate": float(rejected.mean()),

@@ -289,8 +289,11 @@ def checked_sqrt_inner(value: float, context: str = "mixed inner product",
     Values in [-TOLERANCE * scale, 0) are floating-point noise and clamp
     to 0; anything lower indicates corrupted inputs and raises.  scale is
     the size of the terms the value is summed from (see term_scale), so
-    the tolerance is relative to the inputs.
+    the tolerance is relative to the inputs.  A value that is NaN or
+    infinite (its terms overflowed float64) raises as well.
     """
+    if not math.isfinite(value):
+        raise NumericalError(f"{context} is not finite in float64: {value}")
     if value < -TOLERANCE * scale:
         raise NumericalError(
             f"{context} is negative beyond tolerance: {value:.6g}")
@@ -302,7 +305,9 @@ def term_scale(k: RankOneSumKernel) -> float:
 
     Since |G_ij| <= sqrt(G_ii G_jj), the terms summed into a squared
     contraction norm of k add up in absolute value to at most s(k)^4, and
-    those of a mixed inner product of kp and kq to s(kp)^2 s(kq)^2.
+    those of a mixed inner product of kp and kq to s(kp)^2 s(kq)^2.  Form
+    those powers as products: a product that overflows is inf, where a
+    float ** raises OverflowError.
     """
     norms = np.abs(k._gram.diagonal) ** (k.order / 2)
     return float(np.abs(k.coeffs) @ norms)
@@ -361,8 +366,9 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
         G = k.gram
         E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)
         val = float(np.sum(E * E.T))
+    s = term_scale(k)
     return checked_sqrt_inner(val, f"squared {r}-contraction norm",
-                              scale=term_scale(k) ** 4)
+                              scale=(s * s) * (s * s))
 
 
 def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
@@ -412,14 +418,11 @@ def breuer_major_kernels(rho: CovarianceFunction, n: int,
     read directly; the matrix is formed only if something reads it, and
     eps, a square root of it, only if eps is read.  An indefinite matrix
     raises the NumericalError of toeplitz.certify_psd, which forms it only
-    if the circulant certificate fails.  coeffs.rho0 must equal rho.rho0,
-    the scale that breuer_major_statistic divides the path by.
+    if the circulant certificate fails.  F is breuer_major_statistic(rho,
+    path, coeffs) in law, so E[F^2] is its variance.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if coeffs.rho0 != rho.rho0:
-        raise ValidationError(
-            f"coeffs.rho0 = {coeffs.rho0} differs from rho.rho0 = {rho.rho0}")
     lags = rho.lag_array(n + 1) / rho.rho0
     toeplitz.certify_psd(lags)
     gram = Gram(row=lags[:n])

@@ -36,8 +36,6 @@ from .streams import block_chisquare, block_normals, run_blocks
 __all__ = [
     "Perturbations",
     "RatioFamily",
-    "RatioSample",
-    "make_synthetic_family",
     "sample_ratio",
     "sample_ratio_batch",
     "ratio_bound",
@@ -131,23 +129,6 @@ class RatioFamily:
         return self.sigma1 ** 2 + self.perturbations.s_norm ** 2 / self.lam
 
 
-@dataclass(frozen=True)
-class RatioSample:
-    """value = Q at one Gaussian vector; rejected marks a nonpositive
-    denominator (excluded from distance estimation, never silently)."""
-
-    value: float
-    rejected: bool
-
-
-def make_synthetic_family(rho_const: float, sigma1: float, sigma2: float,
-                          lam: float,
-                          perturbations: Perturbations | None = None) -> RatioFamily:
-    return RatioFamily(lam=lam, rho_const=rho_const, sigma1=sigma1,
-                       sigma2=sigma2,
-                       perturbations=perturbations or Perturbations())
-
-
 def _ratio_from_stats(fam: RatioFamily, sq, z0, zf, zs,
                       zu) -> tuple[np.ndarray, np.ndarray]:
     """(values, rejected) from the sufficient statistics of each replica:
@@ -168,15 +149,16 @@ def _ratio_from_stats(fam: RatioFamily, sq, z0, zf, zs,
     return values, rejected
 
 
-def sample_ratio(fam: RatioFamily, z: np.ndarray) -> RatioSample:
-    """Evaluate the ratio at one Gaussian vector spanning the family."""
+def sample_ratio(fam: RatioFamily, z: np.ndarray) -> tuple[float, bool]:
+    """(value, rejected) at one Gaussian vector spanning the family, as in
+    sample_ratio_batch: a nonpositive denominator is rejected, value NaN."""
     z = np.asarray(z, dtype=float)
     if z.shape != (fam.dim,):
         raise ValidationError(f"expected a vector of length {fam.dim}, got {z.shape}")
     m = fam.m
     values, rejected = _ratio_from_stats(fam, np.dot(z[:m], z[:m]), z[0],
                                          z[m], z[m + 1], z[m + 2])
-    return RatioSample(value=float(values), rejected=bool(rejected))
+    return float(values), bool(rejected)
 
 
 def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, threads: int = 1,

@@ -17,7 +17,6 @@ from .streams import block_generator, block_normals, row_chunks, run_blocks
 
 __all__ = [
     "CovarianceFunction",
-    "PathMatrix",
     "HermiteEvenCoeffs",
     "PathSampler",
     "fgn_covariance",
@@ -26,7 +25,6 @@ __all__ = [
     "power_variation_mean",
     "breuer_major_statistic",
     "exact_variance_power_variation",
-    "hermite_monomial_coeffs",
 ]
 
 
@@ -47,14 +45,15 @@ def fgn_covariance(H: float, k: int) -> float:
 class CovarianceFunction:
     """A stationary covariance lag -> rho(lag).
 
-    The evaluator must be even in the lag; rho0 caches rho(0) and must be
-    positive.
+    The evaluator must be even in the lag, and is the only source of the
+    variance: the read-only rho0 is evaluator(0), read once when the
+    object is built, and must be positive.
     """
 
     evaluator: Callable[[int], float]
-    rho0: float
 
     def __post_init__(self):
+        object.__setattr__(self, "rho0", self(0))
         if not self.rho0 > 0.0:
             raise ValidationError(f"rho(0) must be positive, got {self.rho0}")
 
@@ -69,39 +68,20 @@ class CovarianceFunction:
     def fgn(cls, H: float) -> "CovarianceFunction":
         if not 0.0 < H < 1.0:
             raise ValidationError(f"Hurst parameter must lie in (0, 1), got {H}")
-        return cls(evaluator=lambda k: fgn_covariance(H, k), rho0=1.0)
+        return cls(evaluator=lambda k: fgn_covariance(H, k))
 
     @classmethod
     def iid(cls, variance: float = 1.0) -> "CovarianceFunction":
-        return cls(evaluator=lambda k: variance if k == 0 else 0.0,
-                   rho0=variance)
-
-
-@dataclass(frozen=True)
-class PathMatrix:
-    """M independent replicas of (Z_0, ..., Z_{n-1}), one per row."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or min(self.values.shape) < 1:
-            raise ValidationError("PathMatrix requires a nonempty 2-d array")
-
-    @property
-    def replicas(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
+        return cls(evaluator=lambda k: variance if k == 0 else 0.0)
 
 
 @dataclass(frozen=True)
 class HermiteEvenCoeffs:
-    """Coefficients lambda_{2k}, k = d..m, of an even-Hermite expansion g.
+    """Coefficients lambda_{2k}, k = d..m, of an even-Hermite expansion g
+    of the standardized variable Z / sqrt(rho(0)); rho(0) is the covariance's.
 
     Arbitrary coefficients are accepted.  The covariance-sum bound for the
-    partial sums is stated under the normalization lambda_{2m} = rho0**m
+    partial sums is stated under the normalization lambda_{2m} = rho(0)**m
     (the monomial case satisfies it after scaling); nothing here enforces
     that, callers opting out own the interpretation of the bound.
     """
@@ -109,7 +89,6 @@ class HermiteEvenCoeffs:
     d: int
     m: int
     lambdas: np.ndarray
-    rho0: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.d <= self.m:
@@ -118,8 +97,6 @@ class HermiteEvenCoeffs:
         if lam.shape != (self.m - self.d + 1,):
             raise ValidationError(
                 f"expected {self.m - self.d + 1} coefficients, got {lam.shape}")
-        if not self.rho0 > 0.0:
-            raise ValidationError("rho0 must be positive")
         object.__setattr__(self, "lambdas", lam)
 
     def orders(self) -> range:
@@ -141,7 +118,6 @@ class PathSampler:
         if n < 1:
             raise ValidationError(f"path length must be >= 1, got {n}")
         self.n = n
-        self.rho = rho
         lam, vectors = toeplitz.certify_psd(rho.lag_array(n + 1), factor=True)
         if vectors is None:
             self._mode, self._m = "circulant", 2 * n
@@ -226,8 +202,9 @@ class PathSampler:
 
 
 def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
-                 threads: int = 1, stream: int = 0) -> PathMatrix:
-    """M independent exact samples of (Z_0..Z_{n-1}), deterministic in seed.
+                 threads: int = 1, stream: int = 0) -> np.ndarray:
+    """M independent exact samples of (Z_0..Z_{n-1}), one per row of the
+    (M, n) result, deterministic in seed.
 
     Output is bit-identical for any thread count: replica r always reads a
     fixed row of block r // BLOCK_SIZE of the (seed, stream) stream
@@ -243,7 +220,7 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
             out[start + lo:start + lo + len(paths)] = paths
 
     run_blocks(M, worker, threads=threads)
-    return PathMatrix(values=out)
+    return out
 
 
 def power_variation(path: np.ndarray, q: int) -> float:
@@ -261,12 +238,14 @@ def power_variation_mean(rho0: float, q: int) -> float:
     return rho0 ** (q // 2) * float(hermite_monomial_coeffs(q)[0])
 
 
-def breuer_major_statistic(path: np.ndarray, coeffs: HermiteEvenCoeffs) -> float:
-    """(1/sqrt(n)) sum_i sum_k lambda_{2k} H_{2k}(path_i / sqrt(rho0))."""
+def breuer_major_statistic(rho: CovarianceFunction, path: np.ndarray,
+                           coeffs: HermiteEvenCoeffs) -> float:
+    """(1/sqrt(n)) sum_i sum_k lambda_{2k} H_{2k}(path_i / sqrt(rho.rho0))
+    for a path of the sequence with covariance rho."""
     path = np.asarray(path, dtype=float)
     if path.size == 0:
         raise ValidationError("path must be nonempty")
-    x = path / math.sqrt(coeffs.rho0)
+    x = path / math.sqrt(rho.rho0)
     total = 0.0
     for lam, order in zip(coeffs.lambdas, coeffs.orders()):
         total += float(lam) * float(hermite(order, x).sum())

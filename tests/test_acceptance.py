@@ -266,17 +266,17 @@ def test_criterion_8_ratio_experiment():
 def test_criterion_9_sampler_fidelity():
     cov = CovarianceFunction.fgn(0.7)
     n, M = 1024, 10_000
-    X = sample_paths(cov, n, M, seed=SEED, threads=THREADS).values
+    X = sample_paths(cov, n, M, seed=SEED, threads=THREADS)
     bad_lags = []
     for lag in range(6):
         prods = (X[:, : n - lag] * X[:, lag:]).mean(axis=1)
         se = mean_se(prods)
         if abs(prods.mean() - cov(lag)) >= 5 * se:
             bad_lags.append(lag)
-    serial = sample_paths(cov, 64, 2500, seed=SEED).values
+    serial = sample_paths(cov, 64, 2500, seed=SEED)
     identical = all(
         np.array_equal(serial,
-                       sample_paths(cov, 64, 2500, seed=SEED, threads=t).values)
+                       sample_paths(cov, 64, 2500, seed=SEED, threads=t))
         for t in (2, 5))
     report(9, "sampler covariance fidelity and determinism",
            not bad_lags and identical,

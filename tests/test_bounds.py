@@ -252,6 +252,13 @@ class TestCheckedSqrtInner:
         with pytest.raises(NumericalError):
             checked_sqrt_inner(-1e-24, scale=1e-24)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_a_value_beyond_float64(self, value):
+        # NaN fails every comparison, so the tolerance check alone let it
+        # through to max(0.0, nan)
+        with pytest.raises(NumericalError, match="not finite"):
+            checked_sqrt_inner(value, scale=math.inf)
+
 
 class TestPhi:
     def test_orthogonal_pair(self):

@@ -106,6 +106,13 @@ class TestRateFit:
         with pytest.raises(ValidationError):
             rate_fit([(0, 1.0), (2, 0.5)])
 
+    def test_needs_two_distinct_n(self):
+        # a repeated n is one point: a line through it is underdetermined
+        with pytest.raises(ValidationError, match="distinct"):
+            rate_fit([(256, 0.01), (256, 0.01)])
+        fit = rate_fit([(16, 1.0), (16, 1.0), (64, 0.5)])
+        assert fit.slope == pytest.approx(-0.5)
+
 
 class TestEmpiricalSample:
     def test_sorts_input(self):

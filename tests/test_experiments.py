@@ -90,7 +90,7 @@ class TestRatesExperiment:
         grid = [48, 7, 100, 1]
         ends, table = _power_variation_samples(cov, grid, q, 1500, 9, 2)
         assert ends.tolist() == [1, 7, 48, 100]
-        paths = sample_paths(cov, 100, 1500, 9, stream=0).values
+        paths = sample_paths(cov, 100, 1500, 9, stream=0)
         for j, n in enumerate(ends):
             want = [power_variation(path[:n], q) for path in paths]
             np.testing.assert_allclose(table[:, j], want, rtol=1e-12, atol=0)
@@ -513,6 +513,96 @@ class TestCli:
                                 NumericalError("negative mixed inner")))
         assert main(["diagnose-nz", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("kernels, message", [
+        # 1e80^4 overflows: the squared contraction norm sums to inf
+        pytest.param([{"representation": "rank_one_sum", "order": 2,
+                       "dim": 2, "terms": [
+                           {"coeff": 1e80, "vector": [1.0, 0.0]},
+                           {"coeff": 1e80, "vector": [0.0, 1.0]}]}],
+                     "squared 1-contraction norm is not finite",
+                     id="order-2-coeffs-1e80"),
+        # the Gram entry 1e400 is inf, and its contraction norm NaN
+        pytest.param([{"representation": "rank_one_sum", "order": 2,
+                       "dim": 2, "terms": [
+                           {"coeff": 1.0, "vector": [1e200, 0.0]},
+                           {"coeff": 1.0, "vector": [0.0, 1.0]}]}],
+                     r"E\[F\^2\] is not finite", id="vector-entry-1e200"),
+        pytest.param([kernel_to_json(DenseKernel(np.full(2, 1e300))),
+                      kernel_to_json(DenseKernel(np.eye(2)))],
+                     r"E\[F\^2\] is not finite", id="dense-entry-1e300"),
+        # every sum is finite, but kappa_4 = 48 * 4.8e306 is not
+        pytest.param([kernel_to_json(DenseKernel(np.array([1.0, 0.0]))),
+                      {"representation": "rank_one_sum", "order": 2,
+                       "dim": 2, "terms": [
+                           {"coeff": 7e76, "vector": [1.0, 0.0]},
+                           {"coeff": 7e76, "vector": [0.0, 1.0]}]}],
+                     "phi is not finite", id="phi-7e76"),
+    ])
+    def test_float64_overflow_exits_two(self, tmp_path, capsys, kernels,
+                                        message):
+        cfg = self._write(tmp_path / "bound.json",
+                          {"inputs": [{"kernels": kernels}]})
+        assert main(["bound", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: inputs[0]: ")
+        assert re.search(message, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("coeff", [1.0, 1e70])
+    def test_large_finite_kernel_keeps_its_bound(self, tmp_path, coeff):
+        kernel = RankOneSumKernel(order=2, coeffs=np.full(2, coeff),
+                                  vectors=np.eye(2))
+        cfg = self._write(tmp_path / "bound.json",
+                          {"inputs": [{"kernels": [kernel_to_json(kernel)]}]})
+        assert main(["bound", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        docs = json.loads((tmp_path / "out" / "bound_report.json").read_text())
+        assert docs[0]["report"]["total"] == pytest.approx(
+            math.sqrt(2.0) / 4.0, rel=1e-12)
+
+    def test_rates_fit_needs_two_distinct_n(self, tmp_path):
+        cfg = self._write(tmp_path / "rates.json", {
+            "hurst": 0.3, "n_grid": [256, 256], "replicas": 1000, "seed": 4,
+        })
+        assert main(["rates", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(
+            (tmp_path / "out" / "rates_summary.json").read_text())
+        assert summary["fitted_slope"] is None
+        assert summary["fit_residual"] is None
+
+    def test_rates_fit_reads_each_distinct_n_once(self):
+        slopes = [run_rates(RatesConfig(hurst=0.3, n_grid=grid,
+                                        replicas=1000, seed=4))
+                  .metadata["fitted_slope"]
+                  for grid in ([512, 64, 512, 128], [64, 128, 512])]
+        assert slopes[0] == pytest.approx(slopes[1], rel=1e-12)
+
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param({"lambda_grid": [100, -1]},
+                     r"ratio config: lambda_grid\[1\]: lambda must be "
+                     r"positive", id="negative-lambda"),
+        pytest.param({"lambda_grid": [100, 1000], "sigma1": 5},
+                     r"ratio config: lambda_grid\[0\]: positivity of the "
+                     r"denominator", id="sigma1-too-large"),
+    ])
+    def test_ratio_family_errors_are_located_before_sampling(
+            self, tmp_path, capsys, monkeypatch, payload, message):
+        from chaosclt import experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before every family was built")
+
+        monkeypatch.setattr(experiments, "sample_ratio_batch", refuse)
+        cfg = self._write(tmp_path / "ratio.json",
+                          {"replicas": 1000, "seed": 5, **payload})
+        assert main(["ratio", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(message, err)
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_unusable_out_exits_one_before_the_run(self, tmp_path, capsys,

@@ -289,7 +289,7 @@ class TestBreuerMajorKernels:
         cov = CovarianceFunction.fgn(0.7)
         q, n = 4, 16
         mono = hermite_monomial_coeffs(q)
-        coeffs = HermiteEvenCoeffs(d=1, m=q // 2, lambdas=mono[1:], rho0=1.0)
+        coeffs = HermiteEvenCoeffs(d=1, m=q // 2, lambdas=mono[1:])
         kernels = breuer_major_kernels(cov, n, coeffs)
         isometry = sum(math.factorial(k.order) * rank_one_norm_squared(k)
                        for k in kernels)
@@ -299,8 +299,8 @@ class TestBreuerMajorKernels:
     def test_gram_is_standardized_covariance(self):
         from chaosclt.stationary import fgn_covariance
         cov = CovarianceFunction(
-            evaluator=lambda k: 4.0 * fgn_covariance(0.7, k), rho0=4.0)
-        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]), rho0=4.0)
+            evaluator=lambda k: 4.0 * fgn_covariance(0.7, k))
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
         (k,) = breuer_major_kernels(cov, 6, coeffs)
         expected = np.array([[fgn_covariance(0.7, i - j) for j in range(6)]
                              for i in range(6)])
@@ -309,22 +309,21 @@ class TestBreuerMajorKernels:
 
     def test_rejects_non_psd_covariance(self):
         cov = CovarianceFunction(
-            evaluator=lambda k: {0: 1.0, 1: 0.9, -1: 0.9}.get(k, 0.0), rho0=1.0)
+            evaluator=lambda k: {0: 1.0, 1: 0.9, -1: 0.9}.get(k, 0.0))
         coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
         with pytest.raises(NumericalError, match="positive semidefinite"):
             breuer_major_kernels(cov, 3, coeffs)
 
-    def test_rejects_rho0_mismatch(self):
-        # breuer_major_statistic scales the path by coeffs.rho0; kernels
-        # scaled by rho.rho0 instead gave E[F^2] = 2.578 for a statistic of
-        # variance 41.2 at rho.rho0 = 4, coeffs.rho0 = 1
-        cov = CovarianceFunction(evaluator=lambda k: 4.0 if k == 0 else 0.0,
-                                 rho0=4.0)
+
+    def test_variance_is_read_from_the_covariance(self):
+        # rho(0) = 2 and no correlation: the kernels see the correlation,
+        # whose diagonal is 1, and E[F^2] is the statistic's variance 2
+        cov = CovarianceFunction(evaluator=lambda k: 2.0 if k == 0 else 0.0)
+        assert cov.rho0 == 2.0
         coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
-        with pytest.raises(ValidationError,
-                           match=r"coeffs.rho0 = 1.0 differs from "
-                                 r"rho.rho0 = 4.0"):
-            breuer_major_kernels(cov, 3, coeffs)
+        (k,) = breuer_major_kernels(cov, 4, coeffs)
+        assert np.array_equal(k.gram[0], [1.0, 0.0, 0.0, 0.0])
+        assert second_moment(ChaosSum({2: k})) == 2.0
 
 
 class TestCovarianceQuadrupleSums:
@@ -813,7 +812,7 @@ class TestPositiveSemidefiniteCertificate:
         # the 3 x 3 tridiagonal Toeplitz matrix itself has smallest
         # eigenvalue 1 - 1.2 cos(pi/4) = 0.151, so it is accepted
         rho = {0: 1.0, 1: 0.6, -1: 0.6}
-        cov = CovarianceFunction(evaluator=lambda k: rho.get(k, 0.0), rho0=1.0)
+        cov = CovarianceFunction(evaluator=lambda k: rho.get(k, 0.0))
         lags = cov.lag_array(4)
         assert toeplitz_module.circulant_eigenvalues(lags).min() == \
             pytest.approx(-0.2)
@@ -836,7 +835,7 @@ class TestPositiveSemidefiniteCertificate:
         # one decision in toeplitz.certify_psd: an indefinite covariance is
         # a NumericalError (CLI exit 2) on both routes, with one message
         rho = {0: 1.0, 1: 0.9, -1: 0.9}
-        cov = CovarianceFunction(evaluator=lambda k: rho.get(k, 0.0), rho0=1.0)
+        cov = CovarianceFunction(evaluator=lambda k: rho.get(k, 0.0))
         coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
         with pytest.raises(NumericalError) as sampler:
             PathSampler(cov, 3)

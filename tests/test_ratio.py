@@ -7,14 +7,15 @@ from scipy import stats
 from chaosclt.bounds import phi
 from chaosclt.chaos import kappa4_I2, second_moment, ChaosSum
 from chaosclt.errors import ValidationError
-from chaosclt.ratio import (Perturbations, make_synthetic_family,
-                            ratio_bound, sample_ratio, sample_ratio_batch)
+from chaosclt.ratio import (Perturbations, RatioFamily, ratio_bound,
+                            sample_ratio, sample_ratio_batch)
 
 from oracles import f_kernel, g_kernel, mean_se
 
 
 def default_family(lam, **kwargs):
-    return make_synthetic_family(1.0, 1.0, 1.0, lam, **kwargs)
+    return RatioFamily(lam=lam, rho_const=1.0, sigma1=1.0, sigma2=1.0,
+                       **kwargs)
 
 
 class TestFamilyConstruction:
@@ -31,11 +32,13 @@ class TestFamilyConstruction:
 
     def test_positivity_constraint(self):
         with pytest.raises(ValidationError, match="sqrt"):
-            make_synthetic_family(1.0, 1.5, 1.0, 4.0)
+            RatioFamily(lam=4.0, rho_const=1.0, sigma1=1.5, sigma2=1.0)
         with pytest.raises(ValidationError):
-            make_synthetic_family(1.0, math.sqrt(2.0), 1.0, 4.0)
+            RatioFamily(lam=4.0, rho_const=1.0, sigma1=math.sqrt(2.0),
+                        sigma2=1.0)
         # just below the threshold is accepted
-        make_synthetic_family(1.0, math.sqrt(2.0) - 1e-9, 1.0, 4.0)
+        RatioFamily(lam=4.0, rho_const=1.0, sigma1=math.sqrt(2.0) - 1e-9,
+                    sigma2=1.0)
 
     def test_exact_second_moments(self):
         fam = default_family(7.0)
@@ -71,24 +74,24 @@ class TestSampleRatio:
         z = np.zeros(fam.dim)
         z[:fam.m] = 1.0
         z[fam.m] = 0.37
-        out = sample_ratio(fam, z)
-        assert not out.rejected
-        assert out.value == pytest.approx(0.37, rel=1e-12)
+        value, rejected = sample_ratio(fam, z)
+        assert not rejected
+        assert value == pytest.approx(0.37, rel=1e-12)
 
     def test_zero_numerator_when_sigma2_zero(self):
-        fam = make_synthetic_family(1.0, 1.0, 0.0, 4.0)
+        fam = RatioFamily(lam=4.0, rho_const=1.0, sigma1=1.0, sigma2=0.0)
         z = np.zeros(fam.dim)
         z[:fam.m] = -1.0
-        out = sample_ratio(fam, z)
-        assert out.value == pytest.approx(0.0, abs=1e-12)
+        value, _ = sample_ratio(fam, z)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_rejection_is_data_not_error(self):
         # a large S perturbation can push the denominator negative
         fam = default_family(1.0, perturbations=Perturbations(s_norm=50.0))
         z = np.zeros(fam.dim)
         z[fam.m + 1] = -10.0
-        out = sample_ratio(fam, z)
-        assert out.rejected
+        _, rejected = sample_ratio(fam, z)
+        assert rejected
 
     def test_dimension_validated(self):
         fam = default_family(4.0)
@@ -199,7 +202,7 @@ class TestSufficientStatisticSampler:
         # sqrt(lam))) is increasing in V = a (chi2_m - m), so its CDF is a
         # chi-square CDF; DKW bounds the ECDF distance at level alpha
         M, alpha = 200_000, 1e-9
-        fam = make_synthetic_family(1.0, 1.0, 0.0, lam)
+        fam = RatioFamily(lam=lam, rho_const=1.0, sigma1=1.0, sigma2=0.0)
         values, rejected = sample_ratio_batch(fam, M, seed=17, threads=2)
         assert not rejected.any()
         c = fam.rho_const * math.sqrt(lam)
@@ -219,8 +222,9 @@ class TestSufficientStatisticSampler:
         fam = default_family(2.0, perturbations=pert)
         N = 40_000
         Z = np.random.default_rng(2024).standard_normal((N, fam.dim))
-        explicit = np.array([np.inf if out.rejected else out.value
-                             for out in (sample_ratio(fam, z) for z in Z)])
+        explicit = np.array([np.inf if rejected else value
+                             for value, rejected in (sample_ratio(fam, z)
+                                                     for z in Z)])
         values, rejected = sample_ratio_batch(fam, N, seed=8)
         batch = np.where(rejected, np.inf, values)
         assert 0 < rejected.sum() < N // 10
@@ -245,13 +249,14 @@ class TestSufficientStatisticSampler:
     def test_explicit_vector_reduced_to_statistics(self):
         # ||z[:m]||^2 = m + v / a fixes V exactly; F reads z_0 and z_m
         pert = Perturbations(f_overlap=0.6)
-        fam = make_synthetic_family(1.0, 1.0, 0.5, 3.0, perturbations=pert)
+        fam = RatioFamily(lam=3.0, rho_const=1.0, sigma1=1.0, sigma2=0.5,
+                          perturbations=pert)
         z = np.array([1.0, 2.0, -1.0, 0.5, 0.0, 0.0])
         V = fam.g_eigenvalue * (6.0 - 3.0)
         F = 0.5 * (0.8 * 0.5 + 0.6 * 1.0)
         c = math.sqrt(3.0)
-        out = sample_ratio(fam, z)
-        assert out.value == pytest.approx((V + F) / (1.0 + V / c), rel=1e-12)
+        value, _ = sample_ratio(fam, z)
+        assert value == pytest.approx((V + F) / (1.0 + V / c), rel=1e-12)
 
     def test_non_finite_perturbations_rejected(self):
         with pytest.raises(ValidationError, match="mu"):

@@ -61,21 +61,21 @@ class TestSamplePaths:
     def test_iid_case_shape_and_whiteness(self):
         cov = CovarianceFunction.fgn(0.5)
         pm = sample_paths(cov, 4, 1, seed=1)
-        assert pm.values.shape == (1, 4)
-        big = sample_paths(cov, 4, 40_000, seed=1).values
+        assert pm.shape == (1, 4)
+        big = sample_paths(cov, 4, 40_000, seed=1)
         gram = big.T @ big / big.shape[0]
         assert np.abs(gram - np.eye(4)).max() < 5 * 1.5 / math.sqrt(big.shape[0])
 
     def test_deterministic_for_fixed_seed(self):
         cov = CovarianceFunction.fgn(0.7)
-        a = sample_paths(cov, 33, 2049, seed=99).values
-        b = sample_paths(cov, 33, 2049, seed=99).values
+        a = sample_paths(cov, 33, 2049, seed=99)
+        b = sample_paths(cov, 33, 2049, seed=99)
         assert np.array_equal(a, b)
 
     def test_thread_count_does_not_change_output(self):
         cov = CovarianceFunction.fgn(0.3)
-        a = sample_paths(cov, 17, 3000, seed=5, threads=1).values
-        b = sample_paths(cov, 17, 3000, seed=5, threads=4).values
+        a = sample_paths(cov, 17, 3000, seed=5, threads=1)
+        b = sample_paths(cov, 17, 3000, seed=5, threads=4)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode, cov", [
@@ -83,8 +83,8 @@ class TestSamplePaths:
         # cos(0.37 k) is PSD, but its circulant embedding at n = 300 is
         # not; the dense product of a 218-row chunk rounds some rows
         # differently from the whole block's
-        ("dense", CovarianceFunction(evaluator=lambda k: math.cos(0.37 * k),
-                                     rho0=1.0))])
+        ("dense",
+         CovarianceFunction(evaluator=lambda k: math.cos(0.37 * k)))])
     def test_chunked_blocks_match_whole_block_draws(self, mode, cov):
         n, M = 300, BLOCK_SIZE + 37
         sampler = PathSampler(cov, n)
@@ -97,7 +97,7 @@ class TestSamplePaths:
             for block, _, count in replica_blocks(M)])
         for threads in (1, 2, 4):
             got = sample_paths(cov, n, M, seed=6, threads=threads, stream=3)
-            assert np.array_equal(got.values, want)
+            assert np.array_equal(got, want)
 
     def test_chunks_of_a_block_share_one_output_buffer(self):
         # the circulant route transforms every chunk of a block into one
@@ -115,15 +115,15 @@ class TestSamplePaths:
 
     def test_different_seeds_differ(self):
         cov = CovarianceFunction.fgn(0.7)
-        a = sample_paths(cov, 8, 10, seed=1).values
-        b = sample_paths(cov, 8, 10, seed=2).values
+        a = sample_paths(cov, 8, 10, seed=1)
+        b = sample_paths(cov, 8, 10, seed=2)
         assert not np.allclose(a, b)
 
     @pytest.mark.parametrize("H", [0.3, 0.7])
     def test_empirical_covariance_matches_exact(self, H):
         cov = CovarianceFunction.fgn(H)
         n, M = 128, 10_000
-        X = sample_paths(cov, n, M, seed=11).values
+        X = sample_paths(cov, n, M, seed=11)
         for k in range(9):
             prods = (X[:, : n - k] * X[:, k:]).mean(axis=1)
             se = mean_se(prods)
@@ -131,7 +131,7 @@ class TestSamplePaths:
 
     def test_path_length_one(self):
         cov = CovarianceFunction.fgn(0.7)
-        X = sample_paths(cov, 1, 50_000, seed=3).values
+        X = sample_paths(cov, 1, 50_000, seed=3)
         assert abs(X.var() - 1.0) < 5 * sample_variance_se(X.ravel())
 
     @pytest.mark.parametrize("H,n", [(0.3, 1), (0.3, 7), (0.7, 16), (0.5, 5)])
@@ -166,8 +166,7 @@ class TestSamplePaths:
 
     def test_transform_covariance_exact_in_dense_mode(self):
         cov = CovarianceFunction(
-            evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0),
-            rho0=1.0)
+            evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0))
         sampler = PathSampler(cov, 2)
         assert sampler.mode == "dense"
         T = sampler.transform(np.eye(sampler.normals_per_replica))
@@ -178,18 +177,17 @@ class TestSamplePaths:
         # rho(1) = 0.99 makes the 2n-circulant indefinite at n=2 while the
         # 2x2 covariance matrix stays positive definite
         cov = CovarianceFunction(
-            evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0),
-            rho0=1.0)
+            evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0))
         sampler = PathSampler(cov, 2)
         assert sampler.mode == "dense"
-        X = sample_paths(cov, 2, 60_000, seed=21).values
+        X = sample_paths(cov, 2, 60_000, seed=21)
         prods = X[:, 0] * X[:, 1]
         assert abs(prods.mean() - 0.99) < 5 * mean_se(prods)
 
     def test_non_psd_covariance_reports_eigenvalue(self):
         cov = CovarianceFunction(
-            evaluator=lambda k: {0: 1.0}.get(abs(k), 0.9 if abs(k) == 1 else 0.0),
-            rho0=1.0)
+            evaluator=lambda k: {0: 1.0}.get(abs(k),
+                                             0.9 if abs(k) == 1 else 0.0))
         with pytest.raises(NumericalError, match="eigenvalue"):
             sample_paths(cov, 3, 1, seed=0)
 
@@ -202,13 +200,13 @@ class TestSamplePaths:
         # exactly sqrt(s).
         def cosine(scale):
             return CovarianceFunction(
-                evaluator=lambda k: scale * math.cos(2 * math.pi * 5 * k / 512),
-                rho0=scale)
+                evaluator=lambda k: scale * math.cos(
+                    2 * math.pi * 5 * k / 512))
 
         assert PathSampler(cosine(s), 256).mode == "circulant"
         np.testing.assert_allclose(
-            sample_paths(cosine(s), 256, 8, seed=3).values,
-            math.sqrt(s) * sample_paths(cosine(1.0), 256, 8, seed=3).values,
+            sample_paths(cosine(s), 256, 8, seed=3),
+            math.sqrt(s) * sample_paths(cosine(1.0), 256, 8, seed=3),
             rtol=1e-12)
 
     def test_bad_arguments(self):
@@ -252,38 +250,52 @@ class TestPowerVariation:
 
 class TestBreuerMajorStatistic:
     def test_single_point_zero(self):
-        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]), rho0=1.0)
-        assert breuer_major_statistic(np.array([0.0]), coeffs) == -1.0
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        assert breuer_major_statistic(CovarianceFunction.iid(),
+                                      np.array([0.0]), coeffs) == -1.0
 
     @given(x=st.floats(-5, 5))
     def test_single_point_is_h2(self, x):
-        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]), rho0=1.0)
-        assert breuer_major_statistic(np.array([x]), coeffs) == pytest.approx(
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        assert breuer_major_statistic(CovarianceFunction.iid(), np.array([x]),
+                                      coeffs) == pytest.approx(
             x * x - 1.0, abs=1e-12)
 
     def test_mixed_orders_match_direct_sum(self):
-        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([0.5, 2.0]),
-                                   rho0=4.0)
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([0.5, 2.0]))
         path = np.array([1.0, -2.0, 0.3])
         x = path / 2.0
         expected = (0.5 * hermite_e_value(2, x).sum()
                     + 2.0 * hermite_e_value(4, x).sum()) / math.sqrt(3)
-        assert breuer_major_statistic(path, coeffs) == pytest.approx(expected,
-                                                                     rel=1e-12)
+        assert breuer_major_statistic(CovarianceFunction.iid(4.0), path,
+                                      coeffs) == pytest.approx(expected,
+                                                               rel=1e-12)
 
     def test_monte_carlo_mean_is_zero(self):
         cov = CovarianceFunction.fgn(0.7)
         coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.25]))
-        X = sample_paths(cov, 16, 100_000, seed=17).values
+        X = sample_paths(cov, 16, 100_000, seed=17)
         n = X.shape[1]
         x = X
         vals = (hermite_e_value(2, x).sum(axis=1)
                 + 0.25 * hermite_e_value(4, x).sum(axis=1)) / math.sqrt(n)
         # same replicas through the library path, pointwise
-        lib = np.array([breuer_major_statistic(row, coeffs) for row in X[:100]])
+        lib = np.array([breuer_major_statistic(cov, row, coeffs)
+                        for row in X[:100]])
         ours = vals[:100]
         assert np.abs(lib - ours).max() < 1e-9
         assert abs(vals.mean()) < 5 * mean_se(vals)
+
+    def test_variance_is_read_from_the_covariance(self):
+        # the paths of this covariance have variance rho(0) = 2, and the
+        # statistic standardizes them by it: its variance is
+        # 2! * lambda_2^2 = 2, as E[F^2] of breuer_major_kernels says
+        cov = CovarianceFunction(evaluator=lambda k: 2.0 if k == 0 else 0.0)
+        coeffs = HermiteEvenCoeffs(d=1, m=1, lambdas=np.array([1.0]))
+        X = sample_paths(cov, 4, 20_000, seed=29)
+        stats = np.array([breuer_major_statistic(cov, row, coeffs)
+                          for row in X])
+        assert abs(stats.var() - 2.0) < 5 * sample_variance_se(stats)
 
     def test_coefficient_shape_validated(self):
         with pytest.raises(ValidationError):
@@ -299,7 +311,7 @@ class TestExactVariance:
 
     def test_two_point_correlated(self):
         cov = CovarianceFunction(
-            evaluator=lambda k: {0: 1.0, 1: 0.5, -1: 0.5}.get(k, 0.0), rho0=1.0)
+            evaluator=lambda k: {0: 1.0, 1: 0.5, -1: 0.5}.get(k, 0.0))
         # direct covariance sum: (1/4) * sum 2 rho(i-j)^2 = (4 + 1) / 4
         assert exact_variance_power_variation(cov, 2, 2) == pytest.approx(1.25)
 
@@ -327,7 +339,7 @@ class TestExactVariance:
     def test_monte_carlo_agreement_n64(self, H, q):
         cov = CovarianceFunction.fgn(H)
         n, M = 64, 100_000
-        X = sample_paths(cov, n, M, seed=23).values
+        X = sample_paths(cov, n, M, seed=23)
         qv = (X ** q).mean(axis=1)
         exact = exact_variance_power_variation(cov, q, n)
         assert abs(qv.var() - exact) < 5 * sample_variance_se(qv)
@@ -371,7 +383,15 @@ class TestHermiteMonomialCoeffs:
 class TestCovarianceFunction:
     def test_requires_positive_rho0(self):
         with pytest.raises(ValidationError):
-            CovarianceFunction(evaluator=lambda k: 0.0, rho0=0.0)
+            CovarianceFunction(evaluator=lambda k: 0.0)
+
+    def test_rho0_is_read_from_the_evaluator(self):
+        cov = CovarianceFunction(evaluator=lambda k: 2.0 if k == 0 else 0.0)
+        assert cov.rho0 == 2.0
+        with pytest.raises(AttributeError):
+            cov.rho0 = 1.0
+        with pytest.raises(TypeError):
+            CovarianceFunction(evaluator=cov.evaluator, rho0=1.0)
 
     def test_lag_array(self):
         cov = CovarianceFunction.fgn(0.7)

@@ -111,25 +111,31 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 UNUSED_IMPORTS_ALLOWED = {"bounds.py: contract"}
 
 
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names a module lists in its __all__."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return exported
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names the module at path imports, anywhere in it, but neither reads
     nor lists in its __all__."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported, exported = set(), set()
+    imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {alias.asname or alias.name.split(".")[0]
                          for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {alias.asname or alias.name for alias in node.names}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                getattr(target, "id", None) == "__all__"
-                for target in node.targets):
-            exported |= set(ast.literal_eval(node.value))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.name}: {name}"
-            for name in sorted(imported - read - exported)]
+            for name in sorted(imported - read - exported_names(tree))]
 
 
 def test_every_import_is_used_and_every_export_exists():
@@ -146,6 +152,40 @@ def test_every_import_is_used_and_every_export_exists():
                     for name in getattr(module, "__all__", [])
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The names a module's own top-level statements define; an import
+    defines nothing."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {target.id for target in node.targets
+                        if isinstance(target, ast.Name)}
+        elif isinstance(node, ast.AnnAssign):
+            defined.add(node.target.id)
+    return defined
+
+
+def test_every_export_has_one_home():
+    # a name is exported by the module that defines it, and the package
+    # imports it from there, so no name has two public homes
+    package = Path(chaosclt.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert len(trees) > 10
+    defined = {stem: defined_names(tree) for stem, tree in trees.items()}
+    borrowed = [f"{stem}: {name}" for stem, tree in trees.items()
+                for name in sorted(exported_names(tree) - defined[stem])]
+    assert borrowed == []
+    rerouted = [f"{alias.name} from .{node.module}"
+                for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names
+                if alias.name not in defined[node.module]]
+    assert rerouted == []
 
 
 def small_float_literals(path: Path) -> list[str]:
