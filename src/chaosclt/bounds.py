@@ -4,9 +4,9 @@ functional for first-plus-second chaos, the covariance-sum bounds for
 stationary even-Hermite sums and power variations, the predicted fGn rate
 regimes, and the cross-sum ratio diagnostic.
 
-Universal constants in these bounds are not derivable, so every report
-carries a configurable constant_multiplier (default 1) and downstream
-checks compare rates and ratios, never absolute levels.
+These bounds hold up to universal constants the paper does not fix, so a
+report gives only the variable part and downstream checks compare rates
+and ratios, never absolute levels.
 """
 
 from __future__ import annotations
@@ -38,16 +38,15 @@ __all__ = [
 
 @dataclass
 class BoundReport:
-    """Decomposed bound value: labeled terms, normalizer, unknown constant.
+    """Decomposed bound value: labeled terms and their normalizer.
 
-    total = constant_multiplier * sum(terms) / normalization.  For the
-    chaos-sum bound the normalization is E[F^2]; for the covariance-sum
-    bounds it is variance * sqrt(n) (the bracket terms are reported raw).
+    total = sum(terms) / normalization.  For the chaos-sum bound the
+    normalization is E[F^2]; for the covariance-sum bounds it is
+    variance * sqrt(n) (the bracket terms are reported raw).
     """
 
     terms: dict[str, float]
     normalization: float
-    constant_multiplier: float = 1.0
 
     def __post_init__(self):
         for label, value in self.terms.items():
@@ -56,20 +55,15 @@ class BoundReport:
         if not self.normalization > 0.0:
             raise ValidationError(
                 f"normalization must be positive, got {self.normalization}")
-        if not self.constant_multiplier > 0.0:
-            raise ValidationError(f"constant_multiplier must be positive, "
-                                  f"got {self.constant_multiplier}")
 
     @property
     def total(self) -> float:
-        return float(self.constant_multiplier * sum(self.terms.values())
-                     / self.normalization)
+        return float(sum(self.terms.values()) / self.normalization)
 
     def to_json(self) -> dict:
         return {
             "terms": {k: float(v) for k, v in self.terms.items()},
             "normalization": float(self.normalization),
-            "constant_multiplier": float(self.constant_multiplier),
             "total": float(self.total),
         }
 
@@ -82,7 +76,16 @@ class RatePrediction:
     log_power: float = 0.0
 
 
-def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundReport:
+def _sqrt_mixed_inner(kp, kq) -> float:
+    """sqrt<kp (x) kp, kq (x)_{q-p} kq> for rank-one kernels of orders
+    p < q, with the negativity guard scaled to the size of its terms."""
+    scale = term_scale(kp) * term_scale(kq)
+    return checked_sqrt_inner(
+        rank_one_mixed_inner(kp, kq),
+        f"mixed inner product (orders {kp.order}, {kq.order})", scale * scale)
+
+
+def chaos_sum_bound(F: ChaosSum) -> BoundReport:
     """Variable part of the total-variation bound for F / sqrt(E[F^2]).
 
     max_contraction_norm: largest ||f_p (x)_r f_p|| over present orders
@@ -110,16 +113,12 @@ def chaos_sum_bound(F: ChaosSum, constant_multiplier: float = 1.0) -> BoundRepor
         orders = F.orders
         for i, p in enumerate(orders):
             for q in orders[i + 1:]:
-                kp, kq = F.kernels[p], F.kernels[q]
-                scale = term_scale(kp) * term_scale(kq)
-                term2 = max(term2, checked_sqrt_inner(
-                    rank_one_mixed_inner(kp, kq),
-                    f"mixed inner product (orders {p}, {q})", scale * scale))
+                term2 = max(term2, _sqrt_mixed_inner(F.kernels[p],
+                                                     F.kernels[q]))
 
     return BoundReport(
         terms={"max_contraction_norm": term1, "mixed_inner": term2},
         normalization=variance,
-        constant_multiplier=constant_multiplier,
     )
 
 
@@ -134,17 +133,14 @@ def phi(f1, f2) -> float:
     if f1.dim != f2.dim:
         raise ValidationError(f"dimension mismatch: {f1.dim} vs {f2.dim}")
     f1, f2 = as_rank_one(f1), as_rank_one(f2)
-    scale = term_scale(f1) * term_scale(f2)
-    value = math.sqrt(kappa4_I2(f2)) + checked_sqrt_inner(
-        rank_one_mixed_inner(f1, f2), scale=scale * scale)
+    value = math.sqrt(kappa4_I2(f2)) + _sqrt_mixed_inner(f1, f2)
     if not math.isfinite(value):
         raise NumericalError(f"phi is not finite in float64: {value}")
     return value
 
 
 def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,
-                       variance: float,
-                       constant_multiplier: float = 1.0) -> BoundReport:
+                       variance: float) -> BoundReport:
     """Covariance-sum bound for a standardized even-Hermite partial sum
     with Hermite rank 2d.
 
@@ -166,13 +162,11 @@ def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,
     return BoundReport(
         terms={"covariance_43": term1, "rank_cross": float(term2)},
         normalization=variance * math.sqrt(n),
-        constant_multiplier=constant_multiplier,
     )
 
 
 def power_variation_bound(rho: CovarianceFunction, n: int, q: int,
-                          variance: float,
-                          constant_multiplier: float = 1.0) -> BoundReport:
+                          variance: float) -> BoundReport:
     """Covariance-sum bound for the standardized power variation.
 
     The even monomial has Hermite rank 2, so this is breuer_major_bound with
@@ -180,7 +174,7 @@ def power_variation_bound(rho: CovarianceFunction, n: int, q: int,
     covariance_sq.  variance is E[(sqrt(n) (Q - E Q))^2] = n * Var(Q_{q,n}).
     """
     check_even_power(q)
-    report = breuer_major_bound(rho, n, 1, 1, variance, constant_multiplier)
+    report = breuer_major_bound(rho, n, 1, 1, variance)
     report.terms["covariance_sq"] = report.terms.pop("rank_cross")
     return report
 

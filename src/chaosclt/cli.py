@@ -4,8 +4,8 @@ Subcommands: rates, bound, ratio, diagnose-nz.  Each takes a JSON config
 (--config).  --seed and --threads exist on the subcommands whose config
 has that field, and override it.  --out (default results) alone picks the
 output directory, so result files do not depend on where they are written.
-Every run writes <stem>.csv and <stem>_summary.json, plus bound_report.json
-for bound and optional gnuplot-ready two-column files for rates.
+Every run writes <stem>.csv and <stem>_summary.json, and bound also writes
+bound_report.json.
 
 Exit codes: 0 success, 1 validation or usage error (an --out that cannot
 be created or written included), 2 numerical error.
@@ -41,21 +41,13 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _plot_data(rows, xcol: str, ycol: str) -> str:
-    return "".join(f"{int(row[xcol])} {float(row[ycol])!r}\n" for row in rows)
-
-
 # Each runner returns (table, extra files by name, one-line summary).
 
 def _rates(config):
     table = run_rates(config)
-    files = {}
-    if config.emit_plot_data:
-        files["rates_dkol.dat"] = _plot_data(table.rows, "n", "d_kol")
-        files["rates_bound.dat"] = _plot_data(table.rows, "n", "bound_total")
     slope = table.metadata["fitted_slope"]
     slope_text = "n/a (one distinct n)" if slope is None else f"{slope:.4f}"
-    return table, files, (
+    return table, {}, (
         f"{len(table.rows)} grid points; fitted slope {slope_text} "
         f"(predicted {table.metadata['predicted_exponent']:.4f})")
 
@@ -104,9 +96,11 @@ def _run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     table, files, summary = runner(config)
     elapsed = time.perf_counter() - t0
+    files = {f"{stem}.csv": table.to_csv_string(),
+             f"{stem}_summary.json":
+                 json.dumps(table.metadata, indent=2, sort_keys=True) + "\n",
+             **files}
     try:
-        table.write_csv(out / f"{stem}.csv")
-        table.write_metadata(out / f"{stem}_summary.json")
         for name, text in files.items():
             with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

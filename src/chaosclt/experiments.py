@@ -11,7 +11,6 @@ the console, never written into result files.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -60,15 +59,6 @@ class ResultTable:
             buf.write(",".join(_csv_cell(row[c]) for c in self.columns) + "\n")
         return buf.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_string())
-
-    def write_metadata(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _csv_cell(value) -> str:
     # coerce numpy scalars so cells render as plain round-trippable literals
@@ -116,7 +106,6 @@ class RatesConfig:
     seed: int
     q: int = 2
     threads: int = 1
-    emit_plot_data: bool = False
 
     def __post_init__(self):
         self.n_grid = _grid(self.n_grid, "n_grid", checked_integer, minimum=1)
@@ -124,8 +113,6 @@ class RatesConfig:
         self.seed = checked_integer(self.seed, "seed", 0, KEY_LIMIT)
         self.q = checked_integer(self.q, "q", 2, MAX_MONOMIAL_ORDER + 1)
         _require(self.q % 2 == 0, f"q must be even, got {self.q}")
-        _require(isinstance(self.emit_plot_data, bool),
-                 f"emit_plot_data must be a boolean, got {self.emit_plot_data!r}")
         self.threads = checked_integer(self.threads, "threads", 1)
         self.hurst = checked_real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 0.75,
@@ -224,16 +211,10 @@ def run_rates(config: RatesConfig) -> ResultTable:
 @dataclass
 class BoundConfig:
     inputs: list[dict]
-    constant_multiplier: float = 1.0
 
     def __post_init__(self):
         _require(isinstance(self.inputs, list) and bool(self.inputs),
                  "inputs must be a nonempty list")
-        self.constant_multiplier = checked_real(self.constant_multiplier,
-                                                "constant_multiplier")
-        _require(self.constant_multiplier > 0.0,
-                 f"constant_multiplier must be positive, "
-                 f"got {self.constant_multiplier}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundConfig":
@@ -273,8 +254,7 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 F = ChaosSum(kernels)
-                report = chaos_sum_bound(
-                    F, constant_multiplier=config.constant_multiplier)
+                report = chaos_sum_bound(F)
                 phi_value = None
                 if set(F.orders) == {1, 2}:
                     phi_value = phi(F.kernels[1], F.kernels[2])
@@ -296,8 +276,7 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
             "total": report.total,
             "phi": float("nan") if phi_value is None else phi_value,
         })
-    metadata = {"experiment": "bound", "version": __version__,
-                "constant_multiplier": config.constant_multiplier}
+    metadata = {"experiment": "bound", "version": __version__}
     return ResultTable(columns=columns, rows=rows, metadata=metadata), documents
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bounds import BoundReport
-from .errors import ValidationError, checked_real
+from .errors import TOLERANCE, ValidationError, checked_real
 from .streams import block_chisquare, block_normals, run_blocks
 
 __all__ = [
@@ -87,6 +87,14 @@ class RatioFamily:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValidationError(f"lambda must be positive, got {self.lam}")
+        # V = a (||Z[:m]||^2 - m) cancels in float64: the rounding m * eps
+        # of m must stay within TOLERANCE times the spread sqrt(2m) of the
+        # difference, that is m <= 2 (TOLERANCE / eps)^2
+        max_m = 2.0 * (TOLERANCE / np.finfo(float).eps) ** 2
+        if self.m > max_m:
+            raise ValidationError(
+                f"lambda must be at most {max_m:.4g}, where float64 still "
+                f"resolves ||Z[:m]||^2 - m, got {self.lam}")
         if not self.rho_const > 0.0 or not self.sigma1 > 0.0:
             raise ValidationError("rho and sigma1 must be positive")
         if self.sigma2 < 0.0:
@@ -188,7 +196,7 @@ def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, threads: int = 1,
     return values, rejected
 
 
-def ratio_bound(fam: RatioFamily, constant_multiplier: float = 1.0) -> BoundReport:
+def ratio_bound(fam: RatioFamily) -> BoundReport:
     """Five-term Kolmogorov bound for the ratio against N(0, sigma^2).
 
     Terms: phi(V + F) from the analytic spectrum (kappa_4 of V is
@@ -214,5 +222,4 @@ def ratio_bound(fam: RatioFamily, constant_multiplier: float = 1.0) -> BoundRepo
             "remainder": remainder,
         },
         normalization=1.0,
-        constant_multiplier=constant_multiplier,
     )

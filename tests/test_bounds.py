@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chaosclt import bounds
 from chaosclt.bounds import (BoundReport, RatePrediction, breuer_major_bound,
                              chaos_sum_bound, checked_sqrt_inner, fgn_rate,
                              nz_ratio_diagnostic, phi, power_variation_bound)
@@ -176,11 +177,6 @@ class TestChaosSumBound:
         assert chaos_sum_bound(scaled).total == pytest.approx(
             chaos_sum_bound(F).total, rel=1e-12)
 
-    def test_constant_multiplier_scales_total(self):
-        F = ChaosSum({2: eigenvalue_sum_kernel(2)})
-        assert chaos_sum_bound(F, constant_multiplier=3.0).total == \
-            pytest.approx(3.0 * chaos_sum_bound(F).total, rel=1e-12)
-
 
 class TestBreuerMajorChaosSumBound:
     def test_runs_on_the_gram_alone(self, monkeypatch):
@@ -288,6 +284,20 @@ class TestPhi:
     def test_order_validation(self):
         with pytest.raises(ValidationError):
             phi(DenseKernel(np.eye(2)), DenseKernel(np.eye(2)))
+
+    def test_mixed_guard_is_shared_with_the_chaos_sum_bound(self,
+                                                            monkeypatch):
+        # both read the module-level rank_one_mixed_inner, the name the
+        # benchmark tracer patches, and name the orders when it fails
+        monkeypatch.setattr(bounds, "rank_one_mixed_inner",
+                            lambda kp, kq: -1.0)
+        f1 = DenseKernel(basis(2, 0))
+        f2 = DenseKernel(np.outer(basis(2, 1), basis(2, 1)))
+        message = r"mixed inner product \(orders 1, 2\) is negative"
+        with pytest.raises(NumericalError, match=message):
+            phi(f1, f2)
+        with pytest.raises(NumericalError, match=message):
+            chaos_sum_bound(ChaosSum({1: f1, 2: f2}))
 
 
 class TestBreuerMajorBound:
@@ -454,9 +464,8 @@ class TestNzDiagnostic:
 
 class TestBoundReport:
     def test_total_formula(self):
-        report = BoundReport(terms={"a": 1.0, "b": 2.0}, normalization=4.0,
-                             constant_multiplier=2.0)
-        assert report.total == pytest.approx(1.5)
+        report = BoundReport(terms={"a": 1.0, "b": 2.0}, normalization=4.0)
+        assert report.total == pytest.approx(0.75)
 
     def test_rejects_negative_terms(self):
         with pytest.raises(ValidationError):
@@ -465,10 +474,8 @@ class TestBoundReport:
             BoundReport(terms={"a": 0.1}, normalization=0.0)
 
     def test_to_json_fields(self):
-        report = BoundReport(terms={"a": 0.25, "b": 1.5}, normalization=3.0,
-                             constant_multiplier=1.5)
+        report = BoundReport(terms={"a": 0.25, "b": 1.5}, normalization=3.0)
         data = report.to_json()
         assert data["terms"] == report.terms
         assert data["normalization"] == report.normalization
-        assert data["constant_multiplier"] == report.constant_multiplier
         assert data["total"] == pytest.approx(report.total)

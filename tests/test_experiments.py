@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from chaosclt.bounds import nz_ratio_diagnostic
+from chaosclt import cli
+from chaosclt.bounds import BoundReport, nz_ratio_diagnostic
 from chaosclt.chaos import SecondChaosSpectrum
 from chaosclt.cli import main
 from chaosclt.errors import ValidationError
@@ -26,7 +27,8 @@ from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
                                   RatioConfig, _power_variation_samples,
                                   run_bound_report, run_nz_diagnostics,
                                   run_rates, run_ratio)
-from chaosclt.kernels import kernel_to_json, DenseKernel, RankOneSumKernel
+from chaosclt.kernels import (kernel_from_json, kernel_to_json, DenseKernel,
+                              RankOneSumKernel)
 from chaosclt.stationary import (CovarianceFunction, PathSampler,
                                  power_variation, sample_paths)
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, STREAM_PROTOCOL,
@@ -310,13 +312,11 @@ class TestCli:
     def test_rates_end_to_end(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "rates.json", {
             "hurst": 0.5, "n_grid": [32, 64], "replicas": 1000, "seed": 5,
-            "emit_plot_data": True,
         })
         code = main(["rates", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "rates.csv").exists()
         assert (tmp_path / "out" / "rates_summary.json").exists()
-        assert (tmp_path / "out" / "rates_dkol.dat").exists()
         header = (tmp_path / "out" / "rates.csv").read_text().splitlines()[0]
         assert header.startswith("hurst,q,n,replicas,seed,stream,d_kol")
 
@@ -400,17 +400,18 @@ class TestCli:
         pytest.param("diagnose-nz", {"n_grid": ["abc"]}, r"n_grid\[0\]",
                      id="nz-grid-entry"),
         pytest.param("diagnose-nz", {"signs": "ab"}, "signs", id="nz-signs"),
-        pytest.param("bound", {"constant_multiplier": "x"},
-                     "constant_multiplier", id="bound-multiplier"),
+        pytest.param("rates", {"emit_plot_data": True},
+                     r"rates config: unknown keys \['emit_plot_data'\]",
+                     id="rates-plot-data"),
+        pytest.param("bound", {"constant_multiplier": 1.0},
+                     r"bound config: unknown keys \['constant_multiplier'\]",
+                     id="bound-multiplier-key"),
         pytest.param("rates", {"q": 3}, "rates config: q", id="rates-odd-q"),
         pytest.param("rates", {"q": 34}, "rates config: q", id="rates-big-q"),
         pytest.param("diagnose-nz", {"m": 3}, "diagnose-nz config: signs",
                      id="nz-signs-length"),
         pytest.param("diagnose-nz", {"signs": [1, 0]},
                      "diagnose-nz config: signs", id="nz-signs-zero"),
-        pytest.param("bound", {"constant_multiplier": -1},
-                     "bound config: constant_multiplier",
-                     id="bound-negative-multiplier"),
         pytest.param("bound", {"inputs": [{"kernels": [{
             "representation": "rank_one_sum", "order": 1, "dim": 1,
             "terms": [{"coeff": float("inf"), "vector": [1.0]}]}]}]},
@@ -587,6 +588,9 @@ class TestCli:
         pytest.param({"lambda_grid": [100, 1000], "sigma1": 5},
                      r"ratio config: lambda_grid\[0\]: positivity of the "
                      r"denominator", id="sigma1-too-large"),
+        pytest.param({"lambda_grid": [1e11, 1e32], "sigma2": 0},
+                     r"ratio config: lambda_grid\[1\]: lambda must be at "
+                     r"most 4\.056e\+11", id="lambda-beyond-float64"),
     ])
     def test_ratio_family_errors_are_located_before_sampling(
             self, tmp_path, capsys, monkeypatch, payload, message):
@@ -659,17 +663,33 @@ class TestCli:
         assert exc.value.code == 0
         assert "--config" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, names", [
+        ("rates", {"rates.csv", "rates_summary.json"}),
+        ("ratio", {"ratio.csv", "ratio_summary.json"}),
+        ("diagnose-nz", {"nz.csv", "nz_summary.json"}),
+        ("bound", {"bound.csv", "bound_summary.json", "bound_report.json"}),
+    ])
+    def test_writes_exactly_the_documented_files(self, tmp_path, command,
+                                                 names):
+        cfg = self._write(tmp_path / "cfg.json", VALID_DOCUMENTS[command])
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert {path.name for path in out.iterdir()} == names
+        for name in names:
+            if name.endswith(".json"):
+                text = (out / name).read_text(encoding="utf-8")
+                assert text == json.dumps(json.loads(text), indent=2,
+                                          sort_keys=True) + "\n"
+
     def test_bound_writes_summary(self, tmp_path):
         cfg = self._write(tmp_path / "bound.json", {
             "inputs": [{"label": "eq", "kernels": [eigenvalue_sum_json(4)]}],
-            "constant_multiplier": 2.0,
         })
         assert main(["bound", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "bound_summary.json")
                              .read_text())
         assert summary["experiment"] == "bound"
-        assert summary["constant_multiplier"] == 2.0
 
     def test_seed_flag_overrides_nz_config(self, tmp_path):
         cfg = self._write(tmp_path / "nz.json", {
@@ -683,6 +703,8 @@ class TestCli:
         assert "out" not in summary["config"]
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 # the filename prefix names the subcommand
@@ -763,23 +785,66 @@ class TestCheckedInConfigs:
             for n in config.n_grid]
 
 
+class TestReadmeExamples:
+    """The JSON examples in README.md load through the code they document."""
+
+    @staticmethod
+    def _blocks(section):
+        """(command introduced last, parsed document) for each ```json
+        block of a README section; a paragraph opening with a subcommand
+        in backticks introduces that subcommand."""
+        text = re.split(r"\n##+ ", README.split(f"### {section}\n", 1)[1],
+                        maxsplit=1)[0]
+        command, blocks = None, []
+        parts = re.split(r"```json\n(.*?)```", text, flags=re.S)
+        for i, part in enumerate(parts):
+            if i % 2:
+                blocks.append((command, json.loads(part)))
+                continue
+            for paragraph in part.split("\n\n"):
+                match = re.match(r"`([a-z-]+)`", paragraph.strip())
+                if match and match.group(1) in cli._COMMANDS:
+                    command = match.group(1)
+        return blocks
+
+    def test_config_examples_load(self):
+        blocks = self._blocks("Config schemas")
+        assert sorted(command for command, _ in blocks) == \
+            sorted(cli._COMMANDS)
+        for command, document in blocks:
+            config = cli._COMMANDS[command][0].from_dict(document)
+            if command == "bound":
+                run_bound_report(config)
+
+    def test_kernel_and_report_examples(self):
+        *kernels, (_, report) = self._blocks("Kernel serialization")
+        assert len(kernels) == 2
+        for _, document in kernels:
+            kernel_from_json(document)
+        expected = BoundReport(terms=report["terms"],
+                               normalization=report["normalization"])
+        assert report.keys() == expected.to_json().keys()
+        assert report["total"] == sum(report["terms"].values()) / \
+            report["normalization"]
+
+
 # Small valid documents for the hostile-input fuzz below, one per subcommand.
 VALID_DOCUMENTS = {
     "rates": {"hurst": 0.5, "q": 2, "n_grid": [16, 32], "replicas": 100,
-              "seed": 1, "threads": 1, "emit_plot_data": False},
+              "seed": 1, "threads": 1},
     "ratio": {"lambda_grid": [4.0], "replicas": 100, "seed": 1, "rho": 1.0,
               "sigma1": 1.0, "sigma2": 1.0, "threads": 1,
               "perturbations": {"s_norm": 0.0, "mu": 0.0, "f_overlap": 0.0}},
     "diagnose-nz": {"hurst": 0.7, "n_grid": [8], "seed": 0, "m": 2,
                     "signs": [1, -1]},
-    "bound": {"constant_multiplier": 1.0, "inputs": [{"label": "x", "kernels": [
+    "bound": {"inputs": [{"label": "x", "kernels": [
         {"representation": "rank_one_sum", "order": 1, "dim": 2,
          "terms": [{"coeff": 1.0, "vector": [1.0, 0.0]}]},
         {"representation": "dense", "order": 2, "dim": 2,
          "values": [1.0, 0.5, 0.5, 1.0]}]}]},
 }
 # A valid but large value of these would only make the run slow.
-SIZE_FIELDS = {"replicas", "n_grid", "lambda_grid", "dim", "threads", "m"}
+SIZE_FIELDS = {"replicas", "n_grid", "dim", "threads", "m"}
 BIG = 2 ** 64
 EXTRA_KEY = object()  # adds a key to an object instead of replacing it
 HOSTILE_VALUES = ["x", True, math.nan, math.inf, -1, 0, BIG, "1e400", None,

@@ -40,6 +40,15 @@ class TestFamilyConstruction:
         RatioFamily(lam=4.0, rho_const=1.0, sigma1=math.sqrt(2.0) - 1e-9,
                     sigma2=1.0)
 
+    def test_lambda_limited_by_float64_resolution(self):
+        # beyond m = 2 (TOLERANCE / eps)^2 ~ 4.06e11 the rounding of m in
+        # ||Z[:m]||^2 - m exceeds TOLERANCE times its spread sqrt(2m), and
+        # at lambda = 1e32 the sampled ratio is off by d_kol = 0.5
+        assert default_family(4.0e11).m == 400_000_000_000
+        for lam in (4.1e11, 1e32, 1e300):
+            with pytest.raises(ValidationError, match="at most 4.056e"):
+                default_family(lam)
+
     def test_exact_second_moments(self):
         fam = default_family(7.0)
         assert fam.g_centered_second_moment() == 1.0
@@ -196,7 +205,7 @@ class TestSufficientStatisticSampler:
     """The batch path draws (Z_0, Z_F, Z_S, Z_U) and a chi-square(m - 1)
     variate per replica instead of the full Gaussian vector."""
 
-    @pytest.mark.parametrize("lam", [1.0, 4.0, 37.5, 1e4])
+    @pytest.mark.parametrize("lam", [1.0, 4.0, 37.5, 1e4, 1e11])
     def test_matches_exact_chi_square_law(self, lam):
         # with sigma2 = 0 and no perturbations Q = V / (1 + V / (rho
         # sqrt(lam))) is increasing in V = a (chi2_m - m), so its CDF is a
