@@ -724,40 +724,47 @@ import chaosclt
 from chaosclt import cli
 from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
 
-nz_config, bound_config, out = sys.argv[1:]
+nz_config, bound_config, rates_config, ratio_config, out = sys.argv[1:]
 coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
 ks = chaosclt.breuer_major_kernels(CovarianceFunction.fgn(0.7), 64, coeffs)
 chaosclt.chaos_sum_bound(chaosclt.ChaosSum({k.order: k for k in ks}))
-assert cli.main(["diagnose-nz", "--config", nz_config,
-                 "--out", out + "/nz"]) == 0
-assert cli.main(["bound", "--config", bound_config,
-                 "--out", out + "/bound"]) == 0
+for command, config in (("diagnose-nz", nz_config), ("bound", bound_config),
+                        ("rates", rates_config), ("ratio", ratio_config)):
+    assert cli.main([command, "--config", config,
+                     "--out", out + "/" + command]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
 class TestScipyFreeRuns:
-    def test_bound_and_nz_runs_load_no_scipy_submodule(self, tmp_path):
-        # scipy.special is imported only where a Kolmogorov distance is
-        # computed and scipy.linalg nowhere, so these runs never pay for
-        # either; a fresh process, since the test session loads both
+    def test_no_run_loads_scipy(self, tmp_path):
+        # Phi is evaluated in numpy and scipy.linalg is used nowhere, so no
+        # run imports any part of scipy; a fresh process, since the test
+        # session loads it
         src = Path(__file__).resolve().parents[1] / "src"
-        bound_config = tmp_path / "bound.json"
-        bound_config.write_text(json.dumps(
-            {"inputs": [{"label": "eq", "kernels": [eigenvalue_sum_json(4)]}]}))
+        configs = {
+            "bound": {"inputs": [{"label": "eq",
+                                  "kernels": [eigenvalue_sum_json(4)]}]},
+            "rates": {"hurst": 0.7, "q": 2, "n_grid": [16, 32],
+                      "replicas": 128, "seed": 1},
+            "ratio": {"lambda_grid": [10.0, 100.0], "replicas": 128,
+                      "seed": 1},
+        }
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         done = subprocess.run(
             [sys.executable, "-c", SCIPY_FREE_RUN,
-             str(CONFIGS_DIR / "nz_h070.json"), str(bound_config),
+             str(CONFIGS_DIR / "nz_h070.json"),
+             *(str(tmp_path / f"{name}.json") for name in configs),
              str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        loaded = json.loads(done.stdout.splitlines()[-1])
-        assert "scipy.linalg" not in loaded
-        assert "scipy.special" not in loaded
-        assert (tmp_path / "nz" / "nz_summary.json").exists()
-        assert (tmp_path / "bound" / "bound_summary.json").exists()
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+        for command, summary in (("diagnose-nz", "nz"), ("bound", "bound"),
+                                 ("rates", "rates"), ("ratio", "ratio")):
+            assert (tmp_path / command / f"{summary}_summary.json").exists()
 
 
 class TestCheckedInConfigs:
