@@ -156,7 +156,8 @@ def _eigen_terms(F: ChaosSum) -> list[tuple[int, None, np.ndarray]] | None:
     """
     g = F.kernels.get(2)
     if (g is None or not set(F.orders) <= {1, 2} or g.terms != F.dim
-            or not np.array_equal(g.gram, np.eye(F.dim))):
+            or not (g.orthonormal_terms
+                    or np.array_equal(g.gram, np.eye(F.dim)))):
         return None
     terms = []
     if 1 in F.kernels:

@@ -325,12 +325,15 @@ def rank_one_norm_squared(k: RankOneSumKernel) -> float:
 
     When all coefficients equal c and G was built from its first row g,
     the double sum collapses over the diagonals of G to
-    c^2 sum_d counts(d) g_d**order in O(n).
+    c^2 sum_d counts(d) g_d**order in O(n).  On an orthonormal Gram it is
+    sum_i a_i^2.
     """
     row = _equal_coeff_toeplitz_row(k)
     if row is not None:
         counts = toeplitz.pair_counts(row.size)
         return float(k.coeffs[0] ** 2 * (counts @ row ** k.order))
+    if k.orthonormal_terms:
+        return float(k.coeffs @ k.coeffs)
     gp = k.gram ** k.order
     return float(k.coeffs @ gp @ k.coeffs)
 
@@ -379,7 +382,8 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
     Kernels on one Gram G have cross Gram G itself.  When that G was built
     from its first row g and each kernel's coefficients are equal, u is
     a b times the row sums of T(g**p), read off prefix sums, and
-    T(g**(q-p)) u is one convolution (see toeplitz.matvec).
+    T(g**(q-p)) u is one convolution (see toeplitz.matvec).  On an
+    orthonormal Gram, Gw**(q-p) = I and the sum is u^T u.
     """
     p, q = kp.order, kq.order
     if q <= p:
@@ -401,6 +405,8 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
     else:
         cross = (kp.vectors @ kq.vectors.T) ** p
     u = (kp.coeffs @ cross) * kq.coeffs
+    if kq.orthonormal_terms:
+        return float(u @ u)
     return float(u @ (kq.gram ** (q - p)) @ u)
 
 

@@ -107,11 +107,16 @@ class HermiteEvenCoeffs:
 class PathSampler:
     """Exact sampler for a stationary Gaussian vector of length n.
 
-    Embeds the covariance in a circulant of size 2n diagonalized by the FFT
-    ("circulant" mode) or, if that embedding is not positive semidefinite,
-    factors the n x n covariance by its eigendecomposition ("dense" mode).
-    toeplitz.certify_psd decides, clamps rounding-level negative
-    eigenvalues, and raises a NumericalError for an indefinite covariance.
+    Embeds the covariance in a circulant of size m = 2n diagonalized by the
+    FFT ("circulant" mode) or, if that embedding is not positive
+    semidefinite, factors the n x n covariance by its eigendecomposition
+    ("dense" mode).  toeplitz.certify_psd decides, clamps rounding-level
+    negative eigenvalues, and raises a NumericalError for an indefinite
+    covariance.
+
+    The circulant route makes replicas in pairs, two from one complex FFT
+    (stream protocol 6, see transform), so its rows of white noise come in
+    pairs too; the dense route makes one replica per row.
     """
 
     def __init__(self, rho: CovarianceFunction, n: int):
@@ -121,7 +126,11 @@ class PathSampler:
         lam, vectors = toeplitz.certify_psd(rho.lag_array(n + 1), factor=True)
         if vectors is None:
             self._mode, self._m = "circulant", 2 * n
-            self._sqrt_lam = np.sqrt(lam)
+            # sqrt(lambda_k / m) over the full spectrum, lambda_(m-k) =
+            # lambda_k, each entry twice: it scales the real and imaginary
+            # parts of a complex spectrum through its float view
+            full = np.concatenate([lam, lam[-2:0:-1]])
+            self._scale = np.repeat(np.sqrt(full / self._m), 2)
         else:
             self._mode, self._chol = "dense", vectors * np.sqrt(lam)
 
@@ -140,65 +149,78 @@ class PathSampler:
 
         w has shape (count, normals_per_replica); the output rows follow
         the target covariance exactly when the rows of w are iid standard
-        normal.  On the circulant route, buffers may be a pair of arrays
-        from _work_arrays with at least count rows, which the transform
-        fills instead of allocating its own pair; the result is a view of
-        the second.  The dense route ignores buffers.
+        normal.
+
+        On the circulant route count must be even.  Rows 2j and 2j+1 are
+        read together as m complex numbers W_k = w[2k] + i w[2k+1] of their
+        4n floats, and X = FFT(sqrt(lambda_k / m) W_k) gives output row 2j
+        as Re X[:n] and row 2j+1 as Im X[:n].  E[X X^*] = 2C and
+        E[X X^T] = 0 for the circulant covariance C, so the two are
+        independent and each has covariance C, whose leading n x n block is
+        the target.  A lone row cannot be made exact by padding its partner
+        with zeros, so an odd count is rejected.  buffers may be a pair of
+        arrays from _work_arrays with at least count rows, which the
+        transform fills instead of allocating its own pair; the result is a
+        view of the second.  The dense route ignores buffers.
         """
         if self._mode == "dense":
             return w @ self._chol.T
         n, m = self.n, self._m
+        count = w.shape[0]
+        if count % 2:
+            raise ValidationError(
+                f"the circulant transform takes rows in pairs, got {count}")
         if buffers is None:
-            buffers = self._work_arrays(w.shape[0])
-        h, out = (buffer[:w.shape[0]] for buffer in buffers)
-        # Hermitian half-spectrum: independent real weights at frequencies 0
-        # and n, complex weights of unit variance in between (the imaginary
-        # parts at 0 and n start at zero and are only ever scaled).
-        h.real[:, 0] = w[:, 0]
-        h.real[:, n] = w[:, 1]
-        h.real[:, 1:n] = w[:, 2:n + 1]
-        h.imag[:, 1:n] = w[:, n + 1:2 * n]
-        # scale by the reciprocal: numpy's complex division by a real does
-        # the same, so seeded paths keep their bits, while dividing the
-        # real parts by sqrt(2) would round differently
-        h[:, 1:n] *= 1.0 / math.sqrt(2.0)
-        h *= self._sqrt_lam
-        x = np.fft.irfft(h, m, axis=1, out=out)[:, :n]
-        x *= math.sqrt(m)
-        return x
+            buffers = self._work_arrays(count)
+        spectrum, out = buffers[0][:count // 2], buffers[1][:count]
+        np.multiply(w.reshape(count // 2, 2 * m), self._scale,
+                    out=spectrum.view(float))
+        # in place: the FFT then allocates no work array of its own
+        x = np.fft.fft(spectrum, axis=1, out=spectrum)[:, :n]
+        out[0::2] = x.real
+        out[1::2] = x.imag
+        return out
 
     def _work_arrays(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Work arrays for circulant transforms of up to rows rows: the
-        complex half-spectrum, zeroed, and the full-length inverse FFT."""
-        return (np.zeros((rows, self.n + 1), dtype=complex),
-                np.empty((rows, self._m)))
+        """Work arrays for circulant transforms of up to rows rows, rows
+        even: the complex spectra of rows / 2 pairs, and the paths."""
+        return (np.empty((rows // 2, self._m), dtype=complex),
+                np.empty((rows, self.n)))
 
     def sample_chunks(self, seed: int, stream: int, block: int, count: int):
         """Yield (lo, paths) over the rows of one block in order, where paths
         holds replicas block*BLOCK_SIZE + lo, lo+1, ... one per row.
 
-        The circulant route draws and transforms the rows in chunks
-        (streams.row_chunks) from the block's one generator; its FFTs work
-        row by row, so the chunks are bit-identical to transforming one
-        whole-block block_normals draw, while only one chunk is held at a
-        time.  Its transforms reuse one pair of work arrays for the whole
-        block, so a yielded paths is overwritten by the next chunk: use or
-        copy it before asking for the next.  The dense route is a BLAS
-        product, which can round a row differently with the number of rows,
-        so it takes the whole block.
+        The circulant route draws and transforms the rows in chunks of
+        whole pairs of rows (streams.row_chunks over pairs) from the block's
+        one generator.  An odd count draws the partner of the block's last
+        row and drops its path, so replica r is made from rows 2j and 2j+1
+        of the block, j = (r % BLOCK_SIZE) // 2, whatever count and the
+        chunking are.  Its FFTs work pair by pair, so the chunks are
+        bit-identical to transforming one whole-block block_normals draw of
+        an even number of rows, while only one chunk is held at a time.
+        Its transforms reuse one pair of work arrays for the whole block, so
+        a yielded paths is overwritten by the next chunk: use or copy it
+        before asking for the next.  The dense route is a BLAS product,
+        which can round a row differently with the number of rows, so it
+        takes the whole block.
         """
         width = self.normals_per_replica
         generator = block_generator(seed, stream, block)
-        if self._mode == "circulant":
-            chunks = list(row_chunks(count, width))
-            buffers = self._work_arrays(chunks[0][1])
-        else:
-            chunks, buffers = [(0, count)], None
-        for lo, hi in chunks:
-            w = block_normals(seed, stream, block, hi - lo, width, generator)
+        if self._mode == "dense":
+            yield 0, self.transform(
+                block_normals(seed, stream, block, count, width, generator))
+            return
+        # a pair of rows is one row of twice the width to row_chunks
+        pairs = list(row_chunks(-(-count // 2), 2 * width))
+        buffers = self._work_arrays(2 * pairs[0][1])
+        for lo, hi in pairs:
+            w = block_normals(seed, stream, block, 2 * (hi - lo), width,
+                              generator)
             # by keyword: bench/tracer.py reads transform's positional
             # arguments as (sampler, w)
-            yield lo, self.transform(w, buffers=buffers)
+            paths = self.transform(w, buffers=buffers)
+            yield 2 * lo, paths[:count - 2 * lo]
 
 
 def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
@@ -208,7 +230,9 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
 
     Output is bit-identical for any thread count: replica r always reads a
     fixed row of block r // BLOCK_SIZE of the (seed, stream) stream
-    (streams.block_generator).
+    (streams.block_generator), on the circulant route together with the
+    other row of its pair (PathSampler.transform), so on that route the
+    first k rows do not depend on M either.
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")

@@ -9,7 +9,7 @@ draw.  Two consequences:
 * parallel workers that process whole blocks produce output identical to
   a serial run, because no generator is ever shared across blocks.
 
-Layout of stream protocol 5 (STREAM_PROTOCOL).  seed and stream are both
+Layout of stream protocol 6 (STREAM_PROTOCOL).  seed and stream are both
 in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64 generator
 seeded by numpy's SeedSequence from the entropy (seed, stream, b, s), each
 value written as two little-endian 32-bit words (block_generator):
@@ -59,6 +59,18 @@ sample_batch outputs of eigen-form sums and nothing else.  Protocol 5
 also evaluates eigen-form sums row by row, so their replicas no longer
 depend on a block's row count.
 
+Protocol 6 changed how the circulant path sampler reads its normals
+(stationary.PathSampler.transform), and only that: rows 2j and 2j+1 of a
+block are one pair, read as 2n complex numbers, and one complex FFT of
+them gives replica 2j as its real part and replica 2j+1 as its imaginary
+part.  Protocol 5 made one path per row by a real inverse FFT of a
+Hermitian half-spectrum, so every seeded rates and sample_paths output
+changed, while the ratio family, sample_batch and the dense sampler route
+kept their bits.  Rows are drawn, transformed and chunked in pairs
+(row_chunks over pairs of rows); a block with an odd row count draws the
+partner of its last row and drops that path, so no replica depends on
+the replica count, the chunking or the thread count.
+
 BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 """
 
@@ -70,7 +82,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-STREAM_PROTOCOL = 5
+STREAM_PROTOCOL = 6
 
 BLOCK_SIZE = 1024
 

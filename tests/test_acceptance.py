@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete.  The Monte Carlo heavy criterion, rate reproduction, takes
-about 30 s on 2 cores (28-31 s on a 2-vCPU Xeon).
+about 27 s on 2 cores (25-31 s on a 2-vCPU Xeon).
 """
 
 import math

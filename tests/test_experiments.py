@@ -108,7 +108,10 @@ class TestRatesExperiment:
         sampler = PathSampler(cov, 300)
         rows = []
         for block, _, count in replica_blocks(M):
-            paths = sampler.transform(block_normals(8, 0, block, count, 600))
+            # rows are transformed in pairs: the odd last block is drawn
+            # with one more row, whose path is dropped
+            draw = block_normals(8, 0, block, count + count % 2, 600)
+            paths = sampler.transform(draw)[:count]
             segments = np.add.reduceat(paths ** q, [0, 37, 150], axis=1)
             rows.append(np.cumsum(segments, axis=1))
         want = np.concatenate(rows) / ends
@@ -497,7 +500,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 0
         for name in ("rates_summary.json", "ratio_summary.json"):
             summary = json.loads((tmp_path / "out" / name).read_text())
-            assert summary["stream_protocol"] == STREAM_PROTOCOL == 5
+            assert summary["stream_protocol"] == STREAM_PROTOCOL == 6
 
     def test_numerical_failures_exit_two(self, tmp_path, monkeypatch):
         from chaosclt import cli

@@ -92,9 +92,15 @@ class TestSamplePaths:
         # a full block is several row chunks, the last one partial
         assert BLOCK_SIZE % (CHUNK_NORMALS // (2 * n)) != 0
         width = sampler.normals_per_replica
-        want = np.concatenate([
-            sampler.transform(block_normals(6, 3, block, count, width))
-            for block, _, count in replica_blocks(M)])
+        want = []
+        for block, _, count in replica_blocks(M):
+            # the circulant route transforms rows in pairs: the odd last
+            # block is drawn with one more row, whose path is dropped
+            rows = count + count % 2 if mode == "circulant" else count
+            paths = sampler.transform(block_normals(6, 3, block, rows, width))
+            want.append(paths[:count])
+        want = np.concatenate(want)
+        assert M % 2
         for threads in (1, 2, 4):
             got = sample_paths(cov, n, M, seed=6, threads=threads, stream=3)
             assert np.array_equal(got, want)
@@ -136,33 +142,62 @@ class TestSamplePaths:
 
     @pytest.mark.parametrize("H,n", [(0.3, 1), (0.3, 7), (0.7, 16), (0.5, 5)])
     def test_transform_covariance_is_exact(self, H, n):
-        # the sampler is linear in its white noise, so T T^t is its exact
-        # output covariance; it must reproduce the Toeplitz target to
-        # rounding error, not just in distribution
+        # the sampler is linear in its white noise, and a pair of rows (4n
+        # normals) makes two paths, so the transforms of the 4n unit
+        # vectors give the exact output covariances: each path must have
+        # the Toeplitz target to rounding error, not just in distribution,
+        # and the two paths of a pair must be uncorrelated
         cov = CovarianceFunction.fgn(H)
         sampler = PathSampler(cov, n)
-        T = sampler.transform(np.eye(sampler.normals_per_replica))
-        implied = T.T @ T
+        width = sampler.normals_per_replica
+        basis = np.eye(2 * width).reshape(4 * width, width)
+        T = sampler.transform(basis).reshape(2 * width, 2, n)
+        re, im = T[:, 0], T[:, 1]
         target = np.array([[cov(i - j) for j in range(n)] for i in range(n)])
-        assert np.abs(implied - target).max() < 1e-12
+        assert np.abs(re.T @ re - target).max() < 1e-12
+        assert np.abs(im.T @ im - target).max() < 1e-12
+        assert np.abs(re.T @ im).max() < 1e-12
 
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 4096])
     def test_transform_matches_reference_expression_bitwise(self, H, n):
-        # the half-spectrum as an explicit complex expression; the sampler
-        # fills it in place and must give the same bits
-        sampler = PathSampler(CovarianceFunction.fgn(H), n)
+        # rows 2j and 2j+1 as one complex white-noise vector of length
+        # m = 2n, scaled by the full circulant spectrum and transformed
+        # by one complex FFT: its real part is path 2j, its imaginary part
+        # path 2j+1
+        cov = CovarianceFunction.fgn(H)
+        sampler = PathSampler(cov, n)
         assert sampler.mode == "circulant"
-        w = np.random.default_rng(n).standard_normal((3, 2 * n))
-        sqrt_lam = sampler._sqrt_lam
-        h = np.empty((3, n + 1), dtype=complex)
-        h[:, 0] = w[:, 0] * sqrt_lam[0]
-        h[:, n] = w[:, 1] * sqrt_lam[n]
-        if n > 1:
-            mid = (w[:, 2:n + 1] + 1j * w[:, n + 1:2 * n]) / math.sqrt(2.0)
-            h[:, 1:n] = mid * sqrt_lam[1:n]
-        want = (np.fft.irfft(h, 2 * n, axis=1) * math.sqrt(2 * n))[:, :n]
+        m = 2 * n
+        w = np.random.default_rng(n).standard_normal((4, m))
+        pairs = np.concatenate([w[0::2], w[1::2]], axis=1)
+        noise = pairs[:, 0::2] + 1j * pairs[:, 1::2]
+        lam = toeplitz_module.circulant_eigenvalues(cov.lag_array(n + 1))
+        lam = np.clip(np.concatenate([lam, lam[-2:0:-1]]), 0.0, None)
+        x = np.fft.fft(noise * np.sqrt(lam / m), axis=1)[:, :n]
+        want = np.empty((4, n))
+        want[0::2], want[1::2] = x.real, x.imag
         assert np.array_equal(sampler.transform(w), want)
+
+    def test_transform_rejects_a_lone_row(self):
+        sampler = PathSampler(CovarianceFunction.fgn(0.7), 8)
+        with pytest.raises(ValidationError, match="pairs"):
+            sampler.transform(np.ones((3, 16)))
+
+    @pytest.mark.parametrize("n", [1, 300, 5000])
+    def test_first_replicas_do_not_depend_on_m_or_threads(self, n):
+        # replica r is made from rows 2j and 2j+1 of its block, j =
+        # (r % BLOCK_SIZE) // 2, however many replicas are drawn, in how
+        # many threads and in which row chunks; an odd M draws the partner
+        # row of its last replica and drops its path.  At n = 5000 a row
+        # chunk holds CHUNK_NORMALS // (2n) = 13 rows, rounded down to 12.
+        cov = CovarianceFunction.fgn(0.7)
+        assert (CHUNK_NORMALS // (2 * 5000)) % 2
+        want = sample_paths(cov, n, 2048, seed=4, threads=1)
+        for M in (1, 2, 3, 1061, 1062, 2048):
+            for threads in (1, 2, 4):
+                got = sample_paths(cov, n, M, seed=4, threads=threads)
+                assert np.array_equal(got, want[:M]), (M, threads)
 
     def test_transform_covariance_exact_in_dense_mode(self):
         cov = CovarianceFunction(
