@@ -122,11 +122,11 @@ class Gram:
 
     @classmethod
     def orthonormal(cls, vectors: np.ndarray) -> "Gram":
-        """The Gram of orthonormal rows, exactly np.eye(terms) without
-        forming V V^T; orthonormality is the caller's to certify (see
-        chaos.as_rank_one, whose rows are eigenvectors)."""
+        """The Gram of orthonormal rows, exactly np.eye(terms), formed only
+        if its matrix is read and never as V V^T; orthonormality is the
+        caller's to certify (see chaos.as_rank_one, whose rows are
+        eigenvectors)."""
         gram = cls(vectors=vectors)
-        gram._matrix = np.eye(vectors.shape[0])
         gram._orthonormal = True
         return gram
 
@@ -143,9 +143,12 @@ class Gram:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = (toeplitz.matrix(self._toeplitz_row)
-                            if self._vectors is None
-                            else self._vectors @ self._vectors.T)
+            if self._orthonormal:
+                self._matrix = np.eye(self.terms)
+            elif self._vectors is None:
+                self._matrix = toeplitz.matrix(self._toeplitz_row)
+            else:
+                self._matrix = self._vectors @ self._vectors.T
         return self._matrix
 
     @property
@@ -159,8 +162,10 @@ class Gram:
 
     @property
     def diagonal(self) -> np.ndarray:
-        """The diagonal of G; a row-built G's is its row[0] throughout,
-        read without forming G."""
+        """The diagonal of G; a row-built G's is its row[0] throughout and
+        an orthonormal G's is all ones, both read without forming G."""
+        if self._orthonormal:
+            return np.ones(self.terms)
         if self._toeplitz_row is not None:
             return np.full(self.terms, self._toeplitz_row[0])
         return np.diagonal(self.matrix)

@@ -8,6 +8,8 @@ draw.  Two consequences:
 * runs are bit-reproducible for a fixed (seed, stream), and
 * parallel workers that process whole blocks produce output identical to
   a serial run, because no generator is ever shared across blocks.
+  run_blocks hands the blocks to at most `threads` workers from one shared
+  queue, so the thread count never changes an output.
 
 Layout of stream protocol 6 (STREAM_PROTOCOL).  seed and stream are both
 in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64 generator
@@ -166,18 +168,31 @@ def replica_blocks(n_replicas: int):
 
 
 def run_blocks(n_replicas: int, worker, threads: int = 1) -> None:
-    """Apply worker(block, start, count) over all replica blocks.
+    """Apply worker(block, start, count) once to every replica block.
 
-    worker must write results into preassigned slots (e.g. out[start:start+count]);
-    with threads > 1 the blocks run concurrently, which is safe because each
-    block owns a disjoint stream and disjoint output rows.
+    worker must write results into preassigned slots (e.g.
+    out[start:start+count]).  The blocks go to at most threads workers
+    from one shared queue: one worker runs them all on the calling thread
+    and starts no pool; otherwise each pool thread takes the next block
+    until none is left.  Which thread runs a block never changes an
+    output, because each block owns a disjoint stream and disjoint output
+    rows.  An exception raised by worker propagates.
     """
-    if threads <= 1:
-        for block, start, count in replica_blocks(n_replicas):
+    blocks = list(replica_blocks(n_replicas))
+    workers = min(threads, len(blocks))
+    if workers <= 1:
+        for block, start, count in blocks:
             worker(block, start, count)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, block, start, count)
-                   for block, start, count in replica_blocks(n_replicas)]
+    # a list iterator, not a generator: two threads may call next on it at
+    # once, which a generator refuses ("generator already executing")
+    queue = iter(blocks)
+
+    def drain():
+        for block, start, count in queue:
+            worker(block, start, count)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(drain) for _ in range(workers)]
         for fut in futures:
             fut.result()

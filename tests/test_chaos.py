@@ -226,6 +226,19 @@ class TestEigenFormSampling:
         F = eigen_form_sum(np.random.default_rng(dim), dim, (2,))
         assert np.array_equal(F.kernels[2].gram, np.eye(dim))
 
+    def test_sampling_and_moments_form_no_identity(self):
+        # the eigen-form's Gram is the identity by construction; only a
+        # read of the matrix itself forms it (2 MiB at dim 512)
+        F = eigen_form_sum(np.random.default_rng(3), 64, (1, 2))
+        g = F.kernels[2]
+        sample_batch(F, 10, seed=1)
+        second_moment(F)
+        kappa3_I2(g)
+        kappa4_I2(g)
+        assert np.array_equal(g._gram.diagonal, np.ones(64))
+        assert g._gram._matrix is None
+        assert np.array_equal(g.gram, np.eye(64))
+
     @pytest.mark.parametrize("orders", [(1, 2), (2,)])
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
     def test_replica_is_sample_at_rotated_normals(self, dim, orders):

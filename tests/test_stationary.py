@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -21,7 +22,52 @@ from oracles import (hermite_e_value, mean_se, monomial_coeff_quadrature,
                      sample_variance_se, variance_power_variation_quadrature)
 
 
+# rho(k) at the float H to 50 digits, from the direct formula evaluated
+# with 60-digit mpmath
+FGN_EXACT = [
+    (0.3, 1, "-2.4214171674480097049053600587633564150967648958025e-1"),
+    (0.3, 2, "-4.9125544044516706835599966565754558183324722470908e-2"),
+    (0.3, 7, "-7.9166973320295928035003654453618474661110081515388e-3"),
+    (0.3, 8, "-6.5579189032012441217667371181534443092334153635221e-3"),
+    (0.3, 9, "-5.5558394868174456084687797219662094260677165292736e-3"),
+    (0.3, 1024, "-7.3242207057783358017509441488491939529990474568189e-6"),
+    (0.3, 8192, "-3.9850642406998169126242906846601765434124125592886e-7"),
+    (0.3, 65536, "-2.1682499407900016942160126876057485208673066668118e-8"),
+    (0.7, 1, "3.1950791077289417814003236875961474493060359684787e-1"),
+    (0.7, 2, "1.8875253932725092799475996272447872232564726668466e-1"),
+    (0.7, 7, "8.7259401834478640407356243276689849761919732275843e-2"),
+    (0.7, 8, "8.0509889500283693001839274786924903464563811818703e-2"),
+    (0.7, 9, "7.4996829997952157213358869739974474725903878228456e-2"),
+    (0.7, 1024, "4.3750003337861061166335098039837849897306920284733e-3"),
+    (0.7, 8192, "1.2563888272757378746477261350178298972259301492957e-3"),
+    (0.7, 65536, "3.6080294435868329418654342604600915245099631165341e-4"),
+] + [(0.5, k, "0") for k in (1, 2, 7, 8, 9, 1024, 8192, 65536)]
+
+
 class TestFgnCovariance:
+    @pytest.mark.parametrize("H, k, exact", FGN_EXACT)
+    def test_matches_high_precision_values(self, H, k, exact):
+        # the binomial series from lag 8 on keeps every digit; below it the
+        # direct formula is off by up to 4.2e-14 at these H
+        got = fgn_covariance(H, k)
+        with decimal.localcontext() as context:
+            context.prec = 60
+            want = decimal.Decimal(exact)
+            if want == 0:
+                assert got == 0.0
+                return
+            error = abs((decimal.Decimal(got) - want) / want)
+        assert error <= (4e-16 if k >= 8 else 1e-13)
+
+    @pytest.mark.parametrize("H", [0.01, 0.3, 0.5, 0.7, 0.74, 0.99])
+    def test_array_evaluator_equals_scalar_bit_for_bit(self, H):
+        rho = CovarianceFunction.fgn(H)
+        lags = np.r_[0:600, 4090:4100, 65530:65540]
+        scalar = np.array([fgn_covariance(H, int(k)) for k in lags])
+        assert np.array_equal(rho.array_evaluator(lags), scalar)
+        assert np.array_equal(rho.array_evaluator(-lags), scalar)
+        assert np.array_equal(rho.lag_array(600), scalar[:600])
+
     def test_lag_zero_is_one(self):
         for H in (0.1, 0.5, 0.7, 0.9):
             assert fgn_covariance(H, 0) == 1.0
@@ -427,6 +473,14 @@ class TestCovarianceFunction:
             cov.rho0 = 1.0
         with pytest.raises(TypeError):
             CovarianceFunction(evaluator=cov.evaluator, rho0=1.0)
+
+    @pytest.mark.parametrize("cov, want", [
+        (CovarianceFunction(evaluator=lambda k: math.cos(0.37 * k)),
+         [math.cos(0.37 * k) for k in range(50)]),
+        (CovarianceFunction.iid(2.5), [2.5] + [0.0] * 49)])
+    def test_scalar_only_evaluator_gives_its_own_lags(self, cov, want):
+        assert cov.array_evaluator is None
+        assert cov.lag_array(50).tolist() == want
 
     def test_lag_array(self):
         cov = CovarianceFunction.fgn(0.7)

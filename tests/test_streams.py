@@ -1,4 +1,6 @@
 import ast
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,8 @@ import chaosclt
 from chaosclt.errors import ValidationError
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, KEY_LIMIT,
                               STREAM_PROTOCOL, block_chisquare,
-                              block_generator, block_normals, row_chunks)
+                              block_generator, block_normals, replica_blocks,
+                              row_chunks, run_blocks)
 
 
 def sfc64_at(seed, stream, block, substream):
@@ -138,3 +141,62 @@ class TestKeyRange:
             block_generator(-1, 0, 0)
         with pytest.raises(ValidationError, match="substream"):
             block_generator(0, 0, 0, substream=2)
+
+
+class TestRunBlocks:
+    @staticmethod
+    def record(n_replicas, threads):
+        """The (block, start, count) triples run_blocks ran, in the order
+        they started, with the thread that ran each."""
+        runs = []
+
+        def worker(block, start, count):
+            runs.append(((block, start, count), threading.get_ident()))
+
+        run_blocks(n_replicas, worker, threads)
+        return runs
+
+    @pytest.mark.parametrize("n_replicas", [1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                                            5 * BLOCK_SIZE + 37])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_every_block_runs_exactly_once(self, n_replicas, threads):
+        blocks = sorted(b for b, _ in self.record(n_replicas, threads))
+        assert blocks == list(replica_blocks(n_replicas))
+
+    def test_shared_queue_under_frequent_thread_switches(self):
+        # more workers than cores, switching every microsecond: a block
+        # lost or handed out twice by the shared queue shows as a count,
+        # and a queue that two threads cannot read at once raises (a
+        # generator did in most runs of this size)
+        n_replicas = 20000 * BLOCK_SIZE
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [self.record(n_replicas, 8) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            assert sorted(b for b, _ in run) == list(
+                replica_blocks(n_replicas))
+
+    def test_fewer_blocks_than_threads(self):
+        runs = self.record(BLOCK_SIZE + 1, 8)
+        assert len(runs) == 2
+        assert len({thread for _, thread in runs}) <= 2
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_one_block_runs_on_the_calling_thread(self, threads):
+        assert self.record(BLOCK_SIZE, threads) == [
+            ((0, 0, BLOCK_SIZE), threading.get_ident())]
+
+    def test_no_replicas_runs_nothing(self):
+        assert self.record(0, 2) == []
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_worker_exception_propagates(self, threads):
+        def worker(block, start, count):
+            if block == 3:
+                raise RuntimeError("block 3 failed")
+
+        with pytest.raises(RuntimeError, match="block 3 failed"):
+            run_blocks(5 * BLOCK_SIZE, worker, threads)
