@@ -29,7 +29,7 @@ from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
 from .kernels import (DenseKernel, Gram, RankOneSumKernel, is_symmetric,
                       rank_one_contraction_norm, rank_one_norm_squared)
-from .streams import block_normals, run_blocks
+from .streams import block_generator, block_normals, row_chunks, run_blocks
 
 __all__ = [
     "ChaosSum",
@@ -144,6 +144,15 @@ def _unit_terms(F: ChaosSum) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out
 
 
+def _is_identity(G: np.ndarray) -> bool:
+    """Whether the square G is exactly the identity, as
+    np.array_equal(G, np.eye(len(G))) decides (NaN unequal, -0.0 equal to
+    0.0), without forming that identity: a unit diagonal and no other
+    nonzero entry, NaN counting as nonzero."""
+    return bool(np.all(np.diagonal(G) == 1.0)
+                and np.count_nonzero(G) == len(G))
+
+
 def _eigen_terms(F: ChaosSum) -> list[tuple[int, None, np.ndarray]] | None:
     """F's terms in the eigen-coordinates of its order-2 kernel, or None.
 
@@ -156,8 +165,7 @@ def _eigen_terms(F: ChaosSum) -> list[tuple[int, None, np.ndarray]] | None:
     """
     g = F.kernels.get(2)
     if (g is None or not set(F.orders) <= {1, 2} or g.terms != F.dim
-            or not (g.orthonormal_terms
-                    or np.array_equal(g.gram, np.eye(F.dim)))):
+            or not (g.orthonormal_terms or _is_identity(g.gram))):
         return None
     terms = []
     if 1 in F.kernels:
@@ -206,20 +214,32 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
     instead, and the replica is sample(F, V^T z): V^T z is again standard
     Gaussian, and no dim x dim rotation is formed per block.  That route
     evaluates each row on its own, so its replicas do not depend on the
-    block's row count.  The samples are exact in law; a pathwise value at
-    a given Gaussian vector comes from sample only.
+    block's row count, and it draws and evaluates a block in row chunks
+    of at most streams.CHUNK_NORMALS normals, each drawn into one work
+    array per block (at most 1 MiB), with the bits of a whole-block draw.
+    Every other sum draws its blocks whole (F.dim normals per replica,
+    4 MiB per worker at dim 512).  The samples are exact in law; a
+    pathwise value at a given Gaussian vector comes from sample only.
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
     out = np.empty(M)
-    terms = _eigen_terms(F) or _unit_terms(F)
+    eigen_terms = _eigen_terms(F)
+    terms = eigen_terms or _unit_terms(F)
 
     def worker(block, start, count):
-        # one whole-block draw, not row chunks (streams.row_chunks): the
-        # BLAS products of the unit-term route can round a row differently
-        # with the number of rows, which would move seeded outputs
-        Z = block_normals(seed, stream, block, count, F.dim)
-        out[start:start + count] = _eval_block(terms, Z)
+        # the eigen route evaluates each row on its own, so row chunks of
+        # the block's generator keep every bit; the BLAS products of the
+        # unit-term route can round a row differently with the number of
+        # rows, so it draws and evaluates the block whole
+        chunks = (list(row_chunks(count, F.dim)) if eigen_terms
+                  else [(0, count)])
+        generator = block_generator(seed, stream, block)
+        Z = np.empty((chunks[0][1], F.dim))
+        for lo, hi in chunks:
+            block_normals(seed, stream, block, hi - lo, F.dim, generator,
+                          out=Z[:hi - lo])
+            out[start + lo:start + hi] = _eval_block(terms, Z[:hi - lo])
 
     run_blocks(M, worker, threads=threads)
     return out

@@ -206,7 +206,9 @@ class PathSampler:
         with zeros, so an odd count is rejected.  buffers may be a pair of
         arrays from _work_arrays with at least count rows, which the
         transform fills instead of allocating its own pair; the result is a
-        view of the second.  The dense route ignores buffers.
+        view of the second.  w may itself be the float view of the first
+        buffer's leading count / 2 spectra, which is then scaled in place
+        (sample_chunks draws there).  The dense route ignores buffers.
         """
         if self._mode == "dense":
             return w @ self._chol.T
@@ -244,11 +246,13 @@ class PathSampler:
         chunking are.  Its FFTs work pair by pair, so the chunks are
         bit-identical to transforming one whole-block block_normals draw of
         an even number of rows, while only one chunk is held at a time.
-        Its transforms reuse one pair of work arrays for the whole block, so
-        a yielded paths is overwritten by the next chunk: use or copy it
-        before asking for the next.  The dense route is a BLAS product,
-        which can round a row differently with the number of rows, so it
-        takes the whole block.
+        Each chunk is drawn into the spectrum work array itself (the float
+        view of its complex rows holds the chunk's rows of normals in
+        order), and the transforms reuse that pair of work arrays for the
+        whole block, so a yielded paths is overwritten by the next chunk:
+        use or copy it before asking for the next.  The dense route is a
+        BLAS product, which can round a row differently with the number of
+        rows, so it takes the whole block.
         """
         width = self.normals_per_replica
         generator = block_generator(seed, stream, block)
@@ -260,8 +264,10 @@ class PathSampler:
         pairs = list(row_chunks(-(-count // 2), 2 * width))
         buffers = self._work_arrays(2 * pairs[0][1])
         for lo, hi in pairs:
-            w = block_normals(seed, stream, block, 2 * (hi - lo), width,
-                              generator)
+            w = block_normals(
+                seed, stream, block, 2 * (hi - lo), width, generator,
+                out=buffers[0][:hi - lo].view(float).reshape(
+                    2 * (hi - lo), width))
             # by keyword: bench/tracer.py reads transform's positional
             # arguments as (sampler, w)
             paths = self.transform(w, buffers=buffers)

@@ -39,7 +39,11 @@ block_normals with that generator, chunk after chunk in row order): the
 chunks hold the bits of one whole-block draw.  The circulant path sampler
 (stationary.PathSampler.sample_chunks) draws, transforms and reduces a
 block in chunks of at most CHUNK_NORMALS normals (row_chunks), so a
-worker holds a few MiB whatever the path length.  Chunking is not part of
+worker holds a few MiB whatever the path length; chaos.sample_batch draws
+and evaluates eigen-form sums the same way.  Both draw each chunk with
+block_normals(..., out=) straight into a work array that lives for the
+whole block (the sampler's spectrum array, sample_batch's chunk array),
+which gives the bits of the allocating draw.  Chunking is not part of
 the protocol and changes no output: it is used only where every row is
 computed on its own, not through a BLAS product whose rounding can depend
 on the number of rows.  Protocol 1 had substream 0 only; protocol 2 added
@@ -119,7 +123,8 @@ def block_generator(seed: int, stream: int, block: int,
 
 def block_normals(seed: int, stream: int, block: int, count: int,
                   width: int,
-                  generator: np.random.Generator | None = None) -> np.ndarray:
+                  generator: np.random.Generator | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Draw a (count, width) standard normal matrix for one block.
 
     Row i is replica block * BLOCK_SIZE + i.  The first k rows are
@@ -129,10 +134,22 @@ def block_normals(seed: int, stream: int, block: int, count: int,
     generator, if given, must be block_generator(seed, stream, block); the
     draw continues where its previous one stopped, so the rows come after
     those already drawn (a row chunk of the block, see row_chunks).
+
+    out, if given, must be a writable C-contiguous float64 array of shape
+    (count, width); the draw fills it, with the bits of the allocating
+    draw, and returns it.
     """
     if generator is None:
         generator = block_generator(seed, stream, block)
-    return generator.standard_normal((count, width))
+    if out is None:
+        return generator.standard_normal((count, width))
+    if not (isinstance(out, np.ndarray) and out.shape == (count, width)
+            and out.dtype == np.float64 and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ValidationError(
+            f"out must be a writable C-contiguous float64 array of shape "
+            f"{(count, width)}")
+    return generator.standard_normal(out=out)
 
 
 def row_chunks(count: int, width: int):

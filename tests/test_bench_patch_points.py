@@ -84,6 +84,24 @@ def test_tracer_counts_the_normals_of_sample_batch(monkeypatch):
     assert traced.counts["streams.block_normals.normals"] == M * dim
 
 
+def test_tracer_counts_every_row_chunk_of_an_eigen_form_batch(monkeypatch):
+    # eigen-form sums are drawn in row chunks into one buffer per block;
+    # each chunk goes through the block_normals name the benchmark wraps
+    tracer = load_tracer(monkeypatch)
+    dim, M = 600, BLOCK_SIZE + 37
+    rows = CHUNK_NORMALS // dim
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(dim, dim))
+    F = chaos.ChaosSum({1: DenseKernel(rng.normal(size=dim)),
+                        2: DenseKernel((a + a.T) / 2.0)})
+    assert chaos._eigen_terms(F) is not None
+    with tracer.installed(tracer.Tracer()) as traced:
+        chaos.sample_batch(F, M, seed=5, threads=2)
+    assert traced.counts["streams.block_normals.normals"] == M * dim
+    assert traced.counts["streams.block_normals.calls"] == sum(
+        -(-count // rows) for _, _, count in replica_blocks(M))
+
+
 def test_tracer_sees_the_second_moment_of_chaos_sum_bound(monkeypatch):
     # chaos_sum_bound looks second_moment up at each call; a name bound at
     # import would keep the unpatched function and the tracer would see none

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, _eigen_terms,
                             kappa3_I2, kappa4_I2, sample, sample_batch,
                             second_moment)
 from chaosclt.errors import UnsupportedRepresentationError, ValidationError
-from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
+from chaosclt.kernels import (DenseKernel, Gram, RankOneSumKernel,
                               breuer_major_kernels, contract)
 from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
@@ -239,6 +240,45 @@ class TestEigenFormSampling:
         assert g._gram._matrix is None
         assert np.array_equal(g.gram, np.eye(64))
 
+    @pytest.mark.parametrize("entries, eigen", [
+        ([], True),
+        ([(1, 4, -0.0), (4, 1, -0.0)], True),
+        ([(1, 4, 1e-300), (4, 1, 1e-300)], False),
+        ([(1, 4, np.nan), (4, 1, np.nan)], False),
+        ([(2, 2, np.nan)], False),
+        ([(2, 2, 1.0 + 2.0 ** -52)], False)])
+    def test_identity_check_routes_as_array_equal(self, entries, eigen,
+                                                  monkeypatch):
+        # a rank-one sum given by its Gram matrix takes the eigen route
+        # exactly when np.array_equal(G, np.eye(dim)) holds (-0.0 equals
+        # 0.0, NaN equals nothing), and the check forms no identity
+        dim = 6
+        G = np.eye(dim)
+        for i, j, value in entries:
+            G[i, j] = value
+        assert np.array_equal(G, np.eye(dim)) == eigen
+        F = ChaosSum({2: RankOneSumKernel.from_gram(
+            2, np.arange(1.0, dim + 1.0), Gram(matrix=G))})
+
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye called")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        assert (_eigen_terms(F) is not None) == eigen
+
+    def test_peak_memory_is_one_row_chunk(self):
+        # eigen-form blocks are drawn in row chunks into one work array
+        # per block (1 MiB at dim 512); a whole-block draw holds 4 MiB
+        F = eigen_form_sum(np.random.default_rng(15), 512, (1, 2))
+        assert _eigen_terms(F) is not None
+        tracemalloc.start()
+        try:
+            sample_batch(F, 2 * BLOCK_SIZE, seed=3, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
     @pytest.mark.parametrize("orders", [(1, 2), (2,)])
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
     def test_replica_is_sample_at_rotated_normals(self, dim, orders):
@@ -267,8 +307,9 @@ class TestEigenFormSampling:
         # dim 600 spans several row chunks (streams.row_chunks) with a
         # partial last one; evaluating such chunks through the BLAS
         # products of the unit-term route rounds some rows differently
-        # from the whole block, so sample_batch draws and evaluates blocks
-        # whole
+        # from the whole block, so sample_batch draws and evaluates that
+        # route's blocks whole, and the row-wise eigen route's in chunks,
+        # which must keep the bits of the whole block
         dim, M = 600, BLOCK_SIZE + 37
         assert BLOCK_SIZE % (CHUNK_NORMALS // dim) != 0
         rng = np.random.default_rng(12)

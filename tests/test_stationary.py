@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ class TestSamplePaths:
         whole = sampler.transform(block_normals(6, 3, 0, BLOCK_SIZE, width))
         lo = chunks[-1][0]
         assert np.array_equal(last, whole[lo:lo + len(last)])
+
+    def test_chunks_are_drawn_into_the_spectrum_work_array(self):
+        # a block at n = 4096 holds 1 MiB of spectra and 0.5 MiB of paths;
+        # a separate 1 MiB array of normals per chunk would show on top
+        sampler = PathSampler(CovarianceFunction.fgn(0.7), 4096)
+        tracemalloc.start()
+        try:
+            chunks = sum(1 for _ in sampler.sample_chunks(6, 3, 0,
+                                                          BLOCK_SIZE))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunks > 2
+        assert peak < 2 * 2 ** 20
 
     def test_different_seeds_differ(self):
         cov = CovarianceFunction.fgn(0.7)

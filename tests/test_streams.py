@@ -124,6 +124,45 @@ class TestRowChunks:
         assert np.array_equal(np.concatenate(chunks), whole)
 
 
+class TestBlockNormalsOut:
+    def test_draw_into_out_is_the_allocating_draw(self):
+        out = np.full((37, 5), np.nan)
+        got = block_normals(5, 2, 3, 37, 5, out=out)
+        assert got is out
+        assert np.array_equal(out, block_normals(5, 2, 3, 37, 5))
+
+    @pytest.mark.parametrize("width", [3, 600, 8192])
+    def test_chunks_into_one_buffer_are_one_whole_draw(self, width):
+        count = BLOCK_SIZE - 5
+        whole = block_normals(7, 2, 4, count, width)
+        chunks = list(row_chunks(count, width))
+        generator = block_generator(7, 2, 4)
+        buffer = np.empty((chunks[0][1], width))
+        got = np.empty((count, width))
+        for lo, hi in chunks:
+            got[lo:hi] = block_normals(7, 2, 4, hi - lo, width, generator,
+                                       out=buffer[:hi - lo])
+        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 6)),                        # wrong shape
+        np.empty((4, 6)).T,                      # right shape, not C order
+        np.empty((6, 8))[:, :4],                 # a strided view
+        np.empty((6, 4), dtype=np.float32),
+        np.empty(24)])
+    def test_bad_out_is_rejected_naming_the_shape(self, out):
+        if out.shape == (6, 4) and out.dtype == np.float64:
+            assert not out.flags.c_contiguous
+        with pytest.raises(ValidationError, match=r"shape \(6, 4\)"):
+            block_normals(1, 0, 0, 6, 4, out=out)
+
+    def test_read_only_out_is_rejected(self):
+        out = np.empty((6, 4))
+        out.flags.writeable = False
+        with pytest.raises(ValidationError, match=r"writable"):
+            block_normals(1, 0, 0, 6, 4, out=out)
+
+
 class TestKeyRange:
     def test_largest_key_accepted(self):
         block_generator(KEY_LIMIT - 1, KEY_LIMIT - 1, 0)
