@@ -29,7 +29,8 @@ from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
 from .kernels import (DenseKernel, Gram, RankOneSumKernel, is_symmetric,
                       rank_one_contraction_norm, rank_one_norm_squared)
-from .streams import block_generator, block_normals, row_chunks, run_blocks
+from .streams import (block_generator, block_normals, block_threads,
+                      row_chunks, run_blocks)
 
 __all__ = [
     "ChaosSum",
@@ -241,7 +242,7 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
                           out=Z[:hi - lo])
             out[start + lo:start + hi] = _eval_block(terms, Z[:hi - lo])
 
-    run_blocks(M, worker, threads=threads)
+    run_blocks(M, worker, threads=block_threads(threads, F.dim))
     return out
 
 

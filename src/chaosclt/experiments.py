@@ -29,7 +29,7 @@ from .ratio import Perturbations, RatioFamily, ratio_bound, \
     sample_ratio_batch
 from .stationary import CovarianceFunction, PathSampler, \
     exact_variance_power_variation, power_variation_mean
-from .streams import KEY_LIMIT, STREAM_PROTOCOL, run_blocks
+from .streams import KEY_LIMIT, STREAM_PROTOCOL, block_threads, run_blocks
 
 __all__ = [
     "ResultTable",
@@ -146,7 +146,8 @@ def _power_variation_samples(cov: CovarianceFunction, n_grid: list[int],
             rows = slice(start + lo, start + lo + len(paths))
             np.cumsum(segments, axis=1, out=out[rows])
 
-    run_blocks(M, worker, threads=threads)
+    run_blocks(M, worker,
+               threads=block_threads(threads, sampler.normals_per_replica))
     out /= ends
     return ends, out
 
@@ -286,6 +287,10 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
 
 @dataclass
 class RatioConfig:
+    """Settings of run_ratio.  threads is a cap that changes nothing: a
+    ratio run always uses the calling thread, since its blocks are too
+    short to pay for a pool thread (streams.block_threads)."""
+
     lambda_grid: list[float]
     replicas: int
     seed: int

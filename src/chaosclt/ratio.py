@@ -31,7 +31,8 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import TOLERANCE, ValidationError, checked_real
-from .streams import block_chisquare, block_normals, run_blocks
+from .streams import (block_chisquare, block_normals, block_threads,
+                      run_blocks)
 
 __all__ = [
     "Perturbations",
@@ -178,6 +179,10 @@ def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, threads: int = 1,
     chi-square(m - 1) draw gives W, so ||Z[:m]||^2 = Z_0^2 + W (W = 0 when
     m = 1).  Replica r depends only on (seed, stream, r): the output is the
     same for every thread count, and the first k replicas do not depend on M.
+
+    threads is a cap (streams.block_threads), and a ratio run always uses
+    the calling thread: a block of 5 variates a replica is too short to
+    pay for a pool thread, whatever threads is.
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
@@ -192,7 +197,7 @@ def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, threads: int = 1,
         values[start:start + count], rejected[start:start + count] = \
             _ratio_from_stats(fam, sq, z0, zf, zs, zu)
 
-    run_blocks(M, worker, threads=threads)
+    run_blocks(M, worker, threads=block_threads(threads, 5))
     return values, rejected
 
 

@@ -13,7 +13,8 @@ import numpy as np
 from . import toeplitz
 from .errors import ValidationError, check_even_power
 from .hermite import hermite, hermite_monomial_coeffs
-from .streams import block_generator, block_normals, row_chunks, run_blocks
+from .streams import (block_generator, block_normals, block_threads,
+                      row_chunks, run_blocks)
 
 __all__ = [
     "CovarianceFunction",
@@ -294,7 +295,8 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
         for lo, paths in sampler.sample_chunks(seed, stream, block, count):
             out[start + lo:start + lo + len(paths)] = paths
 
-    run_blocks(M, worker, threads=threads)
+    run_blocks(M, worker,
+               threads=block_threads(threads, sampler.normals_per_replica))
     return out
 
 

@@ -11,6 +11,31 @@ draw.  Two consequences:
   run_blocks hands the blocks to at most `threads` workers from one shared
   queue, so the thread count never changes an output.
 
+A `threads` setting is a cap, not a demand.  Every sampler asks
+block_threads(threads, variates_per_replica) how many workers to use: one,
+on the calling thread, when a full block holds fewer than
+MIN_POOL_VARIATES variates, else `threads` capped at the CPUs this process
+may use.  Below that size the GIL-held part of a block's work (seeding
+its generators, a few small ufunc calls) is so large a share that a
+second thread adds mostly the hand-over of the GIL.  Measured on a
+2-vCPU x86-64 box (numpy 2.4, M = 16384, 16 blocks, the two thread counts
+alternating op by op, two rounds of 100 ops each), the median op time on
+two threads over that on one:
+
+    caller              variates per replica   2 threads / 1 thread
+    sample_ratio_batch     5                   1.30 .. 1.46
+    sample_batch           2                   1.52 .. 1.76
+    sample_batch           8                   0.95 .. 1.25
+    sample_batch          12                   0.79 .. 1.01
+    sample_batch          16                   0.74 .. 1.12
+    sample_batch          64                   0.55 .. 0.58
+    sample_paths (n = 4)   8                   1.05 .. 1.08
+    sample_paths (n = 8)  16                   0.75 .. 0.96
+    sample_paths (n = 64) 128                  0.53 .. 0.61
+
+so the crossover lies between 8 and 16 variates a replica, and a pool
+starts from 16 (2**14 in a block of BLOCK_SIZE rows) on.
+
 Layout of stream protocol 6 (STREAM_PROTOCOL).  seed and stream are both
 in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64 generator
 seeded by numpy's SeedSequence from the entropy (seed, stream, b, s), each
@@ -82,6 +107,7 @@ BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -96,6 +122,11 @@ BLOCK_SIZE = 1024
 # the stream protocol; smaller chunks stay in cache but pay more per-call
 # overhead, larger ones raise the working set.
 CHUNK_NORMALS = 1 << 17
+
+# Fewest variates in a full block for which run_blocks gets a thread pool
+# (block_threads): 16 a replica at BLOCK_SIZE 1024.  Not part of the stream
+# protocol; the module docstring has the crossover it comes from.
+MIN_POOL_VARIATES = 1 << 14
 
 # seed and stream each fill one 64-bit slot of the SeedSequence entropy
 KEY_LIMIT = 1 << 64
@@ -184,16 +215,38 @@ def replica_blocks(n_replicas: int):
         start += count
 
 
+def block_threads(threads: int, variates_per_replica: int) -> int:
+    """Workers for run_blocks over blocks of variates_per_replica variates
+    a replica, given the cap `threads`.
+
+    1 when a full block holds fewer than MIN_POOL_VARIATES variates: its
+    blocks are too short to pay for a pool thread, and run on the calling
+    thread.  Otherwise threads, capped at the CPUs this process may use
+    (os.sched_getaffinity where it exists, else os.cpu_count), so a large
+    setting never starts more threads than can run at once.
+    """
+    if BLOCK_SIZE * variates_per_replica < MIN_POOL_VARIATES:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus)
+
+
 def run_blocks(n_replicas: int, worker, threads: int = 1) -> None:
     """Apply worker(block, start, count) once to every replica block.
 
     worker must write results into preassigned slots (e.g.
-    out[start:start+count]).  The blocks go to at most threads workers
-    from one shared queue: one worker runs them all on the calling thread
-    and starts no pool; otherwise each pool thread takes the next block
-    until none is left.  Which thread runs a block never changes an
-    output, because each block owns a disjoint stream and disjoint output
-    rows.  An exception raised by worker propagates.
+    out[start:start+count]).  threads is a cap: the blocks go to at most
+    min(threads, blocks) workers from one shared queue.  One worker runs
+    them all on the calling thread and starts no pool; otherwise each pool
+    thread takes the next block until none is left.  Samplers pass
+    block_threads(threads, variates_per_replica), which is 1 for blocks
+    too small to pay for a pool thread and never more than the usable
+    CPUs.  Which thread runs a block never changes an output, because each
+    block owns a disjoint stream and disjoint output rows.  An exception
+    raised by worker propagates.
     """
     blocks = list(replica_blocks(n_replicas))
     workers = min(threads, len(blocks))

@@ -3,6 +3,7 @@ name; a rename in the package must fail here, not only in the benchmark."""
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -113,3 +114,23 @@ def test_tracer_sees_the_second_moment_of_chaos_sum_bound(monkeypatch):
     with tracer.installed(tracer.Tracer()) as traced:
         bounds.chaos_sum_bound(F)
     assert traced.counts["chaos.second_moment.calls"] == 1
+
+
+def test_tracer_sees_a_ratio_run_on_one_thread(monkeypatch):
+    # the benchmark wraps run_blocks with its (n_replicas, worker, threads)
+    # signature and records the threads it was given; a ratio block is too
+    # short for a pool, so every block runs on the calling thread
+    tracer = load_tracer(monkeypatch)
+    lambdas, M = [10.0, 100.0, 1000.0], 2 * BLOCK_SIZE + 3
+    config = experiments.RatioConfig(lambda_grid=lambdas, replicas=M,
+                                     seed=9, threads=2)
+    with tracer.installed(tracer.Tracer()) as traced:
+        experiments.run_ratio(config)
+    runs = [s for s in traced.spans if s.name == "streams.run_blocks"]
+    assert len(runs) == len(lambdas)
+    assert all(s.info["threads"] == 1 for s in runs)
+    blocks = [s for s in traced.spans if s.name == "ratio.reduce"]
+    assert len(blocks) == len(lambdas) * len(list(replica_blocks(M)))
+    assert {s.thread for s in blocks} == {threading.get_ident()}
+    assert traced.counts["streams.block_normals.normals"] == \
+        len(lambdas) * M * 4

@@ -1,4 +1,5 @@
 import ast
+import os
 import sys
 import threading
 from pathlib import Path
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 
 import chaosclt
+from chaosclt import chaos, experiments, ratio, streams
 from chaosclt.errors import ValidationError
+from chaosclt.kernels import DenseKernel
+from chaosclt.stationary import CovarianceFunction, sample_paths
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, KEY_LIMIT,
                               STREAM_PROTOCOL, block_chisquare,
-                              block_generator, block_normals, replica_blocks,
-                              row_chunks, run_blocks)
+                              block_generator, block_normals, block_threads,
+                              replica_blocks, row_chunks, run_blocks)
 
 
 def sfc64_at(seed, stream, block, substream):
@@ -239,3 +243,90 @@ class TestRunBlocks:
 
         with pytest.raises(RuntimeError, match="block 3 failed"):
             run_blocks(5 * BLOCK_SIZE, worker, threads)
+
+
+class PoolRefused(Exception):
+    pass
+
+
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """max_workers of every thread pool run_blocks asks for; each request
+    raises PoolRefused, so no pool thread ever starts."""
+    requests = []
+
+    def refuse(max_workers):
+        requests.append(max_workers)
+        raise PoolRefused
+
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", refuse)
+    return requests
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+
+
+class TestBlockThreads:
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_boundary(self, four_cpus, threads):
+        assert block_threads(threads, 15) == 1
+        assert block_threads(threads, 16) == min(threads, 4)
+
+    def test_capped_at_the_usable_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        assert block_threads(100000, 64) == cpus
+        assert block_threads(1, 64) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert block_threads(100000, 64) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert block_threads(100000, 64) == 1
+
+    def test_huge_threads_asks_for_one_pool_thread_per_cpu(
+            self, four_cpus, pool_requests):
+        F = chaos.ChaosSum({1: DenseKernel(np.ones(16))})
+        with pytest.raises(PoolRefused):
+            chaos.sample_batch(F, 64 * BLOCK_SIZE, seed=1, threads=100000)
+        assert pool_requests == [4]
+
+    def test_sample_ratio_batch_starts_no_pool(self, four_cpus,
+                                               pool_requests):
+        fam = ratio.RatioFamily(lam=100.0, rho_const=1.0, sigma1=1.0,
+                                sigma2=1.0)
+        M = 3 * BLOCK_SIZE + 5
+        a, ra = ratio.sample_ratio_batch(fam, M, seed=8, stream=2)
+        b, rb = ratio.sample_ratio_batch(fam, M, seed=8, stream=2,
+                                         threads=4)
+        assert pool_requests == []
+        assert np.array_equal(a, b) and np.array_equal(ra, rb)
+
+    def test_run_ratio_starts_no_pool(self, four_cpus, pool_requests):
+        config = dict(lambda_grid=[10.0, 1000.0],
+                      replicas=2 * BLOCK_SIZE + 3, seed=13)
+        a = experiments.run_ratio(experiments.RatioConfig(**config))
+        b = experiments.run_ratio(experiments.RatioConfig(**config,
+                                                          threads=3))
+        assert pool_requests == []
+        assert a.to_csv_string() == b.to_csv_string()
+
+    def test_wide_sample_batch_asks_for_two_workers(self, four_cpus,
+                                                    pool_requests):
+        F = chaos.ChaosSum({1: DenseKernel(np.ones(600))})
+        with pytest.raises(PoolRefused):
+            chaos.sample_batch(F, BLOCK_SIZE + 1, seed=1, threads=2)
+        assert pool_requests == [2]
+
+    def test_long_sample_paths_asks_for_two_workers(self, four_cpus,
+                                                    pool_requests):
+        with pytest.raises(PoolRefused):
+            sample_paths(CovarianceFunction.fgn(0.7), 4096, BLOCK_SIZE + 1,
+                         seed=1, threads=2)
+        assert pool_requests == [2]
