@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chaos
 from .chaos import ChaosSum, as_rank_one, kappa4_I2
-from .errors import NumericalError, ValidationError, check_even_power
+from .errors import NumericalError, ValidationError
 # contract is unused here; bench/tracer.py patches bounds.contract
 from .kernels import (checked_sqrt_inner, contract,  # noqa: F401
                       rank_one_contraction_norm, rank_one_mixed_inner,
@@ -93,11 +94,9 @@ def chaos_sum_bound(F: ChaosSum) -> BoundReport:
     largest sqrt<f_p (x) f_p, f_q (x)_{q-p} f_q> over present pairs p < q;
     zero for a single chaos.  Normalization is E[F^2], which must be > 0.
     """
-    # looked up at each call, not at import: bench/tracer.py patches
-    # chaos.second_moment, and a module-level name would bypass the patch
-    from .chaos import second_moment
-
-    variance = second_moment(F)
+    # an attribute of chaos, read at each call: bench/tracer.py patches
+    # chaos.second_moment, and a name bound at import would bypass the patch
+    variance = chaos.second_moment(F)
     if not math.isfinite(variance):
         raise NumericalError(f"E[F^2] is not finite in float64: {variance}")
     if not variance > 0.0:
@@ -165,22 +164,23 @@ def breuer_major_bound(rho: CovarianceFunction, n: int, d: int, m: int,
     )
 
 
-def power_variation_bound(rho: CovarianceFunction, n: int, q: int,
+def power_variation_bound(rho: CovarianceFunction, n: int,
                           variance: float) -> BoundReport:
-    """Covariance-sum bound for the standardized power variation.
+    """Covariance-sum bound for the standardized q-th power variation.
 
-    The even monomial has Hermite rank 2, so this is breuer_major_bound with
-    d = 1, whose second bracket (sum_{k<n} |rho|^2)^(3/2) is reported as
-    covariance_sq.  variance is E[(sqrt(n) (Q - E Q))^2] = n * Var(Q_{q,n}).
+    Every even monomial has Hermite rank 2, so this is breuer_major_bound
+    with d = 1 for any even q, whose second bracket (sum_{k<n} |rho|^2)^(3/2)
+    is reported as covariance_sq.  q enters only through variance, which is
+    E[(sqrt(n) (Q - E Q))^2] = n * Var(Q_{q,n}).
     """
-    check_even_power(q)
     report = breuer_major_bound(rho, n, 1, 1, variance)
     report.terms["covariance_sq"] = report.terms.pop("rank_cross")
     return report
 
 
-def fgn_rate(H: float, q: int) -> RatePrediction:
-    """Decay exponent of the covariance-sum bound for fGn power variations.
+def fgn_rate(H: float) -> RatePrediction:
+    """Decay exponent of the covariance-sum bound for fGn power variations,
+    the same for every even power (each has Hermite rank 2).
 
     Three regimes in the Hurst parameter: n**(-1/2) for H < 5/8, an extra
     log^(3/2) factor exactly at H = 5/8, and n**(4H-3) for 5/8 < H < 3/4.
@@ -191,7 +191,6 @@ def fgn_rate(H: float, q: int) -> RatePrediction:
     quadratic variation decays as n**(-0.30) while the bound decays as
     n**(-0.2).
     """
-    check_even_power(q)
     if not 0.0 < H < 0.75:
         raise ValidationError(
             f"rate prediction requires 0 < H < 3/4, got H={H}")
@@ -202,25 +201,22 @@ def fgn_rate(H: float, q: int) -> RatePrediction:
     return RatePrediction(exponent=4.0 * H - 3.0, log_power=0.0)
 
 
-def nz_ratio_diagnostic(rho: CovarianceFunction, n: int, M: int,
-                        signs) -> float:
+def nz_ratio_diagnostic(rho: CovarianceFunction, n: int, M: int) -> float:
     """Ratio LHS/RHS of the covariance cross-sum inequality
 
         sum_{|k_j|<=n} |rho(k . v)| prod_j |rho(k_j)|
             <= C (sum_{|k|<=n} |rho(k)|^(1+1/M))^M
 
-    for a sign vector v of M >= 2 entries.  A diagnostic for the unknown
-    constant C, not a pass/fail check.
+    for M >= 2 and any sign vector v of M entries +-1.  A diagnostic for
+    the unknown constant C, not a pass/fail check.
 
     The weight w(k) = |rho(k)| is even and the box |k_j| <= n is symmetric,
-    so substituting k_j -> v_j k_j shows that v does not change the sum:
+    so substituting k_j -> v_j k_j shows that v does not change the sum,
+    and no sign vector is taken:
     LHS = sum_s |rho(s)| (w * ... * w)(s), an M-fold convolution of w.
     """
     if M < 2:
         raise ValidationError(f"M must be at least 2, got {M}")
-    v = np.asarray(signs, dtype=int)
-    if v.shape != (M,) or not np.all(np.abs(v) == 1):
-        raise ValidationError(f"signs must be a vector of {M} entries +-1")
     # |rho| at lags 0..M*n covers every sum of M lags in [-n, n]
     table = np.abs(rho.lag_array(M * n + 1))
     w = table[np.abs(np.arange(-n, n + 1))]

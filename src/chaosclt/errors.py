@@ -52,6 +52,13 @@ def checked_real(value, name: str) -> float:
     return float(value)
 
 
+def check_known_keys(data: dict, known, where: str) -> None:
+    """Raise a ValidationError, at where, for keys of data outside known."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+
+
 def check_even_power(q: int) -> None:
     """Raise a ValidationError unless the power q is even and >= 2."""
     if q % 2 != 0 or q < 2:

@@ -21,8 +21,8 @@ from .bounds import chaos_sum_bound, fgn_rate, nz_ratio_diagnostic, phi, \
     power_variation_bound
 from .chaos import ChaosSum
 from .distances import EmpiricalSample, kolmogorov_distance, rate_fit
-from .errors import (NumericalError, ValidationError, checked_integer,
-                     checked_real)
+from .errors import (NumericalError, ValidationError, check_known_keys,
+                     checked_integer, checked_real)
 from .hermite import MAX_MONOMIAL_ORDER
 from .kernels import kernel_from_json
 from .ratio import Perturbations, RatioFamily, ratio_bound, \
@@ -84,10 +84,7 @@ def _grid(values, name: str, convert, **limits) -> list:
 def _config_from_dict(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ValidationError(f"{where} must be an object, got {data!r}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    check_known_keys(data, {f.name for f in fields(cls)}, where)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -175,8 +172,7 @@ def run_rates(config: RatesConfig) -> ResultTable:
         samples = table[:, np.searchsorted(ends, n)]
         standardized = (samples - mean_q) / math.sqrt(variance)
         d = kolmogorov_distance(EmpiricalSample.from_data(standardized), 0.0, 1.0)
-        report = power_variation_bound(cov, n, config.q,
-                                       variance=n * variance)
+        report = power_variation_bound(cov, n, variance=n * variance)
         rows.append({
             "hurst": config.hurst, "q": config.q, "n": n,
             "replicas": config.replicas, "seed": config.seed, "stream": 0,
@@ -189,7 +185,7 @@ def run_rates(config: RatesConfig) -> ResultTable:
         })
         distances[n] = d
     fit = rate_fit(list(distances.items())) if len(distances) >= 2 else None
-    prediction = fgn_rate(config.hurst, config.q)
+    prediction = fgn_rate(config.hurst)
     metadata = {
         "experiment": "rates",
         "version": __version__,
@@ -237,6 +233,7 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
         if not isinstance(item, dict) or "kernels" not in item:
             raise ValidationError(f"{where}: expected an object with a "
                                   f"'kernels' list")
+        check_known_keys(item, ("label", "kernels"), where)
         label = item.get("label", f"input-{i}")
         if not isinstance(label, str):
             raise ValidationError(f"{where}.label: must be a string")
@@ -287,9 +284,9 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
 
 @dataclass
 class RatioConfig:
-    """Settings of run_ratio.  threads is a cap that changes nothing: a
-    ratio run always uses the calling thread, since its blocks are too
-    short to pay for a pool thread (streams.block_threads)."""
+    """Settings of run_ratio.  threads is checked and echoed, but nothing
+    reads it: a ratio run always uses the calling thread, since its blocks
+    are too short to pay for a pool thread (sample_ratio_batch)."""
 
     lambda_grid: list[float]
     replicas: int
@@ -339,8 +336,7 @@ def run_ratio(config: RatioConfig) -> ResultTable:
     distances = []
     for idx, fam in enumerate(families):
         values, rejected = sample_ratio_batch(fam, config.replicas,
-                                              config.seed, threads=config.threads,
-                                              stream=idx)
+                                              config.seed, stream=idx)
         kept = values[~rejected]
         if kept.size == 0:
             raise ValidationError(
@@ -404,13 +400,14 @@ class NzConfig:
 
 
 def run_nz_diagnostics(config: NzConfig) -> ResultTable:
-    """Tabulate the cross-sum ratio over the n grid (no randomness; the
-    seed is recorded for uniform run metadata only)."""
+    """Tabulate the cross-sum ratio over the n grid.  seed and signs are
+    checked and echoed, but change nothing: the diagnostic draws no random
+    numbers and does not depend on the sign vector (nz_ratio_diagnostic)."""
     cov = CovarianceFunction.fgn(config.hurst)
     columns = ["hurst", "m", "signs", "n", "ratio"]
     rows = []
     for n in config.n_grid:
-        ratio = nz_ratio_diagnostic(cov, n, config.m, config.signs)
+        ratio = nz_ratio_diagnostic(cov, n, config.m)
         rows.append({
             "hurst": config.hurst, "m": config.m,
             "signs": ";".join(str(s) for s in config.signs),

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_even_power
 
 # Factorial-bearing coefficient formulas are evaluated in float64; beyond
 # this order the intermediate factorials lose integer exactness.
@@ -51,8 +51,7 @@ def hermite_monomial_coeffs(q: int) -> np.ndarray:
     c[k] = q! / (2**(q/2 - k) * (q/2 - k)! * (2k)!), so c[q/2] = 1.
     Only even q are expandable in even-order polynomials alone.
     """
-    if q % 2 != 0 or q < 2:
-        raise ValidationError(f"monomial order must be even and >= 2, got {q}")
+    check_even_power(q)
     if q > MAX_MONOMIAL_ORDER:
         raise ValidationError(
             f"monomial order capped at {MAX_MONOMIAL_ORDER}, got {q}")

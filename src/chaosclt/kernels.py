@@ -36,7 +36,7 @@ import numpy as np
 
 from . import toeplitz
 from .errors import (TOLERANCE, NumericalError, ValidationError,
-                     checked_integer)
+                     check_known_keys, checked_integer)
 from .stationary import CovarianceFunction, HermiteEvenCoeffs
 
 __all__ = [
@@ -492,8 +492,8 @@ def _finite(value, where: str, shape=None) -> np.ndarray:
 
 def kernel_from_json(data: dict, where: str = "kernel") -> DenseKernel | RankOneSumKernel:
     """Inverse of kernel_to_json; errors carry the offending location.
-    Keys it does not read, such as the retired stationary flag, are
-    ignored."""
+    Keys of the kernel object it does not read, such as the retired
+    stationary flag, are ignored; a term holds coeff and vector only."""
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected an object, got {type(data).__name__}")
     rep = data.get("representation")
@@ -518,6 +518,7 @@ def kernel_from_json(data: dict, where: str = "kernel") -> DenseKernel | RankOne
             loc = f"{where}.terms[{i}]"
             if not isinstance(term, dict):
                 raise ValidationError(f"{loc}: expected an object")
+            check_known_keys(term, ("coeff", "vector"), loc)
             coeffs.append(_finite(term.get("coeff"), f"{loc}: coeff", ()))
             vectors.append(_finite(term.get("vector"), f"{loc}: vector", (dim,)))
         return RankOneSumKernel(order=order, coeffs=np.array(coeffs),

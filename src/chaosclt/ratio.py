@@ -31,8 +31,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import TOLERANCE, ValidationError, checked_real
-from .streams import (block_chisquare, block_normals, block_threads,
-                      run_blocks)
+from .streams import block_chisquare, block_normals, run_blocks
 
 __all__ = [
     "Perturbations",
@@ -170,19 +169,18 @@ def sample_ratio(fam: RatioFamily, z: np.ndarray) -> tuple[float, bool]:
     return float(values), bool(rejected)
 
 
-def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, threads: int = 1,
+def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, *,
                        stream: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(values, rejected) over M replicas; deterministic in (seed, stream).
 
     Replica r is drawn from its sufficient statistics: row r of a (count, 4)
     block_normals draw gives Z_0, Z_F, Z_S, Z_U, and entry r of the block's
     chi-square(m - 1) draw gives W, so ||Z[:m]||^2 = Z_0^2 + W (W = 0 when
-    m = 1).  Replica r depends only on (seed, stream, r): the output is the
-    same for every thread count, and the first k replicas do not depend on M.
+    m = 1).  Replica r depends only on (seed, stream, r), so the first k
+    replicas do not depend on M.
 
-    threads is a cap (streams.block_threads), and a ratio run always uses
-    the calling thread: a block of 5 variates a replica is too short to
-    pay for a pool thread, whatever threads is.
+    Every block runs on the calling thread: a block of 5 variates a
+    replica is too short to pay for a pool thread (see streams).
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
@@ -197,7 +195,7 @@ def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, threads: int = 1,
         values[start:start + count], rejected[start:start + count] = \
             _ratio_from_stats(fam, sq, z0, zf, zs, zu)
 
-    run_blocks(M, worker, threads=block_threads(threads, 5))
+    run_blocks(M, worker)
     return values, rejected
 
 

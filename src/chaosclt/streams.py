@@ -11,7 +11,7 @@ draw.  Two consequences:
   run_blocks hands the blocks to at most `threads` workers from one shared
   queue, so the thread count never changes an output.
 
-A `threads` setting is a cap, not a demand.  Every sampler asks
+A `threads` setting is a cap, not a demand.  A sampler that has one asks
 block_threads(threads, variates_per_replica) how many workers to use: one,
 on the calling thread, when a full block holds fewer than
 MIN_POOL_VARIATES variates, else `threads` capped at the CPUs this process
@@ -34,7 +34,8 @@ two threads over that on one:
     sample_paths (n = 64) 128                  0.53 .. 0.61
 
 so the crossover lies between 8 and 16 variates a replica, and a pool
-starts from 16 (2**14 in a block of BLOCK_SIZE rows) on.
+starts from 16 (2**14 in a block of BLOCK_SIZE rows) on.  The ratio
+sampler, at 5, has no threads setting and runs on the calling thread.
 
 Layout of stream protocol 6 (STREAM_PROTOCOL).  seed and stream are both
 in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64 generator

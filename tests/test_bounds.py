@@ -341,14 +341,14 @@ class TestBreuerMajorBound:
 class TestPowerVariationBound:
     def test_iid_total(self):
         cov = CovarianceFunction.iid()
-        report = power_variation_bound(cov, 16, q=2, variance=2.0)
+        report = power_variation_bound(cov, 16, variance=2.0)
         assert report.total == pytest.approx(2.0 / (2.0 * 4.0))
 
     def test_coincides_with_rank_one_bound_when_sums_match(self):
         # iid: sum |rho|^2 = sum |rho|^(2d) at d = 1, so the two bounds agree
         cov = CovarianceFunction.fgn(0.5)
         for n in (1, 7, 64):
-            a = power_variation_bound(cov, n, q=2, variance=1.3)
+            a = power_variation_bound(cov, n, variance=1.3)
             b = breuer_major_bound(cov, n, d=1, m=1, variance=1.3)
             assert a.total == pytest.approx(b.total, abs=1e-12)
 
@@ -361,68 +361,56 @@ class TestPowerVariationBound:
         pts = []
         for k in range(8, 15):
             n = 2 ** k
-            pts.append((n, power_variation_bound(cov, n, q=2,
+            pts.append((n, power_variation_bound(cov, n,
                                                  variance=1.0).total))
         fit = rate_fit(pts)
         assert abs(fit.slope - (4 * H - 3)) <= 0.02
 
-    def test_rejects_odd_power(self):
-        with pytest.raises(ValidationError):
-            power_variation_bound(CovarianceFunction.iid(), 4, q=3,
-                                  variance=1.0)
-
 
 class TestFgnRate:
     def test_three_regimes(self):
-        assert fgn_rate(0.3, 2) == RatePrediction(exponent=-0.5, log_power=0.0)
-        assert fgn_rate(0.625, 2) == RatePrediction(exponent=-0.5,
-                                                    log_power=1.5)
-        assert fgn_rate(0.7, 2) == RatePrediction(
+        assert fgn_rate(0.3) == RatePrediction(exponent=-0.5, log_power=0.0)
+        assert fgn_rate(0.625) == RatePrediction(exponent=-0.5,
+                                                 log_power=1.5)
+        assert fgn_rate(0.7) == RatePrediction(
             exponent=pytest.approx(-0.2), log_power=0.0)
 
     def test_exponent_always_negative(self):
         for H in np.linspace(0.05, 0.74, 30):
-            assert fgn_rate(float(H), 2).exponent < 0.0
+            assert fgn_rate(float(H)).exponent < 0.0
 
     @pytest.mark.parametrize("H", [0.75, 0.9, 0.0, -0.1])
     def test_out_of_regime(self, H):
         with pytest.raises(ValidationError):
-            fgn_rate(H, 2)
+            fgn_rate(H)
 
 
 class TestNzDiagnostic:
     def test_iid_ratio_is_one(self):
         cov = CovarianceFunction.iid()
-        for signs in ([1, 1], [1, -1], [-1, 1]):
-            assert nz_ratio_diagnostic(cov, 10, 2, signs) == pytest.approx(1.0)
+        assert nz_ratio_diagnostic(cov, 10, 2) == pytest.approx(1.0)
 
     def test_fgn_ratio_finite_positive(self):
         cov = CovarianceFunction.fgn(0.7)
-        ratio = nz_ratio_diagnostic(cov, 256, 2, [1, -1])
+        ratio = nz_ratio_diagnostic(cov, 256, 2)
         assert 0.0 < ratio < math.inf
 
-    def test_sign_flip_invariance(self):
-        cov = CovarianceFunction.fgn(0.7)
-        a = nz_ratio_diagnostic(cov, 64, 2, [1, -1])
-        b = nz_ratio_diagnostic(cov, 64, 2, [-1, 1])
-        assert a == pytest.approx(b, rel=1e-12)
-        c = nz_ratio_diagnostic(cov, 16, 3, [1, -1, 1])
-        d = nz_ratio_diagnostic(cov, 16, 3, [-1, 1, -1])
-        assert c == pytest.approx(d, rel=1e-12)
-
     def test_three_fold_brute_force(self):
+        # the oracle takes every sign vector; the diagnostic takes none
         cov = CovarianceFunction.fgn(0.6)
-        n, signs = 4, [1, -1, 1]
-        lhs = 0.0
-        for k1 in range(-n, n + 1):
-            for k2 in range(-n, n + 1):
-                for k3 in range(-n, n + 1):
-                    dot = signs[0] * k1 + signs[1] * k2 + signs[2] * k3
-                    lhs += abs(cov(dot)) * abs(cov(k1)) * abs(cov(k2)) * abs(cov(k3))
+        n = 4
         rhs = sum(abs(cov(k)) ** (4.0 / 3.0)
                   for k in range(-n, n + 1)) ** 3
-        assert nz_ratio_diagnostic(cov, n, 3, signs) == pytest.approx(
-            lhs / rhs, rel=1e-12)
+        ratio = nz_ratio_diagnostic(cov, n, 3)
+        for signs in itertools.product((1, -1), repeat=3):
+            lhs = 0.0
+            for k1 in range(-n, n + 1):
+                for k2 in range(-n, n + 1):
+                    for k3 in range(-n, n + 1):
+                        dot = signs[0] * k1 + signs[1] * k2 + signs[2] * k3
+                        lhs += (abs(cov(dot)) * abs(cov(k1)) * abs(cov(k2))
+                                * abs(cov(k3)))
+            assert ratio == pytest.approx(lhs / rhs, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 7])
     @pytest.mark.parametrize("signs", [[1, 1], [1, -1], [-1, 1], [-1, -1]])
@@ -432,14 +420,8 @@ class TestNzDiagnostic:
                   * abs(cov(k1)) * abs(cov(k2))
                   for k1 in range(-n, n + 1) for k2 in range(-n, n + 1))
         rhs = sum(abs(cov(k)) ** 1.5 for k in range(-n, n + 1)) ** 2
-        assert nz_ratio_diagnostic(cov, n, 2, signs) == pytest.approx(
+        assert nz_ratio_diagnostic(cov, n, 2) == pytest.approx(
             lhs / rhs, rel=1e-12)
-
-    def test_three_fold_sign_vectors_agree(self):
-        cov = CovarianceFunction.fgn(0.7)
-        ratios = [nz_ratio_diagnostic(cov, 32, 3, [s1, s2, s3])
-                  for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
-        assert ratios == pytest.approx([ratios[0]] * 8, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("signs", list(itertools.product((1, -1),
@@ -451,15 +433,13 @@ class TestNzDiagnostic:
                   * math.prod(abs(cov(k)) for k in ks)
                   for ks in itertools.product(box, repeat=4))
         rhs = sum(abs(cov(k)) ** 1.25 for k in box) ** 4
-        assert nz_ratio_diagnostic(cov, n, 4, signs) == pytest.approx(
+        assert nz_ratio_diagnostic(cov, n, 4) == pytest.approx(
             lhs / rhs, rel=1e-12)
 
     def test_m_validation(self):
         cov = CovarianceFunction.iid()
         with pytest.raises(ValidationError):
-            nz_ratio_diagnostic(cov, 8, 1, [1])
-        with pytest.raises(ValidationError):
-            nz_ratio_diagnostic(cov, 8, 2, [1, 2])
+            nz_ratio_diagnostic(cov, 8, 1)
 
 
 class TestBoundReport:

