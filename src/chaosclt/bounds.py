@@ -90,7 +90,9 @@ def chaos_sum_bound(F: ChaosSum) -> BoundReport:
     """Variable part of the total-variation bound for F / sqrt(E[F^2]).
 
     max_contraction_norm: largest ||f_p (x)_r f_p|| over present orders
-    p >= 2 and 1 <= r <= p-1.  mixed_inner: for genuine sums (d < N), the
+    p >= 2 and 1 <= r <= p-1.  Every kernel of a ChaosSum is a symmetric
+    rank-one sum, for which ||f (x)_r f|| = ||f (x)_(p-r) f||, so only
+    r <= p/2 is evaluated.  mixed_inner: for genuine sums (d < N), the
     largest sqrt<f_p (x) f_p, f_q (x)_{q-p} f_q> over present pairs p < q;
     zero for a single chaos.  Normalization is E[F^2], which must be > 0.
     """
@@ -104,7 +106,8 @@ def chaos_sum_bound(F: ChaosSum) -> BoundReport:
             f"E[F^2] is {variance}, so F cannot be standardized")
     term1 = 0.0
     for p, kernel in F.kernels.items():
-        for r in range(1, p):
+        # ||f (x)_r f|| = ||f (x)_(p-r) f|| for a symmetric f
+        for r in range(1, p // 2 + 1):
             term1 = max(term1, rank_one_contraction_norm(kernel, r))
 
     term2 = 0.0

@@ -59,7 +59,8 @@ def check_known_keys(data: dict, known, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def check_even_power(q: int) -> None:
-    """Raise a ValidationError unless the power q is even and >= 2."""
+def check_even_power(q: int, name: str = "power") -> None:
+    """Raise a ValidationError, naming the field, unless the power q is
+    even and >= 2."""
     if q % 2 != 0 or q < 2:
-        raise ValidationError(f"power must be even and >= 2, got {q}")
+        raise ValidationError(f"{name} must be even and >= 2, got {q}")

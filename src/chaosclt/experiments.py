@@ -21,8 +21,8 @@ from .bounds import chaos_sum_bound, fgn_rate, nz_ratio_diagnostic, phi, \
     power_variation_bound
 from .chaos import ChaosSum
 from .distances import EmpiricalSample, kolmogorov_distance, rate_fit
-from .errors import (NumericalError, ValidationError, check_known_keys,
-                     checked_integer, checked_real)
+from .errors import (NumericalError, ValidationError, check_even_power,
+                     check_known_keys, checked_integer, checked_real)
 from .hermite import MAX_MONOMIAL_ORDER
 from .kernels import kernel_from_json
 from .ratio import Perturbations, RatioFamily, ratio_bound, \
@@ -109,7 +109,7 @@ class RatesConfig:
         self.replicas = checked_integer(self.replicas, "replicas", 100)
         self.seed = checked_integer(self.seed, "seed", 0, KEY_LIMIT)
         self.q = checked_integer(self.q, "q", 2, MAX_MONOMIAL_ORDER + 1)
-        _require(self.q % 2 == 0, f"q must be even, got {self.q}")
+        check_even_power(self.q, "q")
         self.threads = checked_integer(self.threads, "threads", 1)
         self.hurst = checked_real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 0.75,

@@ -122,17 +122,23 @@ def product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
     rows = np.empty((len(pairs), _TRACE_BLOCK + 1, n))
     rows[:, 0] = firsts
     terms = [np.stack([y[1:], y[:0:-1]]) for _, y in pairs]
+    # row i of weights is (x_i, -x_(n-i)), i = 1 .. streamed - 1
+    weights = [np.stack([x[1:streamed], -x[n - 1:n - streamed:-1]], axis=1)
+               for x, _ in pairs]
+    # (row i, row i - 1 shifted by one) of each block, i = 1 .. _TRACE_BLOCK
+    steps = [[(block[i, 1:], block[i - 1, :-1])
+              for i in range(1, _TRACE_BLOCK + 1)] for block in rows]
     for start in range(1, streamed, _TRACE_BLOCK):
         stop = min(start + _TRACE_BLOCK, streamed)
         count = stop - start
         # column 0 of T(x) T(y) is row 0 of T(y) T(x)
-        for (x, _), term, head, block in zip(pairs, terms, firsts[::-1], rows):
-            weights = np.stack([x[start:stop], -x[n - start:n - stop:-1]],
-                               axis=1)
-            np.matmul(weights, term, out=block[1:count + 1, 1:])
+        for weight, term, head, block, step in zip(weights, terms,
+                                                   firsts[::-1], rows, steps):
+            np.matmul(weight[start - 1:stop - 1], term,
+                      out=block[1:count + 1, 1:])
             block[1:count + 1, 0] = head[start:stop]
-            for i in range(1, count + 1):
-                block[i, 1:] += block[i - 1, :-1]
+            for row, previous in step[:count]:
+                np.add(row, previous, out=row)
         paired = min(stop, half) - start
         total += float(np.vdot(rows[0, 1:paired + 1], rows[-1, 1:paired + 1]))
         rows[:, 0] = rows[:, count]

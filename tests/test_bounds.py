@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaosclt import bounds
+from chaosclt import bounds, toeplitz
 from chaosclt.bounds import (BoundReport, RatePrediction, breuer_major_bound,
                              chaos_sum_bound, checked_sqrt_inner, fgn_rate,
                              nz_ratio_diagnostic, phi, power_variation_bound)
@@ -232,6 +232,47 @@ class TestBreuerMajorChaosSumBound:
             tracemalloc.stop()
         assert report.terms["max_contraction_norm"] > 0.0
         assert peak < n * n * 8
+
+
+class TestContractionMirror:
+    """chaos_sum_bound evaluates ||f (x)_r f|| for r <= p/2 only, since
+    ||f (x)_r f|| = ||f (x)_(p-r) f||."""
+
+    @staticmethod
+    def all_r_max(F):
+        return max(rank_one_contraction_norm(k, r)
+                   for p, k in F.kernels.items() for r in range(1, p))
+
+    @pytest.mark.parametrize("n", [2, 129, 256])
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_breuer_major_traces_each_contraction_once(self, H, n,
+                                                       monkeypatch):
+        coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, 0.5]))
+        F = ChaosSum({k.order: k for k in breuer_major_kernels(
+            CovarianceFunction.fgn(H), n, coeffs)})
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append((alpha.size, beta.size))
+            return product_trace(alpha, beta)
+
+        product_trace = toeplitz.product_trace
+        monkeypatch.setattr(toeplitz, "product_trace", counted)
+        got = chaos_sum_bound(F).terms["max_contraction_norm"]
+        # r = 1 of f_2; r = 1, 2 of f_4
+        assert calls == [(n, n)] * 3
+        assert got == self.all_r_max(F)
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6])
+    def test_dense_gram_route_stays_within_rounding(self, order):
+        # the dense route rounds r and p - r differently, by a few ulps
+        rng = np.random.default_rng(30 + order)
+        for _ in range(10):
+            F = ChaosSum({order: RankOneSumKernel(
+                order=order, coeffs=rng.uniform(-1, 1, size=4),
+                vectors=rng.uniform(-1, 1, size=(4, 5)))})
+            got = chaos_sum_bound(F).terms["max_contraction_norm"]
+            assert got == pytest.approx(self.all_r_max(F), rel=1e-14)
 
 
 class TestCheckedSqrtInner:

@@ -437,7 +437,10 @@ class TestSerialization:
 
 
 class TestToeplitzProduct:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500])
+    # 65 .. 257 put the last streamed row in a partial block, on a block
+    # edge and after an odd middle row
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 129, 130, 131, 257,
+                                   500])
     def test_matches_dense_product(self, n):
         rng = np.random.default_rng(n)
         alpha, beta = rng.normal(size=n), rng.normal(size=n)
@@ -493,8 +496,8 @@ class TestContractionNormMirror:
     @pytest.mark.parametrize("H", [0.3, 0.7])
     def test_r_and_p_minus_r_agree_bitwise(self, H, n):
         # ||f (x)_r f|| = ||f (x)_(p-r) f||: the streamed trace is symmetric
-        # in its two rows to the bit, so evaluating only r <= p/2 would
-        # move no output
+        # in its two rows to the bit, so chaos_sum_bound, which evaluates
+        # only r <= p/2, moves no output on this route
         coeffs = HermiteEvenCoeffs(d=1, m=2, lambdas=np.array([1.0, -0.5]))
         _, f4 = breuer_major_kernels(CovarianceFunction.fgn(H), n, coeffs)
         assert f4.order == 4

@@ -75,8 +75,10 @@ class TestProductTrace:
         assert toeplitz_module.product_trace(alpha, beta) == pytest.approx(
             expected, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 129, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 129, 130, 131, 257, 300,
+                                   2049])
     def test_swapping_the_rows_keeps_every_bit(self, n):
+        # the premise of evaluating ||f (x)_r f|| for r <= p/2 only
         rng = np.random.default_rng(20 + n)
         alpha, beta = rng.normal(size=n), rng.normal(size=n)
         assert (toeplitz_module.product_trace(alpha, beta)
