@@ -21,6 +21,7 @@ have the same law (see _eigen_terms).
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
 from .kernels import (DenseKernel, Gram, RankOneSumKernel, is_symmetric,
                       rank_one_contraction_norm, rank_one_norm_squared)
-from .streams import (block_generator, block_normals, block_threads,
-                      row_chunks, run_blocks)
+from .streams import (BLOCK_SIZE, block_generator, block_normals,
+                      block_threads, row_chunks, run_blocks)
 
 __all__ = [
     "ChaosSum",
@@ -216,33 +217,45 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
     Gaussian, and no dim x dim rotation is formed per block.  That route
     evaluates each row on its own, so its replicas do not depend on the
     block's row count, and it draws and evaluates a block in row chunks
-    of at most streams.CHUNK_NORMALS normals, each drawn into one work
-    array per block (at most 1 MiB), with the bits of a whole-block draw.
-    Every other sum draws its blocks whole (F.dim normals per replica,
-    4 MiB per worker at dim 512).  The samples are exact in law; a
-    pathwise value at a given Gaussian vector comes from sample only.
+    of at most streams.CHUNK_NORMALS normals (at most 1 MiB), with the bits
+    of a whole-block draw.  Every other sum draws its blocks whole (F.dim
+    normals per replica, 4 MiB at dim 512).  Each worker draws into one
+    work array of the size of the first chunk, allocated once per call on
+    the calling thread and lent to a block at a time.  The samples are
+    exact in law; a pathwise value at a given Gaussian vector comes from
+    sample only.
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
     out = np.empty(M)
     eigen_terms = _eigen_terms(F)
     terms = eigen_terms or _unit_terms(F)
+    workers = block_threads(threads, F.dim)
+    # one work array per worker that run_blocks starts, shaped for the
+    # first, largest block's first chunk; allocated here rather than in a
+    # pool thread, whose malloc arena likely keeps what it frees
+    first = min(M, BLOCK_SIZE)
+    rows = next(row_chunks(first, F.dim))[1] if eigen_terms else first
+    arrays = queue.SimpleQueue()
+    for _ in range(min(workers, -(-M // BLOCK_SIZE))):
+        arrays.put(np.empty((rows, F.dim)))
 
     def worker(block, start, count):
         # the eigen route evaluates each row on its own, so row chunks of
         # the block's generator keep every bit; the BLAS products of the
         # unit-term route can round a row differently with the number of
         # rows, so it draws and evaluates the block whole
-        chunks = (list(row_chunks(count, F.dim)) if eigen_terms
+        chunks = (row_chunks(count, F.dim) if eigen_terms
                   else [(0, count)])
         generator = block_generator(seed, stream, block)
-        Z = np.empty((chunks[0][1], F.dim))
+        Z = arrays.get_nowait()
         for lo, hi in chunks:
             block_normals(seed, stream, block, hi - lo, F.dim, generator,
                           out=Z[:hi - lo])
             out[start + lo:start + hi] = _eval_block(terms, Z[:hi - lo])
+        arrays.put(Z)
 
-    run_blocks(M, worker, threads=block_threads(threads, F.dim))
+    run_blocks(M, worker, threads=workers)
     return out
 
 

@@ -67,14 +67,16 @@ chunks hold the bits of one whole-block draw.  The circulant path sampler
 block in chunks of at most CHUNK_NORMALS normals (row_chunks), so a
 worker holds a few MiB whatever the path length; chaos.sample_batch draws
 and evaluates eigen-form sums the same way.  Both draw each chunk with
-block_normals(..., out=) straight into a work array that lives for the
-whole block (the sampler's spectrum array, sample_batch's chunk array),
-which gives the bits of the allocating draw.  Chunking is not part of
-the protocol and changes no output: it is used only where every row is
-computed on its own, not through a BLAS product whose rounding can depend
-on the number of rows.  Protocol 1 had substream 0 only; protocol 2 added
-substream 1 for the ratio family's chi-square draws, so seeded ratio
-outputs differ between the two while every other stream is unchanged.
+block_normals(..., out=) straight into a work array, which gives the bits
+of the allocating draw: the sampler's spectrum array lives for the whole
+block, and sample_batch allocates one chunk array per worker on the
+calling thread, once per call, and lends it to one block at a time.
+Chunking is not part of the protocol and changes no output: it is used
+only where every row is computed on its own, not through a BLAS product
+whose rounding can depend on the number of rows.  Protocol 1 had
+substream 0 only; protocol 2 added substream 1 for the ratio family's
+chi-square draws, so seeded ratio outputs differ between the two while
+every other stream is unchanged.
 
 What each experiment keys its streams by: the ratio sweep reads stream
 i for the i-th lambda grid point.  The rates experiment reads stream 0
@@ -113,7 +115,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_integer
 
 STREAM_PROTOCOL = 6
 
@@ -224,8 +226,10 @@ def block_threads(threads: int, variates_per_replica: int) -> int:
     blocks are too short to pay for a pool thread, and run on the calling
     thread.  Otherwise threads, capped at the CPUs this process may use
     (os.sched_getaffinity where it exists, else os.cpu_count), so a large
-    setting never starts more threads than can run at once.
+    setting never starts more threads than can run at once.  threads must
+    be an integer >= 1, else a ValidationError is raised.
     """
+    threads = checked_integer(threads, "threads", 1)
     if BLOCK_SIZE * variates_per_replica < MIN_POOL_VARIATES:
         return 1
     if hasattr(os, "sched_getaffinity"):

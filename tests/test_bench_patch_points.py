@@ -86,7 +86,7 @@ def test_tracer_counts_the_normals_of_sample_batch(monkeypatch):
 
 
 def test_tracer_counts_every_row_chunk_of_an_eigen_form_batch(monkeypatch):
-    # eigen-form sums are drawn in row chunks into one buffer per block;
+    # eigen-form sums are drawn in row chunks into one buffer per worker;
     # each chunk goes through the block_normals name the benchmark wraps
     tracer = load_tracer(monkeypatch)
     dim, M = 600, BLOCK_SIZE + 37

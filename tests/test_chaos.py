@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz as scipy_toeplitz
 
+from chaosclt import chaos as chaos_module
 from chaosclt import toeplitz as toeplitz_module
 from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, _eigen_terms,
                             _eval_block, _unit_terms, as_rank_one, hermite,
@@ -268,7 +269,7 @@ class TestEigenFormSampling:
 
     def test_peak_memory_is_one_row_chunk(self):
         # eigen-form blocks are drawn in row chunks into one work array
-        # per block (1 MiB at dim 512); a whole-block draw holds 4 MiB
+        # per worker (1 MiB at dim 512); a whole-block draw holds 4 MiB
         F = eigen_form_sum(np.random.default_rng(15), 512, (1, 2))
         assert _eigen_terms(F) is not None
         tracemalloc.start()
@@ -296,7 +297,9 @@ class TestEigenFormSampling:
 
     @pytest.mark.parametrize("orders", [(1, 2), (2,)])
     def test_thread_count_invariant(self, orders):
-        F = eigen_form_sum(np.random.default_rng(10), 7, orders)
+        # dim 16 is the narrowest row for which threads 2 and 4 start a pool
+        # (streams.block_threads)
+        F = eigen_form_sum(np.random.default_rng(10), 16, orders)
         runs = [sample_batch(F, 3 * BLOCK_SIZE + 5, seed=9, threads=threads)
                 for threads in (1, 2, 4)]
         assert np.array_equal(runs[0], runs[1])
@@ -309,24 +312,50 @@ class TestEigenFormSampling:
         # products of the unit-term route rounds some rows differently
         # from the whole block, so sample_batch draws and evaluates that
         # route's blocks whole, and the row-wise eigen route's in chunks,
-        # which must keep the bits of the whole block
-        dim, M = 600, BLOCK_SIZE + 37
+        # which must keep the bits of the whole block.  With more blocks
+        # than workers, the partial last block is drawn into a full-size
+        # work array that earlier blocks used
+        dim = 600
         assert BLOCK_SIZE % (CHUNK_NORMALS // dim) != 0
         rng = np.random.default_rng(12)
-        if route == "eigen":
-            F = eigen_form_sum(rng, dim, (1, 2))
-        else:
-            F = ChaosSum({2: RankOneSumKernel(
-                order=2, coeffs=rng.normal(size=6),
-                vectors=rng.normal(size=(6, dim)))})
+        F = self.route_sum(rng, dim, route)
         terms = _eigen_terms(F) or _unit_terms(F)
         assert (terms[0][1] is None) == (route == "eigen")
-        want = np.concatenate([
-            _eval_block(terms, block_normals(2, 1, block, count, dim))
-            for block, _, count in replica_blocks(M)])
-        for threads in (1, 2, 4):
-            got = sample_batch(F, M, seed=2, threads=threads, stream=1)
-            assert np.array_equal(got, want)
+        for M in (BLOCK_SIZE + 37, 3 * BLOCK_SIZE + 37):
+            want = np.concatenate([
+                _eval_block(terms, block_normals(2, 1, block, count, dim))
+                for block, _, count in replica_blocks(M)])
+            for threads in (1, 2, 3, 4):
+                got = sample_batch(F, M, seed=2, threads=threads, stream=1)
+                assert np.array_equal(got, want)
+
+    @staticmethod
+    def route_sum(rng, dim, route):
+        """A sum that sample_batch draws on the eigen or the unit-term
+        route."""
+        if route == "eigen":
+            return eigen_form_sum(rng, dim, (1, 2))
+        return ChaosSum({2: RankOneSumKernel(
+            order=2, coeffs=rng.normal(size=6),
+            vectors=rng.normal(size=(6, dim)))})
+
+    @pytest.mark.parametrize("route, dim", [("eigen", 512), ("unit", 600)])
+    def test_work_arrays_are_lent_per_worker(self, route, dim, monkeypatch):
+        # every block draws into a work array allocated once per call for
+        # its worker, not into one of its own; the wrapper keeps each
+        # array alive, so no id is reused for a new array
+        F = self.route_sum(np.random.default_rng(16), dim, route)
+        assert (_eigen_terms(F) is not None) == (route == "eigen")
+        bases = []
+        draw = chaos_module.block_normals
+
+        def keep_base(*args, out=None, **kwargs):
+            bases.append(out if out.base is None else out.base)
+            return draw(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(chaos_module, "block_normals", keep_base)
+        sample_batch(F, 4 * BLOCK_SIZE, seed=5, threads=2)
+        assert 1 <= len({id(base) for base in bases}) <= 2
 
     def test_replicas_do_not_depend_on_the_block_row_count(self):
         # eigen-form sums are evaluated row by row, so the 37-row partial

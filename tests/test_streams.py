@@ -290,6 +290,32 @@ class TestBlockThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert block_threads(100000, 64) == 1
 
+    @pytest.mark.parametrize("threads", [0, -3, True, 2.5, "2"])
+    def test_samplers_reject_a_bad_thread_count(self, threads):
+        # checked before the small-block shortcut, so the 4-variate
+        # replicas below, which never get a pool, reject it too
+        F = chaos.ChaosSum({1: DenseKernel(np.ones(4))})
+        with pytest.raises(ValidationError, match="threads"):
+            chaos.sample_batch(F, 10, seed=1, threads=threads)
+        with pytest.raises(ValidationError, match="threads"):
+            sample_paths(CovarianceFunction.fgn(0.7), 4, 10, seed=1,
+                         threads=threads)
+
+    def test_lent_work_arrays_with_more_workers_than_cores(self, four_cpus):
+        # four pool threads share sample_batch's queue of work arrays on
+        # any box, switching as often as the interpreter allows; two blocks
+        # drawing into one array at once would change some replica
+        F = chaos.ChaosSum({2: DenseKernel(np.diag(np.arange(1.0, 17.0)))})
+        M = 16 * BLOCK_SIZE + 5
+        want = chaos.sample_batch(F, M, seed=4, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = chaos.sample_batch(F, M, seed=4, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
     def test_huge_threads_asks_for_one_pool_thread_per_cpu(
             self, four_cpus, pool_requests):
         F = chaos.ChaosSum({1: DenseKernel(np.ones(16))})
