@@ -146,28 +146,21 @@ def _unit_terms(F: ChaosSum) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out
 
 
-def _is_identity(G: np.ndarray) -> bool:
-    """Whether the square G is exactly the identity, as
-    np.array_equal(G, np.eye(len(G))) decides (NaN unequal, -0.0 equal to
-    0.0), without forming that identity: a unit diagonal and no other
-    nonzero entry, NaN counting as nonzero."""
-    return bool(np.all(np.diagonal(G) == 1.0)
-                and np.count_nonzero(G) == len(G))
-
-
 def _eigen_terms(F: ChaosSum) -> list[tuple[int, None, np.ndarray]] | None:
     """F's terms in the eigen-coordinates of its order-2 kernel, or None.
 
     When F is I1(f) + I2(g) or I2(g), and g = sum_i lambda_i u_i^(tensor 2)
-    has dim terms on a Gram that is exactly the identity, the u_i are the
+    has dim terms that are orthonormal by construction (orthonormal_terms:
+    the eigen-form of a dense kernel, see as_rank_one), the u_i are the
     rows of an orthogonal V, and xi = V z is standard Gaussian with
     I2(g)(z) = sum_i lambda_i H_2(xi_i) and I1(f)(z) = <V f, xi>.  The
     terms are then axis-aligned (directions None) with weights lambda and
-    V f.
+    V f.  Terms that are merely orthonormal in value take the unit-term
+    route.
     """
     g = F.kernels.get(2)
     if (g is None or not set(F.orders) <= {1, 2} or g.terms != F.dim
-            or not (g.orthonormal_terms or _is_identity(g.gram))):
+            or not g.orthonormal_terms):
         return None
     terms = []
     if 1 in F.kernels:
@@ -214,45 +207,39 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
     with its order-2 kernel in eigen-form (see _eigen_terms, and
     as_rank_one for dense kernels), z is read as eigen-coordinates
     instead, and the replica is sample(F, V^T z): V^T z is again standard
-    Gaussian, and no dim x dim rotation is formed per block.  That route
-    evaluates each row on its own, so its replicas do not depend on the
-    block's row count, and it draws and evaluates a block in row chunks
-    of at most streams.CHUNK_NORMALS normals (at most 1 MiB), with the bits
-    of a whole-block draw.  Every other sum draws its blocks whole (F.dim
-    normals per replica, 4 MiB at dim 512).  Each worker draws into one
-    work array of the size of the first chunk, allocated once per call on
-    the calling thread and lent to a block at a time.  The samples are
-    exact in law; a pathwise value at a given Gaussian vector comes from
-    sample only.
+    Gaussian, and no dim x dim rotation is formed per block.
+
+    Both routes draw and evaluate a block in row chunks of at most
+    streams.CHUNK_NORMALS normals (at most 1 MiB), with the bits of a
+    whole-block draw.  Each worker has one zero-filled work array of the
+    rows of a full block's first chunk, allocated once per call on the
+    calling thread and lent to a block at a time; every chunk is drawn
+    into its leading rows and evaluated at its full shape.  So the BLAS
+    products of the unit-term route always see the same shapes, and a
+    replica's bits do not depend on M, on the thread count or on where
+    its chunk falls.  The samples are exact in law; a pathwise value at a
+    given Gaussian vector comes from sample only.
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
     out = np.empty(M)
-    eigen_terms = _eigen_terms(F)
-    terms = eigen_terms or _unit_terms(F)
+    terms = _eigen_terms(F) or _unit_terms(F)
     workers = block_threads(threads, F.dim)
-    # one work array per worker that run_blocks starts, shaped for the
-    # first, largest block's first chunk; allocated here rather than in a
-    # pool thread, whose malloc arena likely keeps what it frees
-    first = min(M, BLOCK_SIZE)
-    rows = next(row_chunks(first, F.dim))[1] if eigen_terms else first
+    # one work array per worker that run_blocks starts, allocated here
+    # rather than in a pool thread, whose malloc arena likely keeps what it
+    # frees; zero-filled, so rows no chunk has drawn into yet are finite
+    rows = next(row_chunks(BLOCK_SIZE, F.dim))[1]
     arrays = queue.SimpleQueue()
     for _ in range(min(workers, -(-M // BLOCK_SIZE))):
-        arrays.put(np.empty((rows, F.dim)))
+        arrays.put(np.zeros((rows, F.dim)))
 
     def worker(block, start, count):
-        # the eigen route evaluates each row on its own, so row chunks of
-        # the block's generator keep every bit; the BLAS products of the
-        # unit-term route can round a row differently with the number of
-        # rows, so it draws and evaluates the block whole
-        chunks = (row_chunks(count, F.dim) if eigen_terms
-                  else [(0, count)])
         generator = block_generator(seed, stream, block)
         Z = arrays.get_nowait()
-        for lo, hi in chunks:
+        for lo, hi in row_chunks(count, F.dim):
             block_normals(seed, stream, block, hi - lo, F.dim, generator,
                           out=Z[:hi - lo])
-            out[start + lo:start + hi] = _eval_block(terms, Z[:hi - lo])
+            out[start + lo:start + hi] = _eval_block(terms, Z)[:hi - lo]
         arrays.put(Z)
 
     run_blocks(M, worker, threads=workers)

@@ -27,7 +27,7 @@ from .hermite import MAX_MONOMIAL_ORDER
 from .kernels import kernel_from_json
 from .ratio import Perturbations, RatioFamily, ratio_bound, \
     sample_ratio_batch
-from .stationary import CovarianceFunction, PathSampler, \
+from .stationary import CovarianceFunction, PathSampler, even_power, \
     exact_variance_power_variation, power_variation_mean
 from .streams import KEY_LIMIT, STREAM_PROTOCOL, block_threads, run_blocks
 
@@ -138,7 +138,7 @@ def _power_variation_samples(cov: CovarianceFunction, n_grid: list[int],
 
     def worker(block, start, count):
         for lo, paths in sampler.sample_chunks(seed, 0, block, count):
-            np.power(paths, q, out=paths)
+            even_power(paths, q, out=paths)
             segments = np.add.reduceat(paths, starts, axis=1)
             rows = slice(start + lo, start + lo + len(paths))
             np.cumsum(segments, axis=1, out=out[rows])

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import toeplitz
-from .errors import ValidationError, check_even_power
+from .errors import NumericalError, ValidationError, check_even_power
 from .hermite import hermite, hermite_monomial_coeffs
 from .streams import (block_generator, block_normals, block_threads,
                       row_chunks, run_blocks)
@@ -154,65 +154,58 @@ class PathSampler:
     """Exact sampler for a stationary Gaussian vector of length n.
 
     Embeds the covariance in a circulant of size m = 2n diagonalized by the
-    FFT ("circulant" mode) or, if that embedding is not positive
-    semidefinite, factors the n x n covariance by its eigendecomposition
-    ("dense" mode).  toeplitz.certify_psd decides, clamps rounding-level
-    negative eigenvalues, and raises a NumericalError for an indefinite
-    covariance.
-
-    The circulant route makes replicas in pairs, two from one complex FFT
-    (stream protocol 6, see transform), so its rows of white noise come in
-    pairs too; the dense route makes one replica per row.
+    FFT, two replicas from one complex FFT (see transform).  An indefinite
+    covariance raises the NumericalError of toeplitz.certify_psd, and one
+    whose embedding alone is indefinite (cos(0.37 k) at n = 300) a
+    NumericalError naming the embedding's lowest eigenvalue; fGn's is
+    positive semidefinite for every H (Perrin et al., IEEE SPL 2002).
     """
+
+    # the only route, kept as a name because bench/tracer.py reads it
+    mode = "circulant"
 
     def __init__(self, rho: CovarianceFunction, n: int):
         if n < 1:
             raise ValidationError(f"path length must be >= 1, got {n}")
-        self.n = n
-        lam, vectors = toeplitz.certify_psd(rho.lag_array(n + 1), factor=True)
-        if vectors is None:
-            self._mode, self._m = "circulant", 2 * n
-            # sqrt(lambda_k / m) over the full spectrum, lambda_(m-k) =
-            # lambda_k, each entry twice: it scales the real and imaginary
-            # parts of a complex spectrum through its float view
-            full = np.concatenate([lam, lam[-2:0:-1]])
-            self._scale = np.repeat(np.sqrt(full / self._m), 2)
-        else:
-            self._mode, self._chol = "dense", vectors * np.sqrt(lam)
-
-    @property
-    def mode(self) -> str:
-        return self._mode
+        self.n, self._m = n, 2 * n
+        lam = toeplitz.certify_psd(rho.lag_array(n + 1))
+        if lam.min() < 0.0:
+            raise NumericalError(
+                "the circulant embedding of the covariance is not positive "
+                f"semidefinite: eigenvalue {lam.min():.6g}")
+        # sqrt(lambda_k / m) over the full spectrum, lambda_(m-k) =
+        # lambda_k, each entry twice: it scales the real and imaginary
+        # parts of a complex spectrum through its float view
+        full = np.concatenate([lam, lam[-2:0:-1]])
+        self._scale = np.repeat(np.sqrt(full / self._m), 2)
 
     @property
     def normals_per_replica(self) -> int:
-        return 2 * self.n if self._mode == "circulant" else self.n
+        return 2 * self.n
 
     def transform(self, w: np.ndarray,
                   buffers: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> np.ndarray:
         """Apply the sampler's linear map to white-noise rows w.
 
-        w has shape (count, normals_per_replica); the output rows follow
-        the target covariance exactly when the rows of w are iid standard
-        normal.
+        w has shape (count, normals_per_replica), count even; the output
+        rows follow the target covariance exactly when the rows of w are
+        iid standard normal.
 
-        On the circulant route count must be even.  Rows 2j and 2j+1 are
-        read together as m complex numbers W_k = w[2k] + i w[2k+1] of their
-        4n floats, and X = FFT(sqrt(lambda_k / m) W_k) gives output row 2j
-        as Re X[:n] and row 2j+1 as Im X[:n].  E[X X^*] = 2C and
-        E[X X^T] = 0 for the circulant covariance C, so the two are
-        independent and each has covariance C, whose leading n x n block is
-        the target.  A lone row cannot be made exact by padding its partner
-        with zeros, so an odd count is rejected.  buffers may be a pair of
-        arrays from _work_arrays with at least count rows, which the
-        transform fills instead of allocating its own pair; the result is a
-        view of the second.  w may itself be the float view of the first
-        buffer's leading count / 2 spectra, which is then scaled in place
-        (sample_chunks draws there).  The dense route ignores buffers.
+        Rows 2j and 2j+1 are read together as m complex numbers
+        W_k = w[2k] + i w[2k+1] of their 4n floats, and
+        X = FFT(sqrt(lambda_k / m) W_k) gives output row 2j as Re X[:n] and
+        row 2j+1 as Im X[:n].  E[X X^*] = 2C and E[X X^T] = 0 for the
+        circulant covariance C, so the two are independent and each has
+        covariance C, whose leading n x n block is the target.  A lone row
+        cannot be made exact by padding its partner with zeros, so an odd
+        count is rejected.  buffers may be a pair of arrays from
+        _work_arrays with at least count rows, which the transform fills
+        instead of allocating its own pair; the result is a view of the
+        second.  w may itself be the float view of the first buffer's
+        leading count / 2 spectra, which is then scaled in place
+        (sample_chunks draws there).
         """
-        if self._mode == "dense":
-            return w @ self._chol.T
         n, m = self.n, self._m
         count = w.shape[0]
         if count % 2:
@@ -230,8 +223,8 @@ class PathSampler:
         return out
 
     def _work_arrays(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Work arrays for circulant transforms of up to rows rows, rows
-        even: the complex spectra of rows / 2 pairs, and the paths."""
+        """Work arrays for transforms of up to rows rows, rows even: the
+        complex spectra of rows / 2 pairs, and the paths."""
         return (np.empty((rows // 2, self._m), dtype=complex),
                 np.empty((rows, self.n)))
 
@@ -239,28 +232,22 @@ class PathSampler:
         """Yield (lo, paths) over the rows of one block in order, where paths
         holds replicas block*BLOCK_SIZE + lo, lo+1, ... one per row.
 
-        The circulant route draws and transforms the rows in chunks of
-        whole pairs of rows (streams.row_chunks over pairs) from the block's
-        one generator.  An odd count draws the partner of the block's last
-        row and drops its path, so replica r is made from rows 2j and 2j+1
-        of the block, j = (r % BLOCK_SIZE) // 2, whatever count and the
-        chunking are.  Its FFTs work pair by pair, so the chunks are
-        bit-identical to transforming one whole-block block_normals draw of
-        an even number of rows, while only one chunk is held at a time.
-        Each chunk is drawn into the spectrum work array itself (the float
-        view of its complex rows holds the chunk's rows of normals in
-        order), and the transforms reuse that pair of work arrays for the
-        whole block, so a yielded paths is overwritten by the next chunk:
-        use or copy it before asking for the next.  The dense route is a
-        BLAS product, which can round a row differently with the number of
-        rows, so it takes the whole block.
+        The rows are drawn and transformed in chunks of whole pairs of rows
+        (streams.row_chunks over pairs) from the block's one generator.  An
+        odd count draws the partner of the block's last row and drops its
+        path, so replica r is made from rows 2j and 2j+1 of the block,
+        j = (r % BLOCK_SIZE) // 2, whatever count and the chunking are.  The
+        FFTs work pair by pair, so the chunks are bit-identical to
+        transforming one whole-block block_normals draw of an even number
+        of rows, while only one chunk is held at a time.  Each chunk is
+        drawn into the spectrum work array itself (the float view of its
+        complex rows holds the chunk's rows of normals in order), and the
+        transforms reuse that pair of work arrays for the whole block, so a
+        yielded paths is overwritten by the next chunk: use or copy it
+        before asking for the next.
         """
         width = self.normals_per_replica
         generator = block_generator(seed, stream, block)
-        if self._mode == "dense":
-            yield 0, self.transform(
-                block_normals(seed, stream, block, count, width, generator))
-            return
         # a pair of rows is one row of twice the width to row_chunks
         pairs = list(row_chunks(-(-count // 2), 2 * width))
         buffers = self._work_arrays(2 * pairs[0][1])
@@ -282,9 +269,8 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
 
     Output is bit-identical for any thread count: replica r always reads a
     fixed row of block r // BLOCK_SIZE of the (seed, stream) stream
-    (streams.block_generator), on the circulant route together with the
-    other row of its pair (PathSampler.transform), so on that route the
-    first k rows do not depend on M either.
+    (streams.block_generator), together with the other row of its pair
+    (PathSampler.transform), so the first k rows do not depend on M either.
     """
     if M < 1:
         raise ValidationError(f"replica count must be >= 1, got {M}")
@@ -300,13 +286,30 @@ def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,
     return out
 
 
+def even_power(x: np.ndarray, q: int, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """x**q for even q >= 2 by repeated squaring, into out (which may be x):
+    bit-equal to np.power at q = 2, within q ulps of it above, where
+    np.power calls libm pow (81 against 2.2 ns an entry at q = 4, numpy
+    2.4 on one core of a 2-vCPU x86-64 box)."""
+    check_even_power(q)
+    out = np.multiply(x, x, out=out)
+    square = out.copy() if q & (q - 1) else None
+    # binary powering of x**2 to q / 2, from below its leading bit
+    for bit in bin(q // 2)[3:]:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            np.multiply(out, square, out=out)
+    return out
+
+
 def power_variation(path: np.ndarray, q: int) -> float:
     """Empirical q-th moment (1/n) sum_i path_i**q for even q >= 2."""
     check_even_power(q)
     path = np.asarray(path, dtype=float)
     if path.size == 0:
         raise ValidationError("path must be nonempty")
-    return float(np.mean(path ** q))
+    return float(np.mean(even_power(path, q)))
 
 
 def power_variation_mean(rho0: float, q: int) -> float:

@@ -37,7 +37,7 @@ so the crossover lies between 8 and 16 variates a replica, and a pool
 starts from 16 (2**14 in a block of BLOCK_SIZE rows) on.  The ratio
 sampler, at 5, has no threads setting and runs on the calling thread.
 
-Layout of stream protocol 6 (STREAM_PROTOCOL).  seed and stream are both
+Layout of stream protocol 7 (STREAM_PROTOCOL).  seed and stream are both
 in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64 generator
 seeded by numpy's SeedSequence from the entropy (seed, stream, b, s), each
 value written as two little-endian 32-bit words (block_generator):
@@ -66,14 +66,15 @@ chunks hold the bits of one whole-block draw.  The circulant path sampler
 (stationary.PathSampler.sample_chunks) draws, transforms and reduces a
 block in chunks of at most CHUNK_NORMALS normals (row_chunks), so a
 worker holds a few MiB whatever the path length; chaos.sample_batch draws
-and evaluates eigen-form sums the same way.  Both draw each chunk with
+and evaluates every sum the same way.  Both draw each chunk with
 block_normals(..., out=) straight into a work array, which gives the bits
 of the allocating draw: the sampler's spectrum array lives for the whole
 block, and sample_batch allocates one chunk array per worker on the
 calling thread, once per call, and lends it to one block at a time.
-Chunking is not part of the protocol and changes no output: it is used
-only where every row is computed on its own, not through a BLAS product
-whose rounding can depend on the number of rows.  Protocol 1 had
+Chunking is not part of the protocol and changes no output: each row
+is computed on its own (an FFT of a pair of rows, a row-wise einsum) or
+in a BLAS product of one fixed shape, as BLAS rounding can depend on the
+shape (sample_batch evaluates its whole work array).  Protocol 1 had
 substream 0 only; protocol 2 added substream 1 for the ratio family's
 chi-square draws, so seeded ratio outputs differ between the two while
 every other stream is unchanged.
@@ -105,6 +106,13 @@ kept their bits.  Rows are drawn, transformed and chunked in pairs
 partner of its last row and drops that path, so no replica depends on
 the replica count, the chunking or the thread count.
 
+Protocol 7 changed chaos.sample_batch on sums outside the eigen-form,
+and only that: their blocks are chunked too, each chunk evaluated at the
+work array's fixed shape.  Protocol 6 evaluated such a block whole, so a
+replica's bits changed with M; those outputs moved by rounding.  The
+eigen-form is now picked by construction alone (orthonormal_terms), so a
+rank-one sum with an identity Gram in value left it.
+
 BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 """
 
@@ -117,7 +125,7 @@ import numpy as np
 
 from .errors import ValidationError, checked_integer
 
-STREAM_PROTOCOL = 6
+STREAM_PROTOCOL = 7
 
 BLOCK_SIZE = 1024
 

@@ -57,29 +57,26 @@ def circulant_eigenvalues(lags: np.ndarray) -> np.ndarray:
     return np.fft.rfft(circ).real
 
 
-def certify_psd(lags: np.ndarray, factor: bool = False
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+def certify_psd(lags: np.ndarray) -> np.ndarray:
     """Certify that T = T(lags[:n]) is positive semidefinite, or raise a
     NumericalError naming its eigenvalue; lags holds rho(0..n).
 
-    Eigenvalues in [-TOLERANCE * rho(0), 0) count as zeros.  If none of the
-    size-2n circulant embedding's is lower, T has none either (see
-    circulant_eigenvalues): they are returned, clipped at 0, with None.
-    Else T's own decide, by one eigvalsh, or one eigh if factor is set;
-    they are returned clipped, with the eigenvectors (columns) or None.
+    Returns the eigenvalues of T's size-2n circulant embedding
+    (circulant_eigenvalues).  Those in [-TOLERANCE * rho(0), 0) count as
+    zeros; if none is lower, T has none either, and they are returned
+    clipped at 0.  Else T's own decide, by one eigvalsh, and the embedding's
+    are returned as they are: T is then positive semidefinite, but the
+    embedding is not, and its negative eigenvalues say so.
     """
     floor = -TOLERANCE * lags[0]
-    lam, vectors = circulant_eigenvalues(lags), None
+    lam = circulant_eigenvalues(lags)
     if lam.min() < floor:
-        cov = matrix(lags[:-1])
-        if factor:
-            lam, vectors = np.linalg.eigh(cov)
-        else:
-            lam = np.linalg.eigvalsh(cov)
-        if lam.min() < floor:
+        low = np.linalg.eigvalsh(matrix(lags[:-1])).min()
+        if low < floor:
             raise NumericalError("covariance is not positive semidefinite: "
-                                 f"eigenvalue {lam.min():.6g} below {floor:g}")
-    return np.clip(lam, 0.0, None), vectors
+                                 f"eigenvalue {low:.6g} below {floor:g}")
+        return lam
+    return np.clip(lam, 0.0, None)
 
 
 # rows carried per block by product_trace: its memory is

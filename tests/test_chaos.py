@@ -12,7 +12,7 @@ from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, _eigen_terms,
                             kappa3_I2, kappa4_I2, sample, sample_batch,
                             second_moment)
 from chaosclt.errors import UnsupportedRepresentationError, ValidationError
-from chaosclt.kernels import (DenseKernel, Gram, RankOneSumKernel,
+from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
                               breuer_major_kernels, contract)
 from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
@@ -241,32 +241,6 @@ class TestEigenFormSampling:
         assert g._gram._matrix is None
         assert np.array_equal(g.gram, np.eye(64))
 
-    @pytest.mark.parametrize("entries, eigen", [
-        ([], True),
-        ([(1, 4, -0.0), (4, 1, -0.0)], True),
-        ([(1, 4, 1e-300), (4, 1, 1e-300)], False),
-        ([(1, 4, np.nan), (4, 1, np.nan)], False),
-        ([(2, 2, np.nan)], False),
-        ([(2, 2, 1.0 + 2.0 ** -52)], False)])
-    def test_identity_check_routes_as_array_equal(self, entries, eigen,
-                                                  monkeypatch):
-        # a rank-one sum given by its Gram matrix takes the eigen route
-        # exactly when np.array_equal(G, np.eye(dim)) holds (-0.0 equals
-        # 0.0, NaN equals nothing), and the check forms no identity
-        dim = 6
-        G = np.eye(dim)
-        for i, j, value in entries:
-            G[i, j] = value
-        assert np.array_equal(G, np.eye(dim)) == eigen
-        F = ChaosSum({2: RankOneSumKernel.from_gram(
-            2, np.arange(1.0, dim + 1.0), Gram(matrix=G))})
-
-        def no_eye(*args, **kwargs):
-            raise AssertionError("np.eye called")
-
-        monkeypatch.setattr(np, "eye", no_eye)
-        assert (_eigen_terms(F) is not None) == eigen
-
     def test_peak_memory_is_one_row_chunk(self):
         # eigen-form blocks are drawn in row chunks into one work array
         # per worker (1 MiB at dim 512); a whole-block draw holds 4 MiB
@@ -308,23 +282,32 @@ class TestEigenFormSampling:
     @pytest.mark.parametrize("route", ["eigen", "unit"])
     def test_blocks_match_whole_block_evaluation(self, route):
         # dim 600 spans several row chunks (streams.row_chunks) with a
-        # partial last one; evaluating such chunks through the BLAS
-        # products of the unit-term route rounds some rows differently
-        # from the whole block, so sample_batch draws and evaluates that
-        # route's blocks whole, and the row-wise eigen route's in chunks,
-        # which must keep the bits of the whole block.  With more blocks
-        # than workers, the partial last block is drawn into a full-size
-        # work array that earlier blocks used
+        # partial last one.  Every chunk is drawn into the leading rows of
+        # a work array of a full block's first chunk and evaluated at that
+        # array's shape, so the BLAS products of the unit-term route see
+        # the same shapes for every chunk; the rows past the chunk's do
+        # not change its bits, and zeros stand in for them here.  With
+        # more blocks than workers, the partial last block is drawn into a
+        # full-size work array that earlier blocks used
         dim = 600
-        assert BLOCK_SIZE % (CHUNK_NORMALS // dim) != 0
+        rows = CHUNK_NORMALS // dim
+        assert BLOCK_SIZE % rows != 0
         rng = np.random.default_rng(12)
         F = self.route_sum(rng, dim, route)
         terms = _eigen_terms(F) or _unit_terms(F)
         assert (terms[0][1] is None) == (route == "eigen")
+
+        def evaluate(Z):
+            padded = np.zeros((rows, dim))
+            padded[:len(Z)] = Z
+            return _eval_block(terms, padded)[:len(Z)]
+
         for M in (BLOCK_SIZE + 37, 3 * BLOCK_SIZE + 37):
             want = np.concatenate([
-                _eval_block(terms, block_normals(2, 1, block, count, dim))
-                for block, _, count in replica_blocks(M)])
+                evaluate(Z[lo:lo + rows])
+                for block, _, count in replica_blocks(M)
+                for Z in [block_normals(2, 1, block, count, dim)]
+                for lo in range(0, count, rows)])
             for threads in (1, 2, 3, 4):
                 got = sample_batch(F, M, seed=2, threads=threads, stream=1)
                 assert np.array_equal(got, want)
@@ -358,14 +341,22 @@ class TestEigenFormSampling:
         assert 1 <= len({id(base) for base in bases}) <= 2
 
     def test_replicas_do_not_depend_on_the_block_row_count(self):
-        # eigen-form sums are evaluated row by row, so the 37-row partial
-        # block of 1061 replicas holds the bits of the full block's first
-        # 37 rows
-        F = eigen_form_sum(np.random.default_rng(13), 600, (1, 2))
-        assert _eigen_terms(F) is not None
-        short = sample_batch(F, BLOCK_SIZE + 37, seed=6, threads=2)
-        full = sample_batch(F, 2 * BLOCK_SIZE, seed=6)
-        assert np.array_equal(short, full[:BLOCK_SIZE + 37])
+        # a replica's bits depend only on its row of normals: the eigen
+        # route evaluates row by row, and the unit-term route evaluates
+        # every chunk at one fixed shape, so the partial block of M
+        # replicas holds the bits of a full block's first rows, for any
+        # thread count.  dim 16 is one chunk a block and starts a pool;
+        # 512 and 600 are several, 600 with a partial last one
+        for route in ("eigen", "unit"):
+            for dim in (16, 512, 600):
+                F = self.route_sum(np.random.default_rng(13), dim, route)
+                assert (_eigen_terms(F) is not None) == (route == "eigen")
+                full = sample_batch(F, 4 * BLOCK_SIZE, seed=6)
+                for M in (1, 37, BLOCK_SIZE, 3 * BLOCK_SIZE + 37):
+                    for threads in (1, 2, 3, 4):
+                        short = sample_batch(F, M, seed=6, threads=threads)
+                        assert np.array_equal(short, full[:M]), (
+                            route, dim, M, threads)
 
     def test_replica_matches_sample_at_rotated_normals_closely(self):
         F = eigen_form_sum(np.random.default_rng(14), 600, (1, 2))

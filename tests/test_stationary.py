@@ -126,12 +126,7 @@ class TestSamplePaths:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode, cov", [
-        ("circulant", CovarianceFunction.fgn(0.7)),
-        # cos(0.37 k) is PSD, but its circulant embedding at n = 300 is
-        # not; the dense product of a 218-row chunk rounds some rows
-        # differently from the whole block's
-        ("dense",
-         CovarianceFunction(evaluator=lambda k: math.cos(0.37 * k)))])
+        ("circulant", CovarianceFunction.fgn(0.7))])
     def test_chunked_blocks_match_whole_block_draws(self, mode, cov):
         n, M = 300, BLOCK_SIZE + 37
         sampler = PathSampler(cov, n)
@@ -141,9 +136,9 @@ class TestSamplePaths:
         width = sampler.normals_per_replica
         want = []
         for block, _, count in replica_blocks(M):
-            # the circulant route transforms rows in pairs: the odd last
-            # block is drawn with one more row, whose path is dropped
-            rows = count + count % 2 if mode == "circulant" else count
+            # rows are transformed in pairs: the odd last block is drawn
+            # with one more row, whose path is dropped
+            rows = count + count % 2
             paths = sampler.transform(block_normals(6, 3, block, rows, width))
             want.append(paths[:count])
         want = np.concatenate(want)
@@ -260,25 +255,22 @@ class TestSamplePaths:
                 got = sample_paths(cov, n, M, seed=4, threads=threads)
                 assert np.array_equal(got, want[:M]), (M, threads)
 
-    def test_transform_covariance_exact_in_dense_mode(self):
-        cov = CovarianceFunction(
-            evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0))
-        sampler = PathSampler(cov, 2)
-        assert sampler.mode == "dense"
-        T = sampler.transform(np.eye(sampler.normals_per_replica))
-        implied = T.T @ T
-        assert np.abs(implied - np.array([[1.0, 0.99], [0.99, 1.0]])).max() < 1e-12
-
-    def test_dense_fallback_engages_and_is_exact(self):
-        # rho(1) = 0.99 makes the 2n-circulant indefinite at n=2 while the
-        # 2x2 covariance matrix stays positive definite
-        cov = CovarianceFunction(
-            evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0))
-        sampler = PathSampler(cov, 2)
-        assert sampler.mode == "dense"
-        X = sample_paths(cov, 2, 60_000, seed=21)
-        prods = X[:, 0] * X[:, 1]
-        assert abs(prods.mean() - 0.99) < 5 * mean_se(prods)
+    @pytest.mark.parametrize("cov, n", [
+        # cos(0.37 k) is positive semidefinite (rank 2), and so is the
+        # 2 x 2 covariance with rho(1) = 0.99, but their size-2n circulant
+        # embeddings are not
+        (CovarianceFunction(evaluator=lambda k: math.cos(0.37 * k)), 300),
+        (CovarianceFunction(
+            evaluator=lambda k: {0: 1.0, 1: 0.99, -1: 0.99}.get(k, 0.0)), 2)])
+    def test_indefinite_circulant_embedding_is_rejected(self, cov, n):
+        lags = cov.lag_array(n + 1)
+        assert toeplitz_module.circulant_eigenvalues(lags).min() < -0.1
+        assert np.linalg.eigvalsh(toeplitz(lags[:n]))[0] > -1e-12
+        message = "circulant embedding .* eigenvalue -"
+        with pytest.raises(NumericalError, match=message):
+            PathSampler(cov, n)
+        with pytest.raises(NumericalError, match=message):
+            sample_paths(cov, n, 4, seed=0)
 
     def test_non_psd_covariance_reports_eigenvalue(self):
         cov = CovarianceFunction(

@@ -44,7 +44,7 @@ FROZEN_DRAWS = [
 
 class TestLayout:
     def test_protocol_version(self):
-        assert STREAM_PROTOCOL == 6
+        assert STREAM_PROTOCOL == 7
 
     def test_normals_come_from_substream_0(self):
         got = block_normals(5, 2, 3, 7, 4)
