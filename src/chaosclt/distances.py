@@ -194,7 +194,7 @@ def rate_fit(points: list[tuple[int, float]]) -> RateFit:
     """Fit d ~ C * n**slope from (n, d) pairs with d > 0, at 2 or more
     distinct n."""
     ns = np.array([float(n) for n, _ in points])
-    distinct = np.unique(ns).size
+    distinct = len(set(ns.tolist()))
     if distinct < 2:
         raise ValidationError(f"need at least 2 distinct n, got {distinct}")
     ds = np.array([float(d) for _, d in points])

@@ -131,7 +131,7 @@ def _power_variation_samples(cov: CovarianceFunction, n_grid: list[int],
     Returns the sorted distinct grid ends and an (M, len(ends)) table whose
     column j holds Q_{q,ends[j]}.
     """
-    ends = np.unique(np.asarray(n_grid, dtype=np.intp))
+    ends = np.array(sorted(set(n_grid)), dtype=np.intp)
     starts = np.concatenate(([0], ends[:-1]))
     sampler = PathSampler(cov, int(ends[-1]))
     out = np.empty((M, ends.size))

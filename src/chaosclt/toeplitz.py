@@ -79,9 +79,14 @@ def certify_psd(lags: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-# rows carried per block by product_trace: its memory is
-# 2 (_TRACE_BLOCK + 1) n floats
-_TRACE_BLOCK = 64
+# product_trace carries len(pairs) (rows + 1) n floats, with rows =
+# _TRACE_BUDGET // (len(pairs) n) - 1 clamped to [_TRACE_MIN_ROWS,
+# _TRACE_MAX_ROWS]: a budget of 2^16 floats (512 KiB) keeps the blocks in
+# a core's L2 cache, which 64 rows outgrow from n ~ 500 on; below 8 rows
+# the per-block calls cost more than the cache saves.
+_TRACE_BUDGET = 1 << 16
+_TRACE_MIN_ROWS = 8
+_TRACE_MAX_ROWS = 64
 
 
 def product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
@@ -98,7 +103,12 @@ def product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
     carried forward together, a block of rows at a time: the rank-two terms
     of a block are one matrix product, then each row adds its predecessor
     shifted by one.  When alpha equals beta, T(alpha)^2 is symmetric and one
-    row is carried.
+    row is carried.  The blocks take len(pairs) (rows + 1) n floats, where
+    len(pairs) is the number of carried rows (1 or 2) and rows =
+    _TRACE_BUDGET // (len(pairs) n) - 1, clamped to [_TRACE_MIN_ROWS,
+    _TRACE_MAX_ROWS] and to at most the streamed rows after row 0: within
+    the 512 KiB budget up to n ~ 3600 for two carried rows, and 9 rows of
+    n a pair beyond (1.1 MiB at n = 8192).
 
     Only rows 0 .. ceil(n/2) - 1 are streamed.  A symmetric Toeplitz T is
     persymmetric, J T J = T for the index reversal J, so J C J = C: row
@@ -115,18 +125,21 @@ def product_trace(alpha: np.ndarray, beta: np.ndarray) -> float:
     firsts = [matvec(y, x) for x, y in pairs]
     # the dot products of rows 0 .. half - 1, each standing for two rows
     total = float(firsts[0] @ firsts[-1]) if half else 0.0
+    # rows per block; at least 1 when n <= 2 streams no row after row 0
+    size = min(max(_TRACE_BUDGET // (len(pairs) * n) - 1, _TRACE_MIN_ROWS),
+               _TRACE_MAX_ROWS, max(streamed - 1, 1))
     # rows[t, 0] holds the last row of the previous block
-    rows = np.empty((len(pairs), _TRACE_BLOCK + 1, n))
+    rows = np.empty((len(pairs), size + 1, n))
     rows[:, 0] = firsts
     terms = [np.stack([y[1:], y[:0:-1]]) for _, y in pairs]
     # row i of weights is (x_i, -x_(n-i)), i = 1 .. streamed - 1
     weights = [np.stack([x[1:streamed], -x[n - 1:n - streamed:-1]], axis=1)
                for x, _ in pairs]
-    # (row i, row i - 1 shifted by one) of each block, i = 1 .. _TRACE_BLOCK
+    # (row i, row i - 1 shifted by one) of each block, i = 1 .. size
     steps = [[(block[i, 1:], block[i - 1, :-1])
-              for i in range(1, _TRACE_BLOCK + 1)] for block in rows]
-    for start in range(1, streamed, _TRACE_BLOCK):
-        stop = min(start + _TRACE_BLOCK, streamed)
+              for i in range(1, size + 1)] for block in rows]
+    for start in range(1, streamed, size):
+        stop = min(start + size, streamed)
         count = stop - start
         # column 0 of T(x) T(y) is row 0 of T(y) T(x)
         for weight, term, head, block, step in zip(weights, terms,

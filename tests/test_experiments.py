@@ -725,8 +725,8 @@ CONFIG_CLASSES = {"rates": RatesConfig, "ratio": RatioConfig,
                   "nz": NzConfig, "bound": BoundConfig}
 
 
-# Builds Breuer-Major kernels and their bound, then runs diagnose-nz and
-# bound through the CLI, and prints the scipy modules loaded by then.
+# Builds Breuer-Major kernels and their bound, then runs every subcommand
+# through the CLI, and prints the scipy and numpy.ma modules loaded by then.
 SCIPY_FREE_RUN = """
 import json
 import sys
@@ -745,15 +745,18 @@ for command, config in (("diagnose-nz", nz_config), ("bound", bound_config),
                         ("rates", rates_config), ("ratio", ratio_config)):
     assert cli.main([command, "--config", config,
                      "--out", out + "/" + command]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy")
+                        or m == "numpy.ma" or m.startswith("numpy.ma."))))
 """
 
 
 class TestScipyFreeRuns:
     def test_no_run_loads_scipy(self, tmp_path):
         # Phi is evaluated in numpy and scipy.linalg is used nowhere, so no
-        # run imports any part of scipy; a fresh process, since the test
-        # session loads it
+        # run imports any part of scipy; nor numpy.ma, which np.unique
+        # imports on first use (10-17 ms and 1.25 MiB a process; not
+        # numpy.matrixlib, which numpy always loads); a fresh process, since
+        # the test session loads both
         src = Path(__file__).resolve().parents[1] / "src"
         configs = {
             "bound": {"inputs": [{"label": "eq",

@@ -452,6 +452,15 @@ class TestToeplitzProduct:
             assert got == pytest.approx(expected, rel=0.0,
                                         abs=1e-13 * n * scale)
 
+    # with no budget every block has the floor's 8 rows, which unpatched
+    # blocks reach only from n ~ 3300 on: the last streamed row ends a
+    # block (65, 130, 257) or starts one (131)
+    @pytest.mark.parametrize("n", [65, 130, 131, 257])
+    def test_matches_dense_product_in_floor_sized_blocks(self, n,
+                                                         monkeypatch):
+        monkeypatch.setattr(toeplitz_module, "_TRACE_BUDGET", 0)
+        self.test_matches_dense_product(n)
+
 
 class TestToeplitzContractionRoute:
     @pytest.fixture

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def dense_trace(x, y):
 
 class TestProductTrace:
     # half of n is streamed: these n put the last streamed row on either
-    # side of the 64-row block edge, with and without a middle row
+    # side of a 64-row block edge, with and without a middle row
     @pytest.mark.parametrize("n", [127, 128, 129, 130, 131])
     def test_matches_dense_around_the_block_edge(self, n):
         rng = np.random.default_rng(n)
@@ -83,6 +84,25 @@ class TestProductTrace:
         alpha, beta = rng.normal(size=n), rng.normal(size=n)
         assert (toeplitz_module.product_trace(alpha, beta)
                 == toeplitz_module.product_trace(beta, alpha))
+
+    @pytest.mark.parametrize("n", [65, 130, 131, 257])
+    def test_swapping_the_rows_keeps_every_bit_in_floor_sized_blocks(
+            self, n, monkeypatch):
+        monkeypatch.setattr(toeplitz_module, "_TRACE_BUDGET", 0)
+        self.test_swapping_the_rows_keeps_every_bit(n)
+
+    def test_carried_rows_fit_the_budget(self):
+        # at n = 8192 two carried rows take 9 rows of n each (1.1 MiB),
+        # where 64-row blocks took 8.1 MiB
+        rng = np.random.default_rng(8192)
+        alpha, beta = rng.normal(size=8192), rng.normal(size=8192)
+        tracemalloc.start()
+        try:
+            toeplitz_module.product_trace(alpha, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
 
 def private_sibling_imports(path: Path) -> list[str]:
