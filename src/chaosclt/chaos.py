@@ -1,11 +1,13 @@
 """Finite chaos sums: exact sampling on explicit Gaussian vectors, exact
 second moments through the isometry, and second-chaos cumulants (kappa_3
-from the spectrum, kappa_4 from the 1-contraction norm).
+as 8 tr g^3, kappa_4 from the 1-contraction norm).
 
 Every computation here runs on the rank-one-sum representation.  Dense
 kernels are accepted at the ChaosSum boundary, at orders 1 (one term) and 2
 (the eigen-form of the symmetric matrix), and canonicalized once by
-as_rank_one; a dense kernel of any higher order is rejected.
+as_rank_one; a dense kernel of any higher order is rejected.  The
+eigen-form keeps its matrix g, and every bound and cumulant reads g: only
+sampling (and serialization) decomposes it, once per kernel.
 
 A chaos element of order p with kernel h, evaluated on a standard Gaussian
 vector z, is computed from the identity "order-p element of a unit rank-one
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import math
 import queue
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
-from .kernels import (DenseKernel, Gram, RankOneSumKernel, is_symmetric,
+from .kernels import (DenseKernel, RankOneSumKernel, is_symmetric,
                       rank_one_contraction_norm, rank_one_norm_squared)
 from .streams import (BLOCK_SIZE, block_generator, block_normals,
                       block_threads, row_chunks, run_blocks)
@@ -47,16 +49,18 @@ __all__ = [
 Kernel = DenseKernel | RankOneSumKernel
 
 
-@dataclass(frozen=True)
 class SecondChaosSpectrum:
-    """Eigendecomposition of an order-2 kernel; eigenvectors in columns.
+    """A validated symmetric order-2 kernel matrix and its
+    eigendecomposition, eigenvectors in columns.
 
-    All eigenvalues are kept, including numerically tiny ones: they change
-    nothing and thresholding would silently bias cumulants.
+    The decomposition is one np.linalg.eigh of the matrix, made when
+    eigenvalues or eigenvectors are first read and kept.  All eigenvalues
+    are kept, including numerically tiny ones: they change nothing and
+    thresholding would silently bias cumulants.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
 
     @classmethod
     def from_kernel(cls, g: DenseKernel) -> "SecondChaosSpectrum":
@@ -65,18 +69,30 @@ class SecondChaosSpectrum:
                 f"expected an order-2 kernel, got order {g.order}")
         if not is_symmetric(g):
             raise ValidationError("order-2 kernel is not symmetric")
-        w, u = np.linalg.eigh(g.values)
-        return cls(eigenvalues=w, eigenvectors=u)
+        return cls(g.values)
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.matrix)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigh[1]
 
 
 def as_rank_one(kernel: Kernel) -> RankOneSumKernel:
     """The rank-one-sum form of a kernel; rank-one sums pass through.
 
     A dense order-1 kernel f becomes the single term f, and a dense order-2
-    kernel its eigen-form sum_i lambda_i u_i^(tensor 2), which rejects an
-    asymmetric matrix; the eigenvectors u_i are orthonormal, so that form
-    is built on a Gram that is exactly the identity (see sample_batch).
-    Dense kernels of higher order have no cheap
+    kernel g its eigen-form sum_i lambda_i u_i^(tensor 2)
+    (RankOneSumKernel.eigen_form on a SecondChaosSpectrum), which rejects
+    an asymmetric matrix.  Nothing is decomposed here: the closed forms
+    read g, and the eigenpairs are computed once, when sampling first reads
+    them (see sample_batch).  Dense kernels of higher order have no cheap
     rank-one form and raise UnsupportedRepresentationError.
     """
     if isinstance(kernel, RankOneSumKernel):
@@ -85,9 +101,8 @@ def as_rank_one(kernel: Kernel) -> RankOneSumKernel:
         return RankOneSumKernel(order=1, coeffs=np.array([1.0]),
                                 vectors=kernel.values[None, :])
     if kernel.order == 2:
-        spec = SecondChaosSpectrum.from_kernel(kernel)
-        return RankOneSumKernel.from_gram(
-            2, spec.eigenvalues, Gram.orthonormal(spec.eigenvectors.T))
+        return RankOneSumKernel.eigen_form(
+            SecondChaosSpectrum.from_kernel(kernel))
     raise UnsupportedRepresentationError(
         f"dense kernels are supported only at orders 1 and 2; "
         f"use a rank-one sum for order {kernel.order}")
@@ -151,7 +166,8 @@ def _eigen_terms(F: ChaosSum) -> list[tuple[int, None, np.ndarray]] | None:
 
     When F is I1(f) + I2(g) or I2(g), and g = sum_i lambda_i u_i^(tensor 2)
     has dim terms that are orthonormal by construction (orthonormal_terms:
-    the eigen-form of a dense kernel, see as_rank_one), the u_i are the
+    the eigen-form of a dense kernel, see as_rank_one, whose eigenpairs
+    are computed here on first use), the u_i are the
     rows of an orthogonal V, and xi = V z is standard Gaussian with
     I2(g)(z) = sum_i lambda_i H_2(xi_i) and I1(f)(z) = <V f, xi>.  The
     terms are then axis-aligned (directions None) with weights lambda and
@@ -262,15 +278,16 @@ def _order2(g: Kernel) -> RankOneSumKernel:
 def kappa3_I2(g: Kernel) -> float:
     """Third cumulant of the order-2 element with kernel g: 8 sum lambda^3.
 
-    The nonzero spectrum of sum_i a_i v_i v_i^T equals the spectrum of
-    diag(a) G, so sum lambda^3 is the trace of its cube in the
-    (terms x terms) space.  On an orthonormal Gram (the eigen-form of a
-    dense kernel, see as_rank_one) diag(a) G = diag(a), and it is
-    sum a^3, in O(terms).
+    For the eigen-form of a dense matrix g (see as_rank_one) that is
+    8 tr g^3 = 8 sum (g g) o g, one matrix product, with no
+    eigendecomposition.  Otherwise the nonzero spectrum of
+    sum_i a_i v_i v_i^T equals the spectrum of diag(a) G, so
+    sum lambda^3 is the trace of its cube in the (terms x terms) space.
     """
     g = _order2(g)
-    if g.orthonormal_terms:
-        return 8.0 * float(np.sum(g.coeffs ** 3))
+    matrix = g.eigen_matrix
+    if matrix is not None:
+        return 8.0 * float(np.vdot(matrix @ matrix, matrix))
     P = g.coeffs[:, None] * g.gram
     return 8.0 * float(np.sum((P @ P) * P.T))
 
@@ -278,5 +295,6 @@ def kappa3_I2(g: Kernel) -> float:
 def kappa4_I2(g: Kernel) -> float:
     """Fourth cumulant of the order-2 element with kernel g:
     48 sum lambda^4 = 48 ||g (x)_1 g||^2, on the routes of
-    rank_one_contraction_norm (a Toeplitz row, an orthonormal Gram)."""
+    rank_one_contraction_norm (a Toeplitz row, the matrix of an eigen-form,
+    a general Gram)."""
     return 48.0 * rank_one_contraction_norm(_order2(g), 1) ** 2

@@ -2,10 +2,11 @@
 
 Two representations coexist:
 
-* DenseKernel stores all n**p entries.  It is a JSON input format
-  (chaos.ChaosSum converts dense inputs to rank-one sums once), so storage
-  is deliberately naive and guarded.  The dense calculus that the closed
-  forms are tested against lives with the tests (tests/oracles.py).
+* DenseKernel stores all n**p entries, which must be finite.  It is a
+  JSON input format (chaos.ChaosSum converts dense inputs to rank-one sums
+  once), so storage is deliberately naive and guarded.  The dense calculus
+  that the closed forms are tested against lives with the tests
+  (tests/oracles.py).
 * RankOneSumKernel represents sum_i a_i v_i^(tensor p) and evaluates norms,
   self-contraction norms, and mixed inner products in closed form through
   the Gram matrix of its vectors, without ever materializing n**p entries.
@@ -22,9 +23,12 @@ When all coefficients are equal and the Gram was built from its first
 row, the closed forms run on that row alone (see chaosclt.toeplitz):
 contraction norms stream a trace of Toeplitz products in O(n^2) time and
 O(n) memory, squared norms sum over diagonals in O(n), and mixed inner
-products need one Toeplitz matrix-vector product, a convolution.  On a
-Gram built orthonormal (the eigen-form of a dense order-2 kernel),
-contraction norms are O(n) sums of the coefficients.
+products need one Toeplitz matrix-vector product, a convolution.  The
+eigen-form of a dense order-2 kernel g (RankOneSumKernel.eigen_form) is
+bounded from g itself, since its contraction norms do not depend on a
+basis: ||g||_F^2, ||g g^T||_F and ||g f||, one matrix product at most.
+Only reading its coefficients or vectors (sampling, serialization, a
+pairing under a kernel of order >= 3) decomposes g.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class DenseKernel:
             raise ValidationError(
                 f"kernel axes must share one positive dimension, got {values.shape}")
         _check_entry_budget(dim, values.ndim)
+        if not np.isfinite(values).all():
+            raise ValidationError("kernel entries must be finite")
         self.values = values
 
     @property
@@ -96,17 +102,18 @@ class DenseKernel:
 class Gram:
     """The Gram matrix G_ij = <v_i, v_j> of a rank-one sum's term vectors.
 
-    Built from exactly one of: the vectors V (terms x dim), G itself, or
-    the first row of a symmetric Toeplitz G.  The missing sides are
-    computed on first access: G as V V^T or as the Toeplitz matrix of its
-    row, and V as the eigen square root of G (terms x terms, so
-    dim = terms).  Kernels built on one Gram share all of them, so G is
-    formed and factored at most once however many kernels use it.  A G
-    given as a matrix or a row must be symmetric positive semidefinite;
-    that is the caller's to certify (see breuer_major_kernels).  A G built
-    from its row holds only that row until its matrix is read.  A G built
-    by Gram.orthonormal is exactly the identity and known to be
-    (is_orthonormal), so closed forms need not multiply by it.
+    Built from exactly one of: the vectors V (terms x dim), G itself, the
+    first row of a symmetric Toeplitz G, or (Gram.eigenvectors) a
+    symmetric matrix whose eigenvectors are the vectors.  The missing
+    sides are computed on first access: G as V V^T or as the Toeplitz
+    matrix of its row, and V as the eigen square root of G (terms x
+    terms, so dim = terms).  Kernels built on one Gram share all of them,
+    so G is formed and factored at most once however many kernels use it.
+    A G given as a matrix or a row must be symmetric positive
+    semidefinite; that is the caller's to certify (see
+    breuer_major_kernels).  A G built from its row holds only that row
+    until its matrix is read.  A G built by Gram.eigenvectors is exactly
+    the identity and known to be (is_orthonormal).
     """
 
     def __init__(self, matrix: np.ndarray | None = None,
@@ -118,20 +125,24 @@ class Gram:
         self._matrix = matrix
         self._vectors = vectors
         self._toeplitz_row = row
-        self._orthonormal = False
+        self._spectrum = None
 
     @classmethod
-    def orthonormal(cls, vectors: np.ndarray) -> "Gram":
-        """The Gram of orthonormal rows, exactly np.eye(terms), formed only
-        if its matrix is read and never as V V^T; orthonormality is the
-        caller's to certify (see chaos.as_rank_one, whose rows are
-        eigenvectors)."""
-        gram = cls(vectors=vectors)
-        gram._orthonormal = True
+    def eigenvectors(cls, spectrum) -> "Gram":
+        """The Gram of the eigenvectors of spectrum.matrix (a
+        chaos.SecondChaosSpectrum): exactly np.eye(dim), formed only if its
+        matrix is read and never as V V^T.  Its vectors are the rows of
+        spectrum.eigenvectors^T, so reading them decomposes the matrix,
+        once, in the spectrum."""
+        gram = cls.__new__(cls)
+        gram._matrix = gram._vectors = gram._toeplitz_row = None
+        gram._spectrum = spectrum
         return gram
 
     @property
     def terms(self) -> int:
+        if self._spectrum is not None:
+            return self._spectrum.matrix.shape[0]
         for source in (self._matrix, self._vectors, self._toeplitz_row):
             if source is not None:
                 return source.shape[0]
@@ -143,7 +154,7 @@ class Gram:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            if self._orthonormal:
+            if self._spectrum is not None:
                 self._matrix = np.eye(self.terms)
             elif self._vectors is None:
                 self._matrix = toeplitz.matrix(self._toeplitz_row)
@@ -153,7 +164,9 @@ class Gram:
 
     @property
     def vectors(self) -> np.ndarray:
-        if self._vectors is None:
+        if self._vectors is None and self._spectrum is not None:
+            self._vectors = self._spectrum.eigenvectors.T
+        elif self._vectors is None:
             # unguarded clip: a row-built G is certified when it is built,
             # and at large n eigh can round below a row[0]-relative floor
             eigvals, eigvecs = np.linalg.eigh(self.matrix)
@@ -163,8 +176,8 @@ class Gram:
     @property
     def diagonal(self) -> np.ndarray:
         """The diagonal of G; a row-built G's is its row[0] throughout and
-        an orthonormal G's is all ones, both read without forming G."""
-        if self._orthonormal:
+        an eigenvector G's is all ones, both read without forming G."""
+        if self._spectrum is not None:
             return np.ones(self.terms)
         if self._toeplitz_row is not None:
             return np.full(self.terms, self._toeplitz_row[0])
@@ -178,9 +191,9 @@ class Gram:
 
     @property
     def is_orthonormal(self) -> bool:
-        """Whether G was built by Gram.orthonormal, and so is exactly the
+        """Whether G was built by Gram.eigenvectors, and so is exactly the
         identity; False for any other G, whatever its values."""
-        return self._orthonormal
+        return self._spectrum is not None
 
 
 class RankOneSumKernel:
@@ -202,6 +215,20 @@ class RankOneSumKernel:
         kernel._init(order, coeffs, gram)
         return kernel
 
+    @classmethod
+    def eigen_form(cls, spectrum) -> "RankOneSumKernel":
+        """The symmetric matrix g = spectrum.matrix (a
+        chaos.SecondChaosSpectrum) as the order-2 sum
+        sum_i lambda_i u_i^(tensor 2) over its eigenpairs, on
+        Gram.eigenvectors.  Nothing is decomposed here: coeffs and vectors
+        read the spectrum, which decomposes g on first read, and the closed
+        forms read g itself (eigen_matrix)."""
+        kernel = cls.__new__(cls)
+        kernel.order = 2
+        kernel._coeffs = None
+        kernel._gram = Gram.eigenvectors(spectrum)
+        return kernel
+
     def _init(self, order, coeffs, gram: Gram) -> None:
         if order < 1:
             raise ValidationError(f"kernel order must be >= 1, got {order}")
@@ -212,12 +239,25 @@ class RankOneSumKernel:
             raise ValidationError(
                 f"{gram.terms} term vectors for {coeffs.size} coefficients")
         self.order = order
-        self.coeffs = coeffs
+        self._coeffs = coeffs
         self._gram = gram
 
     @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            return self._gram._spectrum.eigenvalues
+        return self._coeffs
+
+    @property
+    def eigen_matrix(self) -> np.ndarray | None:
+        """The matrix g of a kernel built by eigen_form, else None."""
+        if self._coeffs is not None:
+            return None
+        return self._gram._spectrum.matrix
+
+    @property
     def terms(self) -> int:
-        return self.coeffs.size
+        return self._gram.terms
 
     @property
     def dim(self) -> int:
@@ -234,7 +274,7 @@ class RankOneSumKernel:
     @property
     def orthonormal_terms(self) -> bool:
         """Whether the term vectors are orthonormal by construction (see
-        Gram.orthonormal), so that the Gram is exactly the identity."""
+        Gram.eigenvectors), so that the Gram is exactly the identity."""
         return self._gram.is_orthonormal
 
     def shares_gram(self, other: "RankOneSumKernel") -> bool:
@@ -306,14 +346,20 @@ def checked_sqrt_inner(value: float, context: str = "mixed inner product",
 
 
 def term_scale(k: RankOneSumKernel) -> float:
-    """s(k) = sum_i |a_i| ||v_i||^p, read off the Gram diagonal.
+    """s(k) = sum_i |a_i| ||v_i||^p, read off the Gram diagonal; ||g||_F
+    for the eigen-form of a matrix g.
 
     Since |G_ij| <= sqrt(G_ii G_jj), the terms summed into a squared
     contraction norm of k add up in absolute value to at most s(k)^4, and
     those of a mixed inner product of kp and kq to s(kp)^2 s(kq)^2.  Form
     those powers as products: a product that overflows is inf, where a
-    float ** raises OverflowError.
+    float ** raises OverflowError.  ||g||_F = (sum lambda^2)^(1/2) is at
+    most sum |lambda| and its fourth power is at least
+    ||g (x)_1 g||^2 = sum lambda^4, so no guard scaled by it is looser.
     """
+    g = k.eigen_matrix
+    if g is not None:
+        return float(np.linalg.norm(g))
     norms = np.abs(k._gram.diagonal) ** (k.order / 2)
     return float(np.abs(k.coeffs) @ norms)
 
@@ -330,15 +376,16 @@ def rank_one_norm_squared(k: RankOneSumKernel) -> float:
 
     When all coefficients equal c and G was built from its first row g,
     the double sum collapses over the diagonals of G to
-    c^2 sum_d counts(d) g_d**order in O(n).  On an orthonormal Gram it is
-    sum_i a_i^2.
+    c^2 sum_d counts(d) g_d**order in O(n).  The eigen-form of a matrix g
+    is g, and its squared norm ||g||_F^2.
     """
+    g = k.eigen_matrix
+    if g is not None:
+        return float(np.vdot(g, g))
     row = _equal_coeff_toeplitz_row(k)
     if row is not None:
         counts = toeplitz.pair_counts(row.size)
         return float(k.coeffs[0] ** 2 * (counts @ row ** k.order))
-    if k.orthonormal_terms:
-        return float(k.coeffs @ k.coeffs)
     gp = k.gram ** k.order
     return float(k.coeffs @ gp @ k.coeffs)
 
@@ -357,23 +404,25 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
     E = c^2 T(alpha) T(beta) with alpha, beta the first rows of G**r and
     G**(p-r), and E^T is c^2 T(beta) T(alpha): their inner product is
     streamed row by row in O(n^2) time and O(n) memory, and neither
-    matrix is formed.  On an orthonormal Gram, G**r = G**(p-r) = I and
-    E = diag(a)^2, so the sum is sum_i a_i^4, in O(n).
+    matrix is formed.  The eigen-form of a matrix g has g (x)_1 g = g g^T,
+    one dim^3 product (a syrk), whatever its eigenvectors.
     """
     p = k.order
     if not 1 <= r <= p - 1:
         raise ValidationError(f"need 1 <= r <= {p - 1}, got r={r}")
-    a = k.coeffs
-    row = _equal_coeff_toeplitz_row(k)
-    if row is not None:
-        val = a[0] ** 4 * toeplitz.product_trace(row ** r, row ** (p - r))
-    elif k.orthonormal_terms:
-        squares = a * a
-        val = float(squares @ squares)
+    g = k.eigen_matrix
+    if g is not None:
+        gg = g @ g.T
+        val = float(np.vdot(gg, gg))
     else:
-        G = k.gram
-        E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)
-        val = float(np.sum(E * E.T))
+        a = k.coeffs
+        row = _equal_coeff_toeplitz_row(k)
+        if row is not None:
+            val = a[0] ** 4 * toeplitz.product_trace(row ** r, row ** (p - r))
+        else:
+            G = k.gram
+            E = ((a[:, None] * G ** r) * a[None, :]) @ G ** (p - r)
+            val = float(np.sum(E * E.T))
     s = term_scale(k)
     return checked_sqrt_inner(val, f"squared {r}-contraction norm",
                               scale=(s * s) * (s * s))
@@ -387,14 +436,20 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
     Kernels on one Gram G have cross Gram G itself.  When that G was built
     from its first row g and each kernel's coefficients are equal, u is
     a b times the row sums of T(g**p), read off prefix sums, and
-    T(g**(q-p)) u is one convolution (see toeplitz.matvec).  On an
-    orthonormal Gram, Gw**(q-p) = I and the sum is u^T u.
+    T(g**(q-p)) u is one convolution (see toeplitz.matvec).  When kq is
+    the eigen-form of a matrix g, q = 2 and kp is the vector
+    f = sum_i a_i v_i, so the sum is f^T g g^T f = ||g f||^2 (g symmetric),
+    one matrix-vector product.
     """
     p, q = kp.order, kq.order
     if q <= p:
         raise ValidationError(f"need order(kq) > order(kp), got {q} <= {p}")
     if kp.dim != kq.dim:
         raise ValidationError(f"dimension mismatch: {kp.dim} vs {kq.dim}")
+    g = kq.eigen_matrix
+    if g is not None:
+        gf = g @ (kp.coeffs @ kp.vectors)
+        return float(gf @ gf)
     if kp.shares_gram(kq):
         row = (_equal_coeff_toeplitz_row(kq)
                if np.all(kp.coeffs == kp.coeffs[0]) else None)
@@ -410,8 +465,6 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
     else:
         cross = (kp.vectors @ kq.vectors.T) ** p
     u = (kp.coeffs @ cross) * kq.coeffs
-    if kq.orthonormal_terms:
-        return float(u @ u)
     return float(u @ (kq.gram ** (q - p)) @ u)
 
 

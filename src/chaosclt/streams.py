@@ -110,8 +110,9 @@ Protocol 7 changed chaos.sample_batch on sums outside the eigen-form,
 and only that: their blocks are chunked too, each chunk evaluated at the
 work array's fixed shape.  Protocol 6 evaluated such a block whole, so a
 replica's bits changed with M; those outputs moved by rounding.  The
-eigen-form is now picked by construction alone (orthonormal_terms), so a
-rank-one sum with an identity Gram in value left it.
+eigen-form is now picked by construction alone (orthonormal_terms, true
+only for the eigen-form that chaos.as_rank_one builds of a dense order-2
+kernel), so a rank-one sum with an identity Gram in value left it.
 
 BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 """

@@ -11,9 +11,11 @@ from chaosclt.chaos import (ChaosSum, SecondChaosSpectrum, _eigen_terms,
                             _eval_block, _unit_terms, as_rank_one, hermite,
                             kappa3_I2, kappa4_I2, sample, sample_batch,
                             second_moment)
+from chaosclt.bounds import chaos_sum_bound, phi
 from chaosclt.errors import UnsupportedRepresentationError, ValidationError
+from chaosclt.experiments import BoundConfig, run_bound_report
 from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
-                              breuer_major_kernels, contract)
+                              breuer_major_kernels, contract, kernel_to_json)
 from chaosclt.stationary import CovarianceFunction, HermiteEvenCoeffs
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
                               replica_blocks)
@@ -553,3 +555,69 @@ class TestSecondChaosSpectrum:
         g = DenseKernel(np.diag([1.0, 1e-14]))
         spec = SecondChaosSpectrum.from_kernel(g)
         assert spec.eigenvalues.size == 2
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes np.linalg.eigh is called on; eigvalsh refuses."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return eigh(mat, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    return calls
+
+
+class TestLazySpectrum:
+    """A dense order-2 kernel is decomposed only when it is sampled."""
+
+    def test_bounds_and_cumulants_never_decompose(self, eigh_calls):
+        rng = np.random.default_rng(21)
+        f = DenseKernel(rng.normal(size=9))
+        g = random_symmetric_order2(rng, 9)
+        F = ChaosSum({1: f, 2: g})
+        config = BoundConfig(inputs=[{"kernels": [kernel_to_json(f),
+                                                  kernel_to_json(g)]}])
+        table, _ = run_bound_report(config)
+        report = chaos_sum_bound(F)
+        assert table.rows[0]["total"] == report.total
+        assert math.isfinite(phi(f, g))
+        assert phi(F.kernels[1], F.kernels[2]) == table.rows[0]["phi"]
+        assert second_moment(F) == report.normalization
+        assert math.isfinite(kappa3_I2(g)) and math.isfinite(kappa4_I2(g))
+        assert eigh_calls == []
+
+    def test_two_batches_decompose_once(self, eigh_calls):
+        F = eigen_form_sum(np.random.default_rng(22), 16, (1, 2))
+        assert eigh_calls == []
+        first = sample_batch(F, 300, seed=3)
+        second = sample_batch(F, 300, seed=3, threads=2)
+        assert eigh_calls == [(16, 16)]
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("dim", [7, 600])
+    def test_batch_is_the_eigen_coordinate_formula(self, dim, threads):
+        # replica r is sum_i w_i (xi_i^2 - 1) + <U^T f, xi> for (w, U) =
+        # np.linalg.eigh(g) and xi its row of block normals, bit for bit
+        rng = np.random.default_rng(dim)
+        f = rng.normal(size=dim)
+        g = random_symmetric_order2(rng, dim)
+        M = 3109
+        batch = sample_batch(ChaosSum({1: DenseKernel(f), 2: g}), M,
+                             seed=17, threads=threads)
+        w, u = np.linalg.eigh(g.values)
+        uf = u.T @ f
+        expected = np.concatenate([
+            np.einsum("ij,ij,j->i", xi, xi, w) - w.sum()
+            + np.einsum("ij,j->i", xi, uf)
+            for xi in (block_normals(17, 0, block, count, dim)
+                       for block, _, count in replica_blocks(M))])
+        assert np.array_equal(batch, expected)

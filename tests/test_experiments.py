@@ -233,9 +233,10 @@ class TestBoundExperiment:
         table, _ = run_bound_report(cfg)
         assert table.rows[0]["label"] == "input-0"
 
-    def test_dense_second_kernel_decomposed_once(self, monkeypatch):
-        # the chaos-sum bound, phi and kappa_4 all reuse the eigen-form that
-        # ChaosSum builds at its boundary
+    def test_dense_second_kernel_never_decomposed(self, monkeypatch):
+        # ChaosSum validates the dense g once, at its boundary, and the
+        # chaos-sum bound, phi and kappa_4 read g itself: none of them
+        # decomposes it
         calls = []
         original = SecondChaosSpectrum.from_kernel.__func__
 
@@ -243,8 +244,13 @@ class TestBoundExperiment:
             calls.append(g)
             return original(cls, g)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition in a bound report")
+
         monkeypatch.setattr(SecondChaosSpectrum, "from_kernel",
                             classmethod(counting))
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6))
         cfg = BoundConfig(inputs=[{"kernels": [

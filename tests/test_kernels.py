@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.linalg import toeplitz
 
 from chaosclt import toeplitz as toeplitz_module
 from chaosclt.bounds import chaos_sum_bound
-from chaosclt.chaos import ChaosSum, second_moment
+from chaosclt.chaos import (ChaosSum, as_rank_one, kappa3_I2, kappa4_I2,
+                            second_moment)
 from chaosclt.errors import NumericalError, ValidationError
 from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
                               RankOneSumKernel, breuer_major_kernels,
@@ -18,7 +20,7 @@ from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
                                  PathSampler, exact_variance_power_variation)
 
-from oracles import densify, inner, norm, symmetrize
+from oracles import densify, inner, kappa4_I2_contraction, norm, symmetrize
 
 
 def basis(dim, i):
@@ -53,6 +55,17 @@ class TestDenseKernel:
                              vectors=np.array([basis(10, 0)]))
         with pytest.raises(ValidationError, match="guard"):
             densify(k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_non_finite_entries_rejected(self, order, bad):
+        values = np.eye(2)[0] if order == 1 else np.eye(2)
+        values[(0,) * order] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="^kernel entries must be finite$"):
+                DenseKernel(values)
 
 
 class TestSymmetrize:
@@ -515,36 +528,37 @@ class TestContractionNormMirror:
 
 
 class TestOrthonormalGram:
-    """Closed forms on a Gram built by Gram.orthonormal (exactly the
-    identity) against the dense contraction calculus."""
+    """Closed forms on the eigen-form of g = V^T diag(a) V (V orthogonal),
+    whose Gram is built by Gram.eigenvectors (exactly the identity),
+    against the dense contraction calculus."""
 
     @staticmethod
-    def kernel(order, dim, seed):
+    def kernel(dim, seed):
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        return RankOneSumKernel.from_gram(order, rng.normal(size=dim),
-                                          Gram.orthonormal(q.T))
+        a = rng.normal(size=dim)
+        return as_rank_one(DenseKernel((q * a) @ q.T)), a
 
-    @pytest.mark.parametrize("order, dim", [(2, 40), (3, 12)])
+    @pytest.mark.parametrize("order, dim", [(2, 40)])
     def test_contraction_norms_match_dense(self, order, dim):
-        k = self.kernel(order, dim, seed=order)
+        k, _ = self.kernel(dim, seed=order)
         assert k.orthonormal_terms
         expected = [dense_contraction_norm(k, r) for r in range(1, order)]
         got = [rank_one_contraction_norm(k, r) for r in range(1, order)]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_contraction_norm_reads_no_gram(self, monkeypatch):
-        k = self.kernel(2, 40, seed=5)
+        k, a = self.kernel(40, seed=5)
 
         def refuse(self):
             raise AssertionError("the Gram matrix was read")
 
         monkeypatch.setattr(RankOneSumKernel, "gram", property(refuse))
         assert rank_one_contraction_norm(k, 1) == pytest.approx(
-            math.sqrt(np.sum(k.coeffs ** 4)), rel=1e-14)
+            math.sqrt(np.sum(a ** 4)), rel=1e-14)
 
     def test_only_orthonormal_construction_is_known(self):
-        k = self.kernel(2, 4, seed=6)
+        k, _ = self.kernel(4, seed=6)
         for gram in (Gram(matrix=np.eye(4)), Gram(vectors=np.eye(4)),
                      Gram(row=np.array([1.0, 0.0, 0.0, 0.0]))):
             assert not gram.is_orthonormal
@@ -552,6 +566,54 @@ class TestOrthonormalGram:
         assert not same.orthonormal_terms
         assert rank_one_contraction_norm(same, 1) == pytest.approx(
             rank_one_contraction_norm(k, 1), rel=1e-14)
+
+
+def symmetric_with_spectrum(eigenvalues, seed):
+    """An exactly symmetric U diag(eigenvalues) U^T for a random
+    orthogonal U."""
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    g = (q * np.asarray(eigenvalues, dtype=float)) @ q.T
+    return (g + g.T) / 2.0
+
+
+class TestEigenFormMatrixRoute:
+    """The closed forms read the matrix of a dense order-2 kernel's
+    eigen-form, never its eigenpairs, and agree with the dense calculus."""
+
+    SPECTRA = {
+        "dim-1": [-0.7],
+        "rank-deficient": [2.0, -1.0, 0.5, 0.0, 0.0, 0.0],
+        "negative-definite": [-1.0, -2.0, -0.5, -3.0, -0.25],
+        "repeated": [1.5, 1.5, 1.5, -0.5, -0.5, 2.0],
+    }
+
+    @pytest.mark.parametrize("name", list(SPECTRA))
+    def test_matches_dense_oracles(self, name, monkeypatch):
+        spectrum = self.SPECTRA[name]
+        g = DenseKernel(symmetric_with_spectrum(spectrum, seed=len(name)))
+        f = DenseKernel(np.random.default_rng(1).normal(size=g.dim))
+        kg, kf = as_rank_one(g), as_rank_one(f)
+        gg = contract(g, g, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition on a matrix route")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert rank_one_norm_squared(kg) == pytest.approx(inner(g, g),
+                                                          rel=1e-12)
+        assert term_scale(kg) == pytest.approx(norm(g), rel=1e-12)
+        assert rank_one_contraction_norm(kg, 1) == pytest.approx(norm(gg),
+                                                                 rel=1e-12)
+        assert rank_one_mixed_inner(kf, kg) == pytest.approx(
+            inner(contract(f, f, 0), gg), rel=1e-12)
+        assert kappa3_I2(kg) == pytest.approx(8.0 * inner(gg, g), rel=1e-12)
+        assert kappa4_I2(kg) == pytest.approx(kappa4_I2_contraction(g),
+                                              rel=1e-12)
+        assert kappa3_I2(kg) == pytest.approx(
+            8.0 * sum(x ** 3 for x in spectrum), rel=1e-12)
 
 
 class TestToeplitzClosedForms:
