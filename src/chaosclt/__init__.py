@@ -23,9 +23,8 @@ from .kernels import (DenseKernel, RankOneSumKernel, breuer_major_kernels,
                       kernel_from_json, kernel_to_json,
                       rank_one_contraction_norm, rank_one_mixed_inner,
                       rank_one_norm_squared)
-from .ratio import (Perturbations, RatioFamily, ratio_bound, sample_ratio,
-                    sample_ratio_batch)
+from .ratio import Perturbations, RatioFamily, ratio_bound, sample_ratio_batch
 from .stationary import (CovarianceFunction, HermiteEvenCoeffs, PathSampler,
                          breuer_major_statistic,
                          exact_variance_power_variation, fgn_covariance,
-                         power_variation, power_variation_mean, sample_paths)
+                         power_variation_mean, sample_paths)

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
 from .kernels import (DenseKernel, RankOneSumKernel, is_symmetric,
+                      matrix_contraction_norm_squared, matrix_cube_trace,
                       rank_one_contraction_norm, rank_one_norm_squared)
 from .streams import (BLOCK_SIZE, block_generator, block_normals,
                       block_threads, row_chunks, run_blocks)
@@ -56,7 +57,9 @@ class SecondChaosSpectrum:
     The decomposition is one np.linalg.eigh of the matrix, made when
     eigenvalues or eigenvectors are first read and kept.  All eigenvalues
     are kept, including numerically tiny ones: they change nothing and
-    thresholding would silently bias cumulants.
+    thresholding would silently bias cumulants.  ||g g^T||_F^2 is kept
+    the same way, as a scalar: the bound and kappa_4 both read it, and
+    keeping g g^T itself would hold a second dim x dim array.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -74,6 +77,11 @@ class SecondChaosSpectrum:
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self.matrix)
+
+    @cached_property
+    def contraction_norm_squared(self) -> float:
+        """||g (x)_1 g||^2 = ||g g^T||_F^2, in row panels."""
+        return matrix_contraction_norm_squared(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -279,7 +287,7 @@ def kappa3_I2(g: Kernel) -> float:
     """Third cumulant of the order-2 element with kernel g: 8 sum lambda^3.
 
     For the eigen-form of a dense matrix g (see as_rank_one) that is
-    8 tr g^3 = 8 sum (g g) o g, one matrix product, with no
+    8 tr g^3 = 8 sum (g g) o g, in row panels (matrix_cube_trace), with no
     eigendecomposition.  Otherwise the nonzero spectrum of
     sum_i a_i v_i v_i^T equals the spectrum of diag(a) G, so
     sum lambda^3 is the trace of its cube in the (terms x terms) space.
@@ -287,7 +295,7 @@ def kappa3_I2(g: Kernel) -> float:
     g = _order2(g)
     matrix = g.eigen_matrix
     if matrix is not None:
-        return 8.0 * float(np.vdot(matrix @ matrix, matrix))
+        return 8.0 * matrix_cube_trace(matrix)
     P = g.coeffs[:, None] * g.gram
     return 8.0 * float(np.sum((P @ P) * P.T))
 

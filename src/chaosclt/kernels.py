@@ -26,9 +26,11 @@ O(n) memory, squared norms sum over diagonals in O(n), and mixed inner
 products need one Toeplitz matrix-vector product, a convolution.  The
 eigen-form of a dense order-2 kernel g (RankOneSumKernel.eigen_form) is
 bounded from g itself, since its contraction norms do not depend on a
-basis: ||g||_F^2, ||g g^T||_F and ||g f||, one matrix product at most.
-Only reading its coefficients or vectors (sampling, serialization, a
-pairing under a kernel of order >= 3) decomposes g.
+basis: ||g||_F^2, ||g g^T||_F and ||g f||.  The symmetry check and the
+closed forms that multiply g by itself run over row panels of at most
+PANEL_FLOATS floats, so beyond g they take O(dim) memory.  Only reading
+its coefficients or vectors (sampling, serialization, a pairing under a
+kernel of order >= 3) decomposes g.
 """
 
 from __future__ import annotations
@@ -48,10 +50,13 @@ __all__ = [
     "RankOneSumKernel",
     "Gram",
     "DENSE_ENTRY_GUARD",
+    "PANEL_FLOATS",
     "checked_sqrt_inner",
     "term_scale",
     "contract",
     "is_symmetric",
+    "matrix_contraction_norm_squared",
+    "matrix_cube_trace",
     "rank_one_norm_squared",
     "rank_one_contraction_norm",
     "rank_one_mixed_inner",
@@ -61,6 +66,10 @@ __all__ = [
 ]
 
 DENSE_ENTRY_GUARD = 10_000_000
+
+# the most floats of one row panel of a dense order-2 kernel (512 KiB), as
+# toeplitz._TRACE_BUDGET (see _row_panels)
+PANEL_FLOATS = 1 << 16
 
 
 def _check_entry_budget(dim: int, order: int) -> None:
@@ -314,13 +323,71 @@ def contract(f: DenseKernel, g: DenseKernel, r: int) -> DenseKernel | float:
     return DenseKernel(out)
 
 
+def _row_panels(n: int):
+    """(lo, hi, out) for the row panels g[lo:hi] of an n x n matrix g,
+    where out is a (hi - lo, n - lo) work matrix for the panel's columns
+    lo on, a view of one array lent to every panel in turn.  A panel has
+    at least one row, and otherwise at most PANEL_FLOATS floats and an
+    eighth of the rows, so the array never takes more than an eighth of
+    g."""
+    rows = max(min(PANEL_FLOATS // n, n // 8), 1)
+    work = np.empty(rows * n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        yield lo, hi, work[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+
+
 def is_symmetric(f: DenseKernel) -> bool:
     """Whether no swap of two adjacent indices of f (these swaps generate
     every permutation) moves an entry by more than TOLERANCE times the
-    largest entry in absolute value, a bound that scales with f."""
-    bound = TOLERANCE * float(np.abs(f.values).max())
-    swapped = (np.swapaxes(f.values, i, i + 1) for i in range(f.order - 1))
-    return all(np.abs(s - f.values).max() <= bound for s in swapped)
+    largest entry in absolute value, a bound that scales with f.
+
+    At order 2 each row panel g[lo:hi] is compared with the matching
+    columns from column lo on: a pair (i, j) with j < lo was compared in
+    j's panel.  Neither |g| nor g^T - g is formed.
+    """
+    values = f.values
+    bound = TOLERANCE * float(max(values.max(), -values.min()))
+    if f.order == 2:
+        for lo, hi, out in _row_panels(f.dim):
+            diff = np.subtract(values[lo:hi, lo:], values[lo:, lo:hi].T,
+                               out=out)
+            if max(diff.max(), -diff.min()) > bound:
+                return False
+        return True
+    swapped = (np.swapaxes(values, i, i + 1) for i in range(f.order - 1))
+    return all(np.abs(s - values).max() <= bound for s in swapped)
+
+
+def _square_panels(g: np.ndarray):
+    """(lo, hi, p) over the row panels of a symmetric matrix g (see
+    _row_panels), with p = g[lo:hi] @ g[lo:].T = (g g)[lo:hi, lo:]: the
+    panel's share of the upper block triangle of g g.  n^3 flops in all,
+    as one syrk of g; no n x n array is formed."""
+    for lo, hi, out in _row_panels(g.shape[0]):
+        yield lo, hi, np.matmul(g[lo:hi], g[lo:].T, out=out)
+
+
+def _upper_inner(p: np.ndarray, q: np.ndarray) -> float:
+    """<P, Q>_F's share from one panel of the upper block triangles of two
+    symmetric matrices P and Q: the panel's diagonal block counts once and
+    the rest, which stands for its mirror image too, twice."""
+    s = p.shape[0]
+    return (np.einsum("ij,ij->", p[:, :s], q[:, :s])
+            + 2.0 * np.einsum("ij,ij->", p[:, s:], q[:, s:]))
+
+
+def matrix_contraction_norm_squared(g: np.ndarray) -> float:
+    """||g g^T||_F^2 = ||g (x)_1 g||^2 of a symmetric matrix g, from the
+    upper block triangle of g g (see _square_panels)."""
+    return float(sum(_upper_inner(p, p) for _, _, p in _square_panels(g)))
+
+
+def matrix_cube_trace(g: np.ndarray) -> float:
+    """tr g^3 = sum (g g) o g of a symmetric matrix g, from the upper block
+    triangle of g g (see _square_panels)."""
+    return float(sum(_upper_inner(p, g[lo:hi, lo:])
+                     for lo, hi, p in _square_panels(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +472,15 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
     G**(p-r), and E^T is c^2 T(beta) T(alpha): their inner product is
     streamed row by row in O(n^2) time and O(n) memory, and neither
     matrix is formed.  The eigen-form of a matrix g has g (x)_1 g = g g^T,
-    one dim^3 product (a syrk), whatever its eigenvectors.
+    whatever its eigenvectors; its squared norm takes n^3 flops in row
+    panels (matrix_contraction_norm_squared), and the spectrum keeps it,
+    so the bound and kappa_4 share one evaluation.
     """
     p = k.order
     if not 1 <= r <= p - 1:
         raise ValidationError(f"need 1 <= r <= {p - 1}, got r={r}")
-    g = k.eigen_matrix
-    if g is not None:
-        gg = g @ g.T
-        val = float(np.vdot(gg, gg))
+    if k.eigen_matrix is not None:
+        val = k._gram._spectrum.contraction_norm_squared
     else:
         a = k.coeffs
         row = _equal_coeff_toeplitz_row(k)

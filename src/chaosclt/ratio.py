@@ -36,7 +36,6 @@ from .streams import block_chisquare, block_normals, run_blocks
 __all__ = [
     "Perturbations",
     "RatioFamily",
-    "sample_ratio",
     "sample_ratio_batch",
     "ratio_bound",
 ]
@@ -155,18 +154,6 @@ def _ratio_from_stats(fam: RatioFamily, sq, z0, zf, zs,
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(rejected, np.nan, numerator / denominator)
     return values, rejected
-
-
-def sample_ratio(fam: RatioFamily, z: np.ndarray) -> tuple[float, bool]:
-    """(value, rejected) at one Gaussian vector spanning the family, as in
-    sample_ratio_batch: a nonpositive denominator is rejected, value NaN."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (fam.dim,):
-        raise ValidationError(f"expected a vector of length {fam.dim}, got {z.shape}")
-    m = fam.m
-    values, rejected = _ratio_from_stats(fam, np.dot(z[:m], z[:m]), z[0],
-                                         z[m], z[m + 1], z[m + 2])
-    return float(values), bool(rejected)
 
 
 def sample_ratio_batch(fam: RatioFamily, M: int, seed: int, *,

@@ -22,7 +22,6 @@ __all__ = [
     "PathSampler",
     "fgn_covariance",
     "sample_paths",
-    "power_variation",
     "power_variation_mean",
     "breuer_major_statistic",
     "exact_variance_power_variation",
@@ -301,15 +300,6 @@ def even_power(x: np.ndarray, q: int, out: np.ndarray | None = None
         if bit == "1":
             np.multiply(out, square, out=out)
     return out
-
-
-def power_variation(path: np.ndarray, q: int) -> float:
-    """Empirical q-th moment (1/n) sum_i path_i**q for even q >= 2."""
-    check_even_power(q)
-    path = np.asarray(path, dtype=float)
-    if path.size == 0:
-        raise ValidationError("path must be nonempty")
-    return float(np.mean(even_power(path, q)))
 
 
 def power_variation_mean(rho0: float, q: int) -> float:

@@ -7,6 +7,11 @@ chaosclt.kernels.contract, and the fourth cumulant kappa4_I2_contraction)
 works on all n**p entries, where the library uses closed forms on rank-one
 sums.  The ratio family's kernels are built here from its basis layout,
 which the library reads only analytically.
+
+The two pathwise references at the end, power_variation and sample_ratio,
+are the exception: only tests call them, so they live here, and they
+reuse the package's even_power and ratio formula.  They check how the
+batch routes reduce a whole path or Gaussian vector, not those formulas.
 """
 
 import math
@@ -16,9 +21,11 @@ from itertools import permutations
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from chaosclt.errors import ValidationError
+from chaosclt.errors import ValidationError, check_even_power
 from chaosclt.kernels import (DenseKernel, RankOneSumKernel,
                               _check_entry_budget, is_symmetric)
+from chaosclt.ratio import _ratio_from_stats
+from chaosclt.stationary import even_power
 
 
 def gauss_hermite_nodes(deg=24):
@@ -165,3 +172,28 @@ def g_kernel(fam):
     return RankOneSumKernel(order=2,
                             coeffs=np.full(fam.m, fam.g_eigenvalue),
                             vectors=vectors)
+
+
+# ---------------------------------------------------------------------------
+# pathwise references of the batch routes
+# ---------------------------------------------------------------------------
+
+def power_variation(path, q):
+    """Empirical q-th moment (1/n) sum_i path_i**q for even q >= 2."""
+    check_even_power(q)
+    path = np.asarray(path, dtype=float)
+    if path.size == 0:
+        raise ValidationError("path must be nonempty")
+    return float(np.mean(even_power(path, q)))
+
+
+def sample_ratio(fam, z):
+    """(value, rejected) at one Gaussian vector spanning the family, as in
+    sample_ratio_batch: a nonpositive denominator is rejected, value NaN."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (fam.dim,):
+        raise ValidationError(f"expected a vector of length {fam.dim}, got {z.shape}")
+    m = fam.m
+    values, rejected = _ratio_from_stats(fam, np.dot(z[:m], z[:m]), z[0],
+                                         z[m], z[m + 1], z[m + 2])
+    return float(values), bool(rejected)

@@ -594,6 +594,48 @@ class TestLazySpectrum:
         assert math.isfinite(kappa3_I2(g)) and math.isfinite(kappa4_I2(g))
         assert eigh_calls == []
 
+    def test_report_evaluates_the_contraction_norm_once(self, eigh_calls,
+                                                        monkeypatch):
+        # the bound's max_contraction_norm and phi's kappa_4 read one
+        # ||g g^T||_F^2, kept on the spectrum
+        calls = []
+        evaluate = chaos_module.matrix_contraction_norm_squared
+
+        def counted(g):
+            calls.append(g.shape)
+            return evaluate(g)
+
+        monkeypatch.setattr(chaos_module, "matrix_contraction_norm_squared",
+                            counted)
+        rng = np.random.default_rng(512)
+        f = DenseKernel(rng.normal(size=512))
+        g = random_symmetric_order2(rng, 512)
+        table, _ = run_bound_report(BoundConfig(inputs=[{
+            "kernels": [kernel_to_json(f), kernel_to_json(g)]}]))
+        row = table.rows[0]
+        assert calls == [(512, 512)]
+        assert eigh_calls == []
+        assert row["phi"] == pytest.approx(
+            math.sqrt(48.0) * row["max_contraction_norm"] + row["mixed_inner"],
+            rel=1e-14)
+
+    def test_report_peak_memory_is_g_and_a_panel(self):
+        # the parent of the row panels held |g|, g^T - g and g g^T beside
+        # g (3 x g); a panel takes at most an eighth of g
+        rng = np.random.default_rng(1024)
+        f = DenseKernel(rng.normal(size=1024))
+        g = random_symmetric_order2(rng, 1024)
+        config = BoundConfig(inputs=[{"kernels": [kernel_to_json(f),
+                                                  kernel_to_json(g)]}])
+        tracemalloc.start()
+        try:
+            table, _ = run_bound_report(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(table.rows[0]["phi"])
+        assert peak <= 1.25 * g.values.nbytes
+
     def test_two_batches_decompose_once(self, eigh_calls):
         F = eigen_form_sum(np.random.default_rng(22), 16, (1, 2))
         assert eigh_calls == []

@@ -30,9 +30,11 @@ from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
 from chaosclt.kernels import (kernel_from_json, kernel_to_json, DenseKernel,
                               RankOneSumKernel)
 from chaosclt.stationary import (CovarianceFunction, PathSampler,
-                                 even_power, power_variation, sample_paths)
+                                 even_power, sample_paths)
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, STREAM_PROTOCOL,
                               block_normals, replica_blocks)
+
+from oracles import power_variation
 
 
 def eigenvalue_sum_json(m):

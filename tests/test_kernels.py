@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from chaosclt import kernels as kernels_module
 from chaosclt import toeplitz as toeplitz_module
 from chaosclt.bounds import chaos_sum_bound
 from chaosclt.chaos import (ChaosSum, as_rank_one, kappa3_I2, kappa4_I2,
                             second_moment)
-from chaosclt.errors import NumericalError, ValidationError
+from chaosclt.errors import TOLERANCE, NumericalError, ValidationError
 from chaosclt.kernels import (DENSE_ENTRY_GUARD, DenseKernel, Gram,
                               RankOneSumKernel, breuer_major_kernels,
                               contract, is_symmetric, kernel_from_json,
-                              kernel_to_json, rank_one_contraction_norm,
+                              kernel_to_json, matrix_contraction_norm_squared,
+                              matrix_cube_trace, rank_one_contraction_norm,
                               rank_one_mixed_inner, rank_one_norm_squared,
                               term_scale)
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
@@ -614,6 +616,80 @@ class TestEigenFormMatrixRoute:
                                               rel=1e-12)
         assert kappa3_I2(kg) == pytest.approx(
             8.0 * sum(x ** 3 for x in spectrum), rel=1e-12)
+
+
+def full_is_symmetric(g):
+    """The order-2 symmetry check on whole matrices: |g^T - g| against
+    TOLERANCE times the largest |entry|."""
+    return bool(np.abs(g.T - g).max() <= TOLERANCE * np.abs(g).max())
+
+
+@pytest.fixture(params=[None, 0, 1000], ids=["default", "one-row", "small"])
+def panel_budget(request, monkeypatch):
+    """kernels.PANEL_FLOATS as it ships, at 0 (one-row panels) and at a
+    small value."""
+    if request.param is not None:
+        monkeypatch.setattr(kernels_module, "PANEL_FLOATS", request.param)
+    return request.param
+
+
+class TestDensePanels:
+    """The order-2 symmetry check and the closed forms that multiply a
+    dense g by itself run over row panels; they agree with whole-matrix
+    evaluations at every panel size, across panel edges."""
+
+    DIMS = [1, 2, 127, 128, 129, 300]
+
+    @staticmethod
+    def entries(n):
+        """Off-diagonal entries (i, j), i > j: j the last row of the first
+        panel and i the first row of the second, (1, 0) (inside the first
+        panel when it has two rows or more) and the far corner (n - 1, 0)."""
+        starts = [lo for lo, _, _ in kernels_module._row_panels(n)]
+        edge = [(starts[1], starts[1] - 1)] if len(starts) > 1 else []
+        return edge + [(1, 0), (n - 1, 0)] if n > 1 else []
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_asymmetry_at_a_panel_edge_matches_full_check(self, dim,
+                                                          panel_budget):
+        rng = np.random.default_rng(dim)
+        a = rng.uniform(-1.0, 1.0, size=(dim, dim))
+        g = (a + a.T) / 2.0
+        g[0, 0] = 2.0  # the largest entry, off every tested entry
+        assert is_symmetric(DenseKernel(g)) and full_is_symmetric(g)
+        for (i, j), factor in itertools.product(self.entries(dim),
+                                                [0.999, 1.001]):
+            expected = factor < 1.0
+            for entry in [(i, j), (j, i)]:
+                h = g.copy()
+                h[entry] += factor * TOLERANCE * 2.0
+                assert full_is_symmetric(h) is expected
+                assert is_symmetric(DenseKernel(h)) is expected
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_closed_forms_match_whole_products(self, dim, panel_budget):
+        rng = np.random.default_rng(100 + dim)
+        a = rng.normal(size=(dim, dim))
+        g = (a + a.T) / 2.0
+        gg = g @ g.T
+        expected = np.vdot(gg, gg)
+        assert matrix_contraction_norm_squared(g) == pytest.approx(
+            expected, rel=1e-13)
+        assert kappa4_I2(DenseKernel(g)) == pytest.approx(48.0 * expected,
+                                                          rel=1e-13)
+        assert matrix_cube_trace(g) == pytest.approx(np.vdot(g @ g, g),
+                                                     rel=1e-13)
+        assert kappa3_I2(DenseKernel(g)) == pytest.approx(
+            8.0 * np.vdot(g @ g, g), rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 9, 127, 128, 300, 1024])
+    def test_panels_cover_the_rows_within_the_budget(self, dim, panel_budget):
+        panels = [(lo, hi) for lo, hi, _ in kernels_module._row_panels(dim)]
+        assert [lo for lo, _ in panels] == [0] + [hi for _, hi in panels[:-1]]
+        assert panels[-1][1] == dim
+        rows = panels[0][1]
+        budget = kernels_module.PANEL_FLOATS
+        assert rows == 1 or (rows * dim <= budget and 8 * rows <= dim)
 
 
 class TestToeplitzClosedForms:

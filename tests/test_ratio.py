@@ -8,9 +8,9 @@ from chaosclt.bounds import phi
 from chaosclt.chaos import kappa4_I2, second_moment, ChaosSum
 from chaosclt.errors import ValidationError
 from chaosclt.ratio import (Perturbations, RatioFamily, ratio_bound,
-                            sample_ratio, sample_ratio_batch)
+                            sample_ratio_batch)
 
-from oracles import f_kernel, g_kernel, mean_se
+from oracles import f_kernel, g_kernel, mean_se, sample_ratio
 
 
 def default_family(lam, **kwargs):

@@ -14,13 +14,13 @@ from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
                                  PathSampler, breuer_major_statistic,
                                  exact_variance_power_variation,
                                  fgn_covariance, hermite_monomial_coeffs,
-                                 power_variation, power_variation_mean,
-                                 sample_paths)
+                                 power_variation_mean, sample_paths)
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
                               replica_blocks)
 
 from oracles import (hermite_e_value, mean_se, monomial_coeff_quadrature,
-                     sample_variance_se, variance_power_variation_quadrature)
+                     power_variation, sample_variance_se,
+                     variance_power_variation_quadrature)
 
 
 # rho(k) at the float H to 50 digits, from the direct formula evaluated
