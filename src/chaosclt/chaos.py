@@ -250,7 +250,7 @@ def sample_batch(F: ChaosSum, M: int, seed: int, threads: int = 1,
     terms = _eigen_terms(F) or _unit_terms(F)
     workers = block_threads(threads, F.dim)
     # one work array per worker that run_blocks starts, allocated here
-    # rather than in a pool thread, whose malloc arena likely keeps what it
+    # rather than in a started thread, whose malloc arena likely keeps what it
     # frees; zero-filled, so rows no chunk has drawn into yet are finite
     rows = next(row_chunks(BLOCK_SIZE, F.dim))[1]
     arrays = queue.SimpleQueue()

@@ -80,6 +80,13 @@ def _check_entry_budget(dim: int, order: int) -> None:
                               f"64-axis guard")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """True when a holds no NaN or infinity, read off its extremes: NaN
+    propagates into min and max, and an infinity is one of them, so no
+    mask of a.size bytes is made."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 class DenseKernel:
     """A real tensor of shape (dim,) * order; treated as immutable."""
 
@@ -92,7 +99,7 @@ class DenseKernel:
             raise ValidationError(
                 f"kernel axes must share one positive dimension, got {values.shape}")
         _check_entry_budget(dim, values.ndim)
-        if not np.isfinite(values).all():
+        if not _all_finite(values):
             raise ValidationError("kernel entries must be finite")
         self.values = values
 
@@ -603,7 +610,7 @@ def _finite(value, where: str, shape=None) -> np.ndarray:
         array = np.asarray(value, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise ValidationError(f"{where} must be finite") from None
-    if not np.isfinite(array).all():
+    if not _all_finite(array):
         raise ValidationError(f"{where} must be finite")
     if shape is not None and array.shape != shape:
         raise ValidationError(f"{where} has shape {array.shape}, expected {shape}")

@@ -182,8 +182,7 @@ class PathSampler:
     def normals_per_replica(self) -> int:
         return 2 * self.n
 
-    def transform(self, w: np.ndarray,
-                  buffers: tuple[np.ndarray, np.ndarray] | None = None
+    def transform(self, w: np.ndarray, buffers: np.ndarray | None = None
                   ) -> np.ndarray:
         """Apply the sampler's linear map to white-noise rows w.
 
@@ -198,12 +197,17 @@ class PathSampler:
         circulant covariance C, so the two are independent and each has
         covariance C, whose leading n x n block is the target.  A lone row
         cannot be made exact by padding its partner with zeros, so an odd
-        count is rejected.  buffers may be a pair of arrays from
-        _work_arrays with at least count rows, which the transform fills
-        instead of allocating its own pair; the result is a view of the
-        second.  w may itself be the float view of the first buffer's
-        leading count / 2 spectra, which is then scaled in place
-        (sample_chunks draws there).
+        count is rejected.
+
+        All of it happens in one work array of count + 1 rows of m floats
+        (_work_array), which buffers may be: one with at least that many
+        rows, filled in place of an allocated one.  Its rows 2j and 2j+1
+        hold pair j's complex spectrum, FFTed in place, so row 2j then
+        holds X[:n] of pair j as interleaved floats and row 2j+1 the unused
+        X[n:].  _compact moves path i to the first n floats of row i + 1,
+        and the result is that (count, n) view, whose rows are m floats
+        apart.  w may itself be the first count rows of buffers, which are
+        then scaled in place (sample_chunks draws there).
         """
         n, m = self.n, self._m
         count = w.shape[0]
@@ -211,21 +215,20 @@ class PathSampler:
             raise ValidationError(
                 f"the circulant transform takes rows in pairs, got {count}")
         if buffers is None:
-            buffers = self._work_arrays(count)
-        spectrum, out = buffers[0][:count // 2], buffers[1][:count]
-        np.multiply(w.reshape(count // 2, 2 * m), self._scale,
-                    out=spectrum.view(float))
+            buffers = self._work_array(count)
+        spectra = buffers[:count].reshape(count // 2, 2 * m)
+        np.multiply(w.reshape(count // 2, 2 * m), self._scale, out=spectra)
         # in place: the FFT then allocates no work array of its own
-        x = np.fft.fft(spectrum, axis=1, out=spectrum)[:, :n]
-        out[0::2] = x.real
-        out[1::2] = x.imag
-        return out
+        spectra = spectra.view(complex)
+        np.fft.fft(spectra, axis=1, out=spectra)
+        _compact(buffers, count // 2, n)
+        return buffers[1:count + 1, :n]
 
-    def _work_arrays(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Work arrays for transforms of up to rows rows, rows even: the
-        complex spectra of rows / 2 pairs, and the paths."""
-        return (np.empty((rows // 2, self._m), dtype=complex),
-                np.empty((rows, self.n)))
+    def _work_array(self, rows: int) -> np.ndarray:
+        """Work array for transforms of up to rows rows, rows even: rows + 1
+        rows of m floats, the spectra of rows / 2 pairs and one more row,
+        where the transform's last path goes (see transform)."""
+        return np.empty((rows + 1, self._m))
 
     def sample_chunks(self, seed: int, stream: int, block: int, count: int):
         """Yield (lo, paths) over the rows of one block in order, where paths
@@ -238,27 +241,56 @@ class PathSampler:
         j = (r % BLOCK_SIZE) // 2, whatever count and the chunking are.  The
         FFTs work pair by pair, so the chunks are bit-identical to
         transforming one whole-block block_normals draw of an even number
-        of rows, while only one chunk is held at a time.  Each chunk is
-        drawn into the spectrum work array itself (the float view of its
-        complex rows holds the chunk's rows of normals in order), and the
-        transforms reuse that pair of work arrays for the whole block, so a
-        yielded paths is overwritten by the next chunk: use or copy it
-        before asking for the next.
+        of rows, while only one chunk is held at a time.  One work array
+        (_work_array) serves the whole block: each chunk is drawn into its
+        leading rows, scaled, FFTed and compacted there, and paths is a
+        view of it (see transform), 1.06 MiB at n = 4096.  A yielded paths
+        is therefore overwritten by the next chunk: use or copy it before
+        asking for the next.
         """
         width = self.normals_per_replica
         generator = block_generator(seed, stream, block)
         # a pair of rows is one row of twice the width to row_chunks
         pairs = list(row_chunks(-(-count // 2), 2 * width))
-        buffers = self._work_arrays(2 * pairs[0][1])
+        buffers = self._work_array(2 * pairs[0][1])
         for lo, hi in pairs:
-            w = block_normals(
-                seed, stream, block, 2 * (hi - lo), width, generator,
-                out=buffers[0][:hi - lo].view(float).reshape(
-                    2 * (hi - lo), width))
+            w = block_normals(seed, stream, block, 2 * (hi - lo), width,
+                              generator, out=buffers[:2 * (hi - lo)])
             # by keyword: bench/tracer.py reads transform's positional
             # arguments as (sampler, w)
             paths = self.transform(w, buffers=buffers)
             yield 2 * lo, paths[:count - 2 * lo]
+
+
+# floats in _compact's scratch: 64 KiB, under glibc's 128 KiB mmap
+# threshold, so it comes from the heap and costs no page faults
+_SCRATCH_FLOATS = 1 << 13
+
+
+def _compact(work: np.ndarray, pairs: int, n: int) -> None:
+    """Move the paths of a transform's FFT output to their rows of work.
+
+    Row 2j of work holds X[:n] of pair j as m = 2n interleaved floats.  Its
+    real parts, path 2j, go to row 2j + 1 (the unused X[n:] of pair j) and
+    its imaginary parts, path 2j + 1, to row 2j + 2 (pair j + 1's X[:n], or
+    the extra last row), each in the first n floats.  Pairs go from last to
+    first, so no X[:n] is overwritten before it is read.  They go in slabs
+    of pairs, whose X rows are first copied to a scratch of at most
+    _SCRATCH_FLOATS: the destination rows lie between them, and numpy,
+    which checks overlap by array bounds, would otherwise copy the whole
+    slab to a temporary of its own.  A slab of one pair needs no scratch,
+    since its X row lies outside both of its destination rows.
+    """
+    slab = max(1, _SCRATCH_FLOATS // (2 * n))
+    scratch = np.empty((min(slab, pairs), 2 * n)) if slab > 1 else None
+    for hi in range(pairs, 0, -slab):
+        lo = max(0, hi - slab)
+        x = work[2 * lo:2 * hi:2]
+        if scratch is not None:
+            scratch[:hi - lo] = x
+            x = scratch[:hi - lo]
+        work[2 * lo + 1:2 * hi + 1:2, :n] = x[:, 0::2]
+        work[2 * lo + 2:2 * hi + 2:2, :n] = x[:, 1::2]
 
 
 def sample_paths(rho: CovarianceFunction, n: int, M: int, seed: int,

@@ -9,11 +9,13 @@ draw.  Two consequences:
 * parallel workers that process whole blocks produce output identical to
   a serial run, because no generator is ever shared across blocks.
   run_blocks hands the blocks to at most `threads` workers from one shared
-  queue, so the thread count never changes an output.
+  queue, so the thread count never changes an output.  The calling thread
+  is one of those workers: w workers start w - 1 threads, and a single
+  worker starts none.
 
 A `threads` setting is a cap, not a demand.  A sampler that has one asks
 block_threads(threads, variates_per_replica) how many workers to use: one,
-on the calling thread, when a full block holds fewer than
+the calling thread alone, when a full block holds fewer than
 MIN_POOL_VARIATES variates, else `threads` capped at the CPUs this process
 may use.  Below that size the GIL-held part of a block's work (seeding
 its generators, a few small ufunc calls) is so large a share that a
@@ -33,8 +35,8 @@ two threads over that on one:
     sample_paths (n = 8)  16                   0.75 .. 0.96
     sample_paths (n = 64) 128                  0.53 .. 0.61
 
-so the crossover lies between 8 and 16 variates a replica, and a pool
-starts from 16 (2**14 in a block of BLOCK_SIZE rows) on.  The ratio
+so the crossover lies between 8 and 16 variates a replica, and a second
+worker starts from 16 (2**14 in a block of BLOCK_SIZE rows) on.  The ratio
 sampler, at 5, has no threads setting and runs on the calling thread.
 
 Layout of stream protocol 7 (STREAM_PROTOCOL).  seed and stream are both
@@ -68,9 +70,10 @@ block in chunks of at most CHUNK_NORMALS normals (row_chunks), so a
 worker holds a few MiB whatever the path length; chaos.sample_batch draws
 and evaluates every sum the same way.  Both draw each chunk with
 block_normals(..., out=) straight into a work array, which gives the bits
-of the allocating draw: the sampler's spectrum array lives for the whole
-block, and sample_batch allocates one chunk array per worker on the
-calling thread, once per call, and lends it to one block at a time.
+of the allocating draw: the sampler's one work array, which holds a
+chunk's spectra and then its paths, lives for the whole block, and
+sample_batch allocates one chunk array per worker on the calling thread,
+once per call, and lends it to one block at a time.
 Chunking is not part of the protocol and changes no output: each row
 is computed on its own (an FFT of a pair of rows, a row-wise einsum) or
 in a BLAS product of one fixed shape, as BLAS rounding can depend on the
@@ -120,7 +123,7 @@ BLOCK_SIZE is a fixed protocol constant; changing it changes every stream.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -135,9 +138,9 @@ BLOCK_SIZE = 1024
 # overhead, larger ones raise the working set.
 CHUNK_NORMALS = 1 << 17
 
-# Fewest variates in a full block for which run_blocks gets a thread pool
-# (block_threads): 16 a replica at BLOCK_SIZE 1024.  Not part of the stream
-# protocol; the module docstring has the crossover it comes from.
+# Fewest variates in a full block for which run_blocks gets more than one
+# worker (block_threads): 16 a replica at BLOCK_SIZE 1024.  Not part of the
+# stream protocol; the module docstring has the crossover it comes from.
 MIN_POOL_VARIATES = 1 << 14
 
 # seed and stream each fill one 64-bit slot of the SeedSequence entropy
@@ -232,9 +235,9 @@ def block_threads(threads: int, variates_per_replica: int) -> int:
     a replica, given the cap `threads`.
 
     1 when a full block holds fewer than MIN_POOL_VARIATES variates: its
-    blocks are too short to pay for a pool thread, and run on the calling
-    thread.  Otherwise threads, capped at the CPUs this process may use
-    (os.sched_getaffinity where it exists, else os.cpu_count), so a large
+    blocks are too short to pay for a second thread, and run on the
+    calling thread.  Otherwise threads, capped at the CPUs this process may
+    use (os.sched_getaffinity where it exists, else os.cpu_count), so a large
     setting never starts more threads than can run at once.  threads must
     be an integer >= 1, else a ValidationError is raised.
     """
@@ -253,14 +256,19 @@ def run_blocks(n_replicas: int, worker, threads: int = 1) -> None:
 
     worker must write results into preassigned slots (e.g.
     out[start:start+count]).  threads is a cap: the blocks go to at most
-    min(threads, blocks) workers from one shared queue.  One worker runs
-    them all on the calling thread and starts no pool; otherwise each pool
-    thread takes the next block until none is left.  Samplers pass
-    block_threads(threads, variates_per_replica), which is 1 for blocks
-    too small to pay for a pool thread and never more than the usable
-    CPUs.  Which thread runs a block never changes an output, because each
-    block owns a disjoint stream and disjoint output rows.  An exception
-    raised by worker propagates.
+    min(threads, blocks) workers from one shared queue.  The calling
+    thread is always one of them: one worker runs every block there and
+    starts no thread; w workers start w - 1 threads (_drain_on_threads)
+    and each of the w takes the next block until none is left.  Samplers
+    pass block_threads(threads, variates_per_replica), which is 1 for
+    blocks too small to pay for a second thread and never more than the
+    usable CPUs.  Which thread runs a block never changes an output,
+    because each block owns a disjoint stream and disjoint output rows.
+
+    An exception raised by worker propagates on the calling thread.  Once
+    a block has raised, no worker starts another; the blocks already
+    running on other threads finish first, and the first exception raised
+    is the one re-raised.
     """
     blocks = list(replica_blocks(n_replicas))
     workers = min(threads, len(blocks))
@@ -271,12 +279,29 @@ def run_blocks(n_replicas: int, worker, threads: int = 1) -> None:
     # a list iterator, not a generator: two threads may call next on it at
     # once, which a generator refuses ("generator already executing")
     queue = iter(blocks)
+    errors = []
 
     def drain():
         for block, start, count in queue:
-            worker(block, start, count)
+            if errors:
+                return
+            try:
+                worker(block, start, count)
+            except BaseException as exc:
+                errors.append(exc)
+                return
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(drain) for _ in range(workers)]
-        for fut in futures:
-            fut.result()
+    _drain_on_threads(workers, drain)
+    if errors:
+        raise errors[0]
+
+
+def _drain_on_threads(workers: int, drain) -> None:
+    """Run drain, which raises nothing, on workers - 1 new threads and on
+    the calling thread at once, and return when every one has returned."""
+    started = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for thread in started:
+        thread.start()
+    drain()
+    for thread in started:
+        thread.join()

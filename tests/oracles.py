@@ -8,10 +8,11 @@ works on all n**p entries, where the library uses closed forms on rank-one
 sums.  The ratio family's kernels are built here from its basis layout,
 which the library reads only analytically.
 
-The two pathwise references at the end, power_variation and sample_ratio,
-are the exception: only tests call them, so they live here, and they
-reuse the package's even_power and ratio formula.  They check how the
-batch routes reduce a whole path or Gaussian vector, not those formulas.
+The three pathwise references at the end, power_variation, sample_ratio
+and interleaved_paths, are the exception: only tests call them, so they
+live here, and they reuse the package's even_power, ratio formula and
+circulant scale.  They check how the batch routes reduce a whole path or
+Gaussian vector, or lay out the paths of a transform, not those formulas.
 """
 
 import math
@@ -197,3 +198,17 @@ def sample_ratio(fam, z):
     values, rejected = _ratio_from_stats(fam, np.dot(z[:m], z[:m]), z[0],
                                          z[m], z[m + 1], z[m + 2])
     return float(values), bool(rejected)
+
+
+def interleaved_paths(sampler, w):
+    """PathSampler.transform of white-noise rows w, laid out the plain way:
+    the scaled spectra of the pairs of rows in an array of their own, one
+    out-of-place complex FFT of them, and real parts to rows 0::2 and
+    imaginary parts to rows 1::2 of a fresh (count, n) array."""
+    count, n = w.shape[0], sampler.n
+    spectra = (w.reshape(count // 2, -1) * sampler._scale).view(complex)
+    x = np.fft.fft(spectra, axis=1)[:, :n]
+    out = np.empty((count, n))
+    out[0::2] = x.real
+    out[1::2] = x.imag
+    return out

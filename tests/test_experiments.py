@@ -139,6 +139,27 @@ class TestRatesExperiment:
         assert table.metadata["path_length"] == 4096
         assert peak < 16 * 2 ** 20
 
+    def test_one_thread_run_holds_one_work_array(self):
+        # a chunk of 8 pairs of rows at n = 4096 is drawn, FFTed and
+        # compacted in one work array of 17 rows of 8192 floats; besides it
+        # the run holds the table of Q_{2,n} and the sampler's spectrum
+        # scale (2n entries).  A second array for the paths, 0.5 MiB,
+        # would not fit.
+        n, M = 4096, 2 * BLOCK_SIZE
+        config = RatesConfig(hurst=0.7, n_grid=[256, 1024, n], replicas=M,
+                             seed=3, threads=1)
+        sampler = PathSampler(CovarianceFunction.fgn(0.7), n)
+        rows = 2 * (CHUNK_NORMALS // (4 * n))
+        work = sampler._work_array(rows).nbytes
+        table = M * len(config.n_grid) * 8
+        tracemalloc.start()
+        try:
+            run_rates(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (work + table) + sampler._scale.nbytes
+
     def test_unsorted_grid_with_duplicate_keeps_config_order(self):
         cfg = RatesConfig(hurst=0.3, n_grid=[512, 64, 512, 128],
                           replicas=1000, seed=4)

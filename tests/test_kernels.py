@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,37 @@ class TestDenseKernel:
             with pytest.raises(ValidationError,
                                match="^kernel entries must be finite$"):
                 DenseKernel(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_non_finite_entry_rejected_anywhere(self, at, bad):
+        dim = 9
+        values = np.ones((dim, dim))
+        values.flat[{"first": 0, "middle": dim * dim // 2,
+                     "last": dim * dim - 1}[at]] = bad
+        with pytest.raises(ValidationError,
+                           match="^kernel entries must be finite$"):
+            DenseKernel(values)
+        data = {"representation": "dense", "order": 2, "dim": dim,
+                "values": values.ravel().tolist()}
+        with pytest.raises(ValidationError, match="^k: values must be finite$"):
+            kernel_from_json(data, where="k")
+
+    def test_finiteness_check_makes_no_mask(self):
+        # both checks read the extremes of the values: an np.isfinite mask
+        # would add dim**2 bytes (1 MiB here) to the peak
+        dim = 1024
+        g = np.random.default_rng(2).standard_normal((dim, dim))
+        data = {"representation": "dense", "order": 2, "dim": dim,
+                "values": g.ravel().tolist()}
+        tracemalloc.start()
+        try:
+            kernel = kernel_from_json(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(kernel.values, g)
+        assert peak <= g.nbytes + 64 * 1024
 
 
 class TestSymmetrize:

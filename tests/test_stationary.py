@@ -18,9 +18,9 @@ from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
                               replica_blocks)
 
-from oracles import (hermite_e_value, mean_se, monomial_coeff_quadrature,
-                     power_variation, sample_variance_se,
-                     variance_power_variation_quadrature)
+from oracles import (hermite_e_value, interleaved_paths, mean_se,
+                     monomial_coeff_quadrature, power_variation,
+                     sample_variance_se, variance_power_variation_quadrature)
 
 
 # rho(k) at the float H to 50 digits, from the direct formula evaluated
@@ -148,8 +148,8 @@ class TestSamplePaths:
             assert np.array_equal(got, want)
 
     def test_chunks_of_a_block_share_one_output_buffer(self):
-        # the circulant route transforms every chunk of a block into one
-        # pair of work arrays, so a chunk is overwritten by the next one
+        # the circulant route transforms every chunk of a block in one
+        # work array, so a chunk is overwritten by the next one
         n = 300
         sampler = PathSampler(CovarianceFunction.fgn(0.7), n)
         chunks = list(sampler.sample_chunks(6, 3, 0, BLOCK_SIZE))
@@ -162,8 +162,9 @@ class TestSamplePaths:
         assert np.array_equal(last, whole[lo:lo + len(last)])
 
     def test_chunks_are_drawn_into_the_spectrum_work_array(self):
-        # a block at n = 4096 holds 1 MiB of spectra and 0.5 MiB of paths;
-        # a separate 1 MiB array of normals per chunk would show on top
+        # a block at n = 4096 holds one 1.06 MiB work array for its spectra
+        # and paths; a separate 1 MiB array of normals per chunk would show
+        # on top
         sampler = PathSampler(CovarianceFunction.fgn(0.7), 4096)
         tracemalloc.start()
         try:
@@ -239,6 +240,53 @@ class TestSamplePaths:
         sampler = PathSampler(CovarianceFunction.fgn(0.7), 8)
         with pytest.raises(ValidationError, match="pairs"):
             sampler.transform(np.ones((3, 16)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 4096])
+    def test_transform_matches_the_interleaved_layout(self, n):
+        # the paths are compacted inside the one work array that held the
+        # spectra; they must carry the bits of the plain layout with a
+        # work array of the transform's own, a lent one of the exact size,
+        # a larger lent one, and normals drawn into the lent one's rows
+        sampler = PathSampler(CovarianceFunction.fgn(0.7), n)
+        width = sampler.normals_per_replica
+        chunk = 2 * max(1, CHUNK_NORMALS // (2 * width))
+        rng = np.random.default_rng(n)
+        for count in (2, 4, chunk):
+            w = rng.standard_normal((count, width))
+            drawn = w.copy()
+            want = interleaved_paths(sampler, w)
+            assert np.array_equal(sampler.transform(w), want)
+            for rows in (count, chunk + 2):
+                buffers = sampler._work_array(rows)
+                got = sampler.transform(w, buffers=buffers)
+                assert got.shape == (count, n)
+                assert np.shares_memory(got, buffers)
+                assert np.array_equal(got, want)
+            assert np.array_equal(w, drawn)
+            buffers = sampler._work_array(count)
+            buffers[:count] = w
+            got = sampler.transform(buffers[:count], buffers=buffers)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 300, 4096])
+    def test_odd_blocks_through_sample_chunks(self, n):
+        # an odd block draws the partner of its last row and drops that
+        # path; chunk by chunk, the paths match the plain layout of one
+        # whole-block draw
+        sampler = PathSampler(CovarianceFunction.fgn(0.3), n)
+        width = sampler.normals_per_replica
+        chunk = 2 * max(1, CHUNK_NORMALS // (2 * width))
+        counts = [c for c in (1, 3, chunk - 1, chunk + 1, 2 * chunk + 1)
+                  if c <= BLOCK_SIZE]
+        for count in counts:
+            want = interleaved_paths(
+                sampler, block_normals(5, 2, 1, count + 1, width))[:count]
+            los, got = [], []
+            for lo, paths in sampler.sample_chunks(5, 2, 1, count):
+                los.append(lo)
+                got.append(paths.copy())
+            assert los == list(range(0, count, chunk))
+            assert np.array_equal(np.concatenate(got), want), count
 
     @pytest.mark.parametrize("n", [1, 300, 5000])
     def test_first_replicas_do_not_depend_on_m_or_threads(self, n):

@@ -1,5 +1,6 @@
 import ast
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -244,6 +245,36 @@ class TestRunBlocks:
         with pytest.raises(RuntimeError, match="block 3 failed"):
             run_blocks(5 * BLOCK_SIZE, worker, threads)
 
+    def test_no_block_starts_after_a_failure(self):
+        # block 0 raises; the other worker may finish the block it holds,
+        # but no worker starts a block once the failure is recorded
+        started = []
+
+        def worker(block, start, count):
+            started.append(block)
+            if block == 0:
+                raise RuntimeError("block 0 failed")
+
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            run_blocks(64 * BLOCK_SIZE, worker, 2)
+        assert 0 in started
+        assert len(started) - 1 <= 2
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # run_blocks starts plain threads: concurrent.futures brings in
+    # logging, 0.5 MiB and about 4 ms at every import.  A fresh process,
+    # since pytest itself loads logging.
+    src = Path(chaosclt.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, chaosclt; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'logging')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
 
 class PoolRefused(Exception):
     pass
@@ -251,15 +282,15 @@ class PoolRefused(Exception):
 
 @pytest.fixture
 def pool_requests(monkeypatch):
-    """max_workers of every thread pool run_blocks asks for; each request
-    raises PoolRefused, so no pool thread ever starts."""
+    """The worker count of every multi-threaded run that run_blocks asks
+    for; each request raises PoolRefused, so no thread ever starts."""
     requests = []
 
-    def refuse(max_workers):
-        requests.append(max_workers)
+    def refuse(workers, drain):
+        requests.append(workers)
         raise PoolRefused
 
-    monkeypatch.setattr(streams, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(streams, "_drain_on_threads", refuse)
     return requests
 
 
