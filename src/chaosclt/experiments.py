@@ -46,17 +46,24 @@ __all__ = [
 
 @dataclass
 class ResultTable:
-    """Ordered rows plus run metadata; CSV serialization is deterministic."""
+    """Ordered rows plus run metadata; CSV serialization is deterministic.
 
-    columns: list[str]
+    The rows are the schema: the CSV header is the first row's keys, in
+    their order, and every other row must have the same keys in the same
+    order."""
+
     rows: list[dict]
     metadata: dict
 
     def to_csv_string(self) -> str:
+        header = list(self.rows[0])
         buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_csv_cell(row[c]) for c in self.columns) + "\n")
+        buf.write(",".join(header) + "\n")
+        for i, row in enumerate(self.rows):
+            if list(row) != header:
+                raise ValueError(f"row {i}'s keys {list(row)} differ from "
+                                 f"the header {header}")
+            buf.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
         return buf.getvalue()
 
 
@@ -72,6 +79,29 @@ def _csv_cell(value) -> str:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
+
+
+# The bytes that the arrays sized by one config key may take.  A config
+# over it is rejected when it is built, before any array exists, so an
+# oversized key exits 1 instead of ending in numpy's MemoryError.  The
+# float counts passed to _check_size are tracemalloc peaks of one-thread
+# runs, rounded up: a rates run holds ~10 floats per path entry (another
+# worker adds ~6) and len(set(n_grid)) + 3 per replica, a diagnose-nz run
+# ~9 per lag of its m * n, a ratio run ~3.3 per replica.
+SIZE_BUDGET = 1 << 30
+_FLOATS_PER_LAG = 16
+
+
+def _check_size(what: str, floats: int) -> None:
+    _require(8 * floats <= SIZE_BUDGET,
+             f"{what} would size arrays of about {8 * floats:.3g} bytes, "
+             f"over the size budget of {SIZE_BUDGET} bytes")
+
+
+def _largest(grid: list[int], name: str) -> tuple[str, int]:
+    """(located name, value) of the largest entry of a size grid."""
+    i = max(range(len(grid)), key=grid.__getitem__)
+    return f"{name}[{i}] = {grid[i]}", grid[i]
 
 
 def _grid(values, name: str, convert, **limits) -> list:
@@ -114,6 +144,10 @@ class RatesConfig:
         self.hurst = checked_real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 0.75,
                  f"rate experiment requires 0 < H < 3/4, got {self.hurst}")
+        _check_size(f"replicas = {self.replicas}",
+                    self.replicas * (len(set(self.n_grid)) + 3))
+        where, n = _largest(self.n_grid, "n_grid")
+        _check_size(where, _FLOATS_PER_LAG * n)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RatesConfig":
@@ -159,9 +193,6 @@ def run_rates(config: RatesConfig) -> ResultTable:
     are dependent."""
     cov = CovarianceFunction.fgn(config.hurst)
     mean_q = power_variation_mean(cov.rho0, config.q)
-    columns = ["hurst", "q", "n", "replicas", "seed", "stream", "d_kol",
-               "d_kol_se", "bound_covariance_43", "bound_covariance_sq",
-               "bound_total"]
     ends, table = _power_variation_samples(cov, config.n_grid, config.q,
                                            config.replicas, config.seed,
                                            config.threads)
@@ -179,8 +210,7 @@ def run_rates(config: RatesConfig) -> ResultTable:
             "d_kol": d,
             # ECDF fluctuation scale at the supremum point
             "d_kol_se": 0.5 / math.sqrt(config.replicas),
-            "bound_covariance_43": report.terms["covariance_43"],
-            "bound_covariance_sq": report.terms["covariance_sq"],
+            **{f"bound_{label}": v for label, v in report.terms.items()},
             "bound_total": report.total,
         })
         distances[n] = d
@@ -198,7 +228,7 @@ def run_rates(config: RatesConfig) -> ResultTable:
         "predicted_exponent": prediction.exponent,
         "predicted_log_power": prediction.log_power,
     }
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    return ResultTable(rows=rows, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +254,6 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
 
     Returns the summary table and the full JSON-ready report documents.
     """
-    columns = ["label", "orders", "variance", "max_contraction_norm",
-               "mixed_inner", "total", "phi"]
     rows = []
     documents = []
     for i, item in enumerate(config.inputs):
@@ -269,13 +297,12 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
             "label": label,
             "orders": ";".join(str(p) for p in F.orders),
             "variance": report.normalization,
-            "max_contraction_norm": report.terms["max_contraction_norm"],
-            "mixed_inner": report.terms["mixed_inner"],
+            **report.terms,
             "total": report.total,
             "phi": float("nan") if phi_value is None else phi_value,
         })
     metadata = {"experiment": "bound", "version": __version__}
-    return ResultTable(columns=columns, rows=rows, metadata=metadata), documents
+    return ResultTable(rows=rows, metadata=metadata), documents
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +332,7 @@ class RatioConfig:
         self.rho = checked_real(self.rho, "rho")
         self.sigma1 = checked_real(self.sigma1, "sigma1")
         self.sigma2 = checked_real(self.sigma2, "sigma2")
+        _check_size(f"replicas = {self.replicas}", 4 * self.replicas)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RatioConfig":
@@ -318,10 +346,6 @@ def run_ratio(config: RatioConfig) -> ResultTable:
     drawn."""
     pert = _config_from_dict(Perturbations, config.perturbations,
                              "ratio config perturbations")
-    columns = ["lam", "rho", "sigma1", "sigma2", "replicas", "seed", "stream",
-               "d_kol", "rejection_rate", "phi", "mean_drift",
-               "f_second_moment_gap", "g_second_moment_gap", "remainder",
-               "bound_total"]
     families = []
     for idx, lam in enumerate(config.lambda_grid):
         try:
@@ -350,11 +374,7 @@ def run_ratio(config: RatioConfig) -> ResultTable:
             "sigma2": config.sigma2, "replicas": config.replicas,
             "seed": config.seed, "stream": idx, "d_kol": d,
             "rejection_rate": float(rejected.mean()),
-            "phi": report.terms["phi"],
-            "mean_drift": report.terms["mean_drift"],
-            "f_second_moment_gap": report.terms["f_second_moment_gap"],
-            "g_second_moment_gap": report.terms["g_second_moment_gap"],
-            "remainder": report.terms["remainder"],
+            **report.terms,
             "bound_total": report.total,
         })
     tol = 2.0 / math.sqrt(config.replicas)
@@ -365,11 +385,11 @@ def run_ratio(config: RatioConfig) -> ResultTable:
         "version": __version__,
         "stream_protocol": STREAM_PROTOCOL,
         "config": asdict(config),
-        "sigma_sq": config.sigma1 ** 2 + config.sigma2 ** 2,
+        "sigma_sq": families[0].sigma_sq,
         "monotone_within_tolerance": monotone,
         "monotonicity_tolerance": tol,
     }
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    return ResultTable(rows=rows, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +413,8 @@ class NzConfig:
                  f"signs must be {self.m} entries +-1, got {self.signs}")
         self.hurst = checked_real(self.hurst, "hurst")
         _require(0.0 < self.hurst < 1.0, "hurst must lie in (0, 1)")
+        where, n = _largest(self.n_grid, "n_grid")
+        _check_size(f"{where} with m = {self.m}", _FLOATS_PER_LAG * self.m * n)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NzConfig":
@@ -404,7 +426,6 @@ def run_nz_diagnostics(config: NzConfig) -> ResultTable:
     checked and echoed, but change nothing: the diagnostic draws no random
     numbers and does not depend on the sign vector (nz_ratio_diagnostic)."""
     cov = CovarianceFunction.fgn(config.hurst)
-    columns = ["hurst", "m", "signs", "n", "ratio"]
     rows = []
     for n in config.n_grid:
         ratio = nz_ratio_diagnostic(cov, n, config.m)
@@ -415,4 +436,4 @@ def run_nz_diagnostics(config: NzConfig) -> ResultTable:
         })
     metadata = {"experiment": "diagnose-nz", "version": __version__,
                 "config": asdict(config)}
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    return ResultTable(rows=rows, metadata=metadata)

@@ -325,13 +325,38 @@ def even_power(x: np.ndarray, q: int, out: np.ndarray | None = None
     2.4 on one core of a 2-vCPU x86-64 box)."""
     check_even_power(q)
     out = np.multiply(x, x, out=out)
-    square = out.copy() if q & (q - 1) else None
     # binary powering of x**2 to q / 2, from below its leading bit
-    for bit in bin(q // 2)[3:]:
-        np.multiply(out, out, out=out)
-        if bit == "1":
-            np.multiply(out, square, out=out)
+    bits = bin(q // 2)[3:]
+    if "1" not in bits:  # q a power of two: squarings alone
+        for _ in bits:
+            np.multiply(out, out, out=out)
+        return out
+    # a set bit multiplies by x**2 again, kept for one slab of out at a
+    # time in a scratch of at most _SCRATCH_FLOATS, not in a copy of out
+    scratch = np.empty(min(out.size, _SCRATCH_FLOATS))
+    for part in _slabs(out):
+        square = scratch[:part.size].reshape(part.shape)
+        np.copyto(square, part)
+        for bit in bits:
+            np.multiply(part, part, out=part)
+            if bit == "1":
+                np.multiply(part, square, out=part)
     return out
+
+
+def _slabs(a: np.ndarray):
+    """Views that tile a, in order, each of at most _SCRATCH_FLOATS
+    entries: runs of whole entries of a's first axis, or each entry's own
+    slabs where one entry alone is larger."""
+    if a.size <= _SCRATCH_FLOATS:
+        yield a
+    elif a[0].size > _SCRATCH_FLOATS:
+        for entry in a:
+            yield from _slabs(entry)
+    else:
+        step = _SCRATCH_FLOATS // a[0].size
+        for lo in range(0, len(a), step):
+            yield a[lo:lo + step]
 
 
 def power_variation_mean(rho0: float, q: int) -> float:

@@ -19,25 +19,30 @@ the calling thread alone, when a full block holds fewer than
 MIN_POOL_VARIATES variates, else `threads` capped at the CPUs this process
 may use.  Below that size the GIL-held part of a block's work (seeding
 its generators, a few small ufunc calls) is so large a share that a
-second thread adds mostly the hand-over of the GIL.  Measured on a
-2-vCPU x86-64 box (numpy 2.4, M = 16384, 16 blocks, the two thread counts
-alternating op by op, two rounds of 100 ops each), the median op time on
-two threads over that on one:
+second worker adds mostly the hand-over of the GIL.  Measured on a
+2-vCPU x86-64 box (numpy 2.4, M = 16384, 16 blocks, the two worker counts
+alternating op by op, 100 ops each, two to six rounds; sample_batch on a
+dense I2 of dim w), the median op time on two workers, the calling
+thread and one started thread, over that on the calling thread alone:
 
-    caller              variates per replica   2 threads / 1 thread
-    sample_ratio_batch     5                   1.30 .. 1.46
-    sample_batch           2                   1.52 .. 1.76
-    sample_batch           8                   0.95 .. 1.25
-    sample_batch          12                   0.79 .. 1.01
-    sample_batch          16                   0.74 .. 1.12
-    sample_batch          64                   0.55 .. 0.58
-    sample_paths (n = 4)   8                   1.05 .. 1.08
-    sample_paths (n = 8)  16                   0.75 .. 0.96
-    sample_paths (n = 64) 128                  0.53 .. 0.61
+    caller              variates per replica   2 workers / 1 worker
+    sample_ratio_batch     5                   1.22 .. 1.42
+    sample_batch           2                   1.71 .. 1.71
+    sample_batch           4                   1.01 .. 1.30
+    sample_batch           8                   0.76 .. 1.03
+    sample_batch          12                   0.71 .. 0.81
+    sample_batch          16                   0.63 .. 0.87
+    sample_batch          64                   0.56 .. 0.71
+    sample_paths (n = 2)   4                   1.08 .. 1.25
+    sample_paths (n = 4)   8                   0.84 .. 1.15
+    sample_paths (n = 6)  12                   0.74 .. 1.01
+    sample_paths (n = 8)  16                   0.68 .. 0.78
+    sample_paths (n = 64) 128                  0.54 .. 0.68
 
-so the crossover lies between 8 and 16 variates a replica, and a second
-worker starts from 16 (2**14 in a block of BLOCK_SIZE rows) on.  The ratio
-sampler, at 5, has no threads setting and runs on the calling thread.
+so the crossover lies near 8 variates a replica, and a second worker
+starts from 16 (2**14 in a block of BLOCK_SIZE rows) on, where it paid in
+every round.  The ratio sampler, at 5, has no threads setting and runs on
+the calling thread.
 
 Layout of stream protocol 7 (STREAM_PROTOCOL).  seed and stream are both
 in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64 generator

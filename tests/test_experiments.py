@@ -24,7 +24,8 @@ from chaosclt.chaos import SecondChaosSpectrum
 from chaosclt.cli import main
 from chaosclt.errors import ValidationError
 from chaosclt.experiments import (BoundConfig, NzConfig, RatesConfig,
-                                  RatioConfig, _power_variation_samples,
+                                  RatioConfig, ResultTable,
+                                  _power_variation_samples,
                                   run_bound_report, run_nz_diagnostics,
                                   run_rates, run_ratio)
 from chaosclt.kernels import (kernel_from_json, kernel_to_json, DenseKernel,
@@ -47,6 +48,24 @@ def chi_square_kolmogorov_distance(n):
     x = np.linspace(-8.0, 8.0, 400_001)
     gap = stats.chi2.cdf(n + x * math.sqrt(2.0 * n), n) - stats.norm.cdf(x)
     return float(np.abs(gap).max())
+
+
+class TestResultTable:
+    def test_header_is_the_first_rows_keys(self):
+        table = ResultTable(rows=[{"a": 1, "b": 0.5}, {"a": 2, "b": 1.5}],
+                            metadata={})
+        assert table.to_csv_string() == "a,b\n1,0.5\n2,1.5\n"
+
+    @pytest.mark.parametrize("row", [
+        pytest.param({"b": 1.5, "a": 2}, id="reordered"),
+        pytest.param({"a": 2}, id="missing"),
+        pytest.param({"a": 2, "b": 1.5, "c": 3}, id="extra"),
+        pytest.param({"a": 2, "c": 1.5}, id="renamed"),
+    ])
+    def test_row_with_other_keys_raises(self, row):
+        table = ResultTable(rows=[{"a": 1, "b": 0.5}, row], metadata={})
+        with pytest.raises(ValueError, match="row 1"):
+            table.to_csv_string()
 
 
 class TestRatesExperiment:
@@ -160,6 +179,21 @@ class TestRatesExperiment:
             tracemalloc.stop()
         assert peak <= 1.1 * (work + table) + sampler._scale.nbytes
 
+    def test_power_not_of_two_takes_one_scratch(self):
+        # q = 6 multiplies by x**2 once more, which even_power keeps in a
+        # scratch of at most 64 KiB (stationary._SCRATCH_FLOATS), not in a
+        # 0.5 MiB copy of each chunk; 1 KiB more is for its array objects
+        cov = CovarianceFunction.fgn(0.7)
+        peaks = {}
+        for q in (2, 6):
+            tracemalloc.start()
+            try:
+                _power_variation_samples(cov, [4096], q, 1024, 5, 1)
+                peaks[q] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] - peaks[2] <= 64 * 1024 + 1024
+
     def test_unsorted_grid_with_duplicate_keeps_config_order(self):
         cfg = RatesConfig(hurst=0.3, n_grid=[512, 64, 512, 128],
                           replicas=1000, seed=4)
@@ -204,6 +238,13 @@ class TestBoundExperiment:
                                                 rel=1e-12)
         assert table.rows[0]["mixed_inner"] == 0.0
         assert "phi" not in documents[0]
+
+    def test_csv_header(self):
+        cfg = BoundConfig(inputs=[{"label": "eq",
+                                   "kernels": [eigenvalue_sum_json(4)]}])
+        table, _ = run_bound_report(cfg)
+        assert table.to_csv_string().splitlines()[0] == (
+            "label,orders,variance,max_contraction_norm,mixed_inner,total,phi")
 
     def test_scale_invariance_of_single_chaos_total(self):
         k = RankOneSumKernel(order=2, coeffs=np.ones(3), vectors=np.eye(3))
@@ -936,6 +977,54 @@ def hostile_documents(draw):
         parent[path[-1]] = value
     # "1e400" stands for the JSON literal, which loads as an infinity
     return command, json.dumps(document).replace('"1e400"', "1e400")
+
+
+class TestSizeBudget:
+    # each key sizes arrays far over experiments.SIZE_BUDGET; building the
+    # config must reject it before any array exists
+    OVERSIZED = [
+        pytest.param(RatesConfig, "rates", {**VALID_DOCUMENTS["rates"],
+                                            "replicas": 10 ** 12},
+                     "replicas", id="rates-replicas"),
+        pytest.param(RatesConfig, "rates", {**VALID_DOCUMENTS["rates"],
+                                            "n_grid": [16, 10 ** 12]},
+                     r"n_grid\[1\]", id="rates-n_grid"),
+        pytest.param(NzConfig, "diagnose-nz",
+                     {**VALID_DOCUMENTS["diagnose-nz"], "n_grid": [10 ** 12]},
+                     r"n_grid\[0\]", id="nz-n_grid"),
+        pytest.param(RatioConfig, "ratio", {**VALID_DOCUMENTS["ratio"],
+                                            "replicas": 10 ** 12},
+                     "replicas", id="ratio-replicas"),
+    ]
+
+    @pytest.mark.parametrize("cls, command, payload, key", OVERSIZED)
+    def test_oversized_key_exits_one_naming_it(self, tmp_path, capsys, cls,
+                                               command, payload, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code = main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "size budget" in err
+        assert re.search(key, err), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cls, command, payload, key", OVERSIZED)
+    def test_rejected_without_allocating(self, cls, command, payload, key):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=key):
+                cls.from_dict(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_readme_example_is_within_budget(self):
+        config = RatesConfig(hurst=0.7, n_grid=[4096, 32768], replicas=1024,
+                             seed=1, threads=1)
+        assert config.n_grid == [4096, 32768]
 
 
 class TestHostileInputs:

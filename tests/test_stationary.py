@@ -12,7 +12,7 @@ from chaosclt import toeplitz as toeplitz_module
 from chaosclt.errors import NumericalError, ValidationError
 from chaosclt.stationary import (CovarianceFunction, HermiteEvenCoeffs,
                                  PathSampler, breuer_major_statistic,
-                                 exact_variance_power_variation,
+                                 even_power, exact_variance_power_variation,
                                  fgn_covariance, hermite_monomial_coeffs,
                                  power_variation_mean, sample_paths)
 from chaosclt.streams import (BLOCK_SIZE, CHUNK_NORMALS, block_normals,
@@ -382,6 +382,43 @@ class TestPowerVariation:
         assert power_variation_mean(1.0, 4) == 3.0
         assert power_variation_mean(1.0, 6) == 15.0
         assert power_variation_mean(2.0, 2) == 2.0
+
+
+def _even_power_by_copy(x, q):
+    """even_power as it was when it kept x**2 in a copy of the whole output."""
+    out = x * x
+    square = out.copy()
+    for bit in bin(q // 2)[3:]:
+        out *= out
+        if bit == "1":
+            out *= square
+    return out
+
+
+class TestEvenPower:
+    POWERS = [2, 4, 6, 10, 12, 32]
+
+    @pytest.mark.parametrize("q", POWERS)
+    @pytest.mark.parametrize("size", [1, 100, 8192, 8193, 30_000])
+    def test_one_dimensional_input_keeps_its_bits(self, q, size):
+        x = np.random.default_rng(size).standard_normal(size)
+        want = _even_power_by_copy(x, q)
+        assert np.array_equal(even_power(x, q), want)
+        assert np.array_equal(even_power(x, q, out=x), want)
+
+    @pytest.mark.parametrize("q", POWERS)
+    @pytest.mark.parametrize("n", [3, 64, 4096, 10_000])
+    def test_sampler_paths_view_keeps_its_bits(self, q, n):
+        # the sampler's paths are a view whose rows are 2n floats apart;
+        # at n = 10_000 a single row is larger than the scratch
+        sampler = PathSampler(CovarianceFunction.fgn(0.7), n)
+        _, paths = next(sampler.sample_chunks(9, 0, 0, 6))
+        assert not paths.flags.c_contiguous
+        want = _even_power_by_copy(paths, q)
+        assert np.array_equal(even_power(paths, q), want)
+        got = even_power(paths, q, out=paths)
+        assert got is paths
+        assert np.array_equal(paths, want)
 
 
 class TestBreuerMajorStatistic:
