@@ -13,14 +13,14 @@ __version__ = "0.1.0"
 from .bounds import (BoundReport, RatePrediction, breuer_major_bound,
                      chaos_sum_bound, fgn_rate, nz_ratio_diagnostic, phi,
                      power_variation_bound)
-from .chaos import (ChaosSum, SecondChaosSpectrum, kappa3_I2, kappa4_I2,
-                    sample, sample_batch, second_moment)
+from .chaos import (ChaosSum, kappa3_I2, kappa4_I2, sample, sample_batch,
+                    second_moment)
 from .distances import EmpiricalSample, RateFit, kolmogorov_distance, rate_fit
 from .errors import (NumericalError, UnsupportedRepresentationError,
                      ValidationError)
 from .hermite import hermite, hermite_monomial_coeffs
-from .kernels import (DenseKernel, RankOneSumKernel, breuer_major_kernels,
-                      kernel_from_json, kernel_to_json,
+from .kernels import (DenseKernel, RankOneSumKernel, SecondChaosSpectrum,
+                      breuer_major_kernels, kernel_from_json, kernel_to_json,
                       rank_one_contraction_norm, rank_one_mixed_inner,
                       rank_one_norm_squared)
 from .ratio import Perturbations, RatioFamily, ratio_bound, sample_ratio_batch

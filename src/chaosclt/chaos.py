@@ -6,8 +6,9 @@ Every computation here runs on the rank-one-sum representation.  Dense
 kernels are accepted at the ChaosSum boundary, at orders 1 (one term) and 2
 (the eigen-form of the symmetric matrix), and canonicalized once by
 as_rank_one; a dense kernel of any higher order is rejected.  The
-eigen-form keeps its matrix g, and every bound and cumulant reads g: only
-sampling (and serialization) decomposes it, once per kernel.
+eigen-form holds the kernels.SecondChaosSpectrum of its matrix g, and
+every bound and cumulant reads g: only sampling (and serialization)
+decomposes it, once per kernel, in that spectrum.
 
 A chaos element of order p with kernel h, evaluated on a standard Gaussian
 vector z, is computed from the identity "order-p element of a unit rank-one
@@ -24,21 +25,19 @@ from __future__ import annotations
 
 import math
 import queue
-from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedRepresentationError, ValidationError
 from .hermite import hermite
-from .kernels import (DenseKernel, RankOneSumKernel, is_symmetric,
-                      matrix_contraction_norm_squared, matrix_cube_trace,
-                      rank_one_contraction_norm, rank_one_norm_squared)
+from .kernels import (DenseKernel, RankOneSumKernel, SecondChaosSpectrum,
+                      matrix_cube_trace, rank_one_contraction_norm,
+                      rank_one_norm_squared)
 from .streams import (BLOCK_SIZE, block_generator, block_normals,
                       block_threads, row_chunks, run_blocks)
 
 __all__ = [
     "ChaosSum",
-    "SecondChaosSpectrum",
     "as_rank_one",
     "sample",
     "sample_batch",
@@ -48,48 +47,6 @@ __all__ = [
 ]
 
 Kernel = DenseKernel | RankOneSumKernel
-
-
-class SecondChaosSpectrum:
-    """A validated symmetric order-2 kernel matrix and its
-    eigendecomposition, eigenvectors in columns.
-
-    The decomposition is one np.linalg.eigh of the matrix, made when
-    eigenvalues or eigenvectors are first read and kept.  All eigenvalues
-    are kept, including numerically tiny ones: they change nothing and
-    thresholding would silently bias cumulants.  ||g g^T||_F^2 is kept
-    the same way, as a scalar: the bound and kappa_4 both read it, and
-    keeping g g^T itself would hold a second dim x dim array.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    @classmethod
-    def from_kernel(cls, g: DenseKernel) -> "SecondChaosSpectrum":
-        if g.order != 2:
-            raise ValidationError(
-                f"expected an order-2 kernel, got order {g.order}")
-        if not is_symmetric(g):
-            raise ValidationError("order-2 kernel is not symmetric")
-        return cls(g.values)
-
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.matrix)
-
-    @cached_property
-    def contraction_norm_squared(self) -> float:
-        """||g (x)_1 g||^2 = ||g g^T||_F^2, in row panels."""
-        return matrix_contraction_norm_squared(self.matrix)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigh[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eigh[1]
 
 
 def as_rank_one(kernel: Kernel) -> RankOneSumKernel:
@@ -183,8 +140,7 @@ def _eigen_terms(F: ChaosSum) -> list[tuple[int, None, np.ndarray]] | None:
     route.
     """
     g = F.kernels.get(2)
-    if (g is None or not set(F.orders) <= {1, 2} or g.terms != F.dim
-            or not g.orthonormal_terms):
+    if g is None or not set(F.orders) <= {1, 2} or not g.orthonormal_terms:
         return None
     terms = []
     if 1 in F.kernels:

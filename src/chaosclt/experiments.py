@@ -24,7 +24,7 @@ from .distances import EmpiricalSample, kolmogorov_distance, rate_fit
 from .errors import (NumericalError, ValidationError, check_even_power,
                      check_known_keys, checked_integer, checked_real)
 from .hermite import MAX_MONOMIAL_ORDER
-from .kernels import kernel_from_json
+from .kernels import RankOneSumKernel, kernel_from_json
 from .ratio import Perturbations, RatioFamily, ratio_bound, \
     sample_ratio_batch
 from .stationary import CovarianceFunction, PathSampler, even_power, \
@@ -87,9 +87,13 @@ def _require(condition: bool, message: str) -> None:
 # float counts passed to _check_size are tracemalloc peaks of one-thread
 # runs, rounded up: a rates run holds ~10 floats per path entry (another
 # worker adds ~6) and len(set(n_grid)) + 3 per replica, a diagnose-nz run
-# ~9 per lag of its m * n, a ratio run ~3.3 per replica.
+# ~9 per lag of its m * n, a ratio run ~3.3 per replica.  A bound input's
+# rank-one sums are checked as they are read: the general closed forms
+# hold T x T Gram arrays, ~4 floats per unit of sum T_j^2 over its kernels
+# of T_j terms (one order-2 kernel; orders {2, 4} take ~2.5).
 SIZE_BUDGET = 1 << 30
 _FLOATS_PER_LAG = 16
+_FLOATS_PER_TERM_PAIR = 6
 
 
 def _check_size(what: str, floats: int) -> None:
@@ -269,8 +273,13 @@ def run_bound_report(config: BoundConfig) -> tuple[ResultTable, list[dict]]:
         if not isinstance(kernel_list, list) or not kernel_list:
             raise ValidationError(f"{where}.kernels: expected a nonempty list")
         kernels = {}
+        term_pairs = 0
         for j, kdata in enumerate(kernel_list):
             kernel = kernel_from_json(kdata, where=f"{where}.kernels[{j}]")
+            if isinstance(kernel, RankOneSumKernel):
+                term_pairs += kernel.terms ** 2
+                _check_size(f"{where}.kernels[{j}] with {kernel.terms} terms",
+                            _FLOATS_PER_TERM_PAIR * term_pairs)
             if kernel.order in kernels:
                 raise ValidationError(
                     f"{where}: duplicate kernel order {kernel.order}")

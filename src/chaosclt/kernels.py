@@ -10,6 +10,9 @@ Two representations coexist:
 * RankOneSumKernel represents sum_i a_i v_i^(tensor p) and evaluates norms,
   self-contraction norms, and mixed inner products in closed form through
   the Gram matrix of its vectors, without ever materializing n**p entries.
+  The eigen-form of a dense order-2 kernel g is a RankOneSumKernel too,
+  but it holds no Gram: it holds g's SecondChaosSpectrum, and its closed
+  forms read g.
 
 The ambient Hilbert space is always R^n with the Euclidean inner product,
 so every contraction below is a plain Euclidean sum.  A rank-one sum is
@@ -26,17 +29,20 @@ O(n) memory, squared norms sum over diagonals in O(n), and mixed inner
 products need one Toeplitz matrix-vector product, a convolution.  The
 eigen-form of a dense order-2 kernel g (RankOneSumKernel.eigen_form) is
 bounded from g itself, since its contraction norms do not depend on a
-basis: ||g||_F^2, ||g g^T||_F and ||g f||.  The symmetry check and the
-closed forms that multiply g by itself run over row panels of at most
-PANEL_FLOATS floats, so beyond g they take O(dim) memory.  Only reading
-its coefficients or vectors (sampling, serialization, a pairing under a
-kernel of order >= 3) decomposes g.
+basis: ||g||_F^2, ||g g^T||_F and ||g f||.  Its SecondChaosSpectrum is
+the one home of that form: it keeps g, ||g g^T||_F^2 and, once read, the
+eigenpairs.  The symmetry check and the closed forms that multiply g by
+itself run over row panels of at most PANEL_FLOATS floats, so beyond g
+they take O(dim) memory.  Only reading its coefficients or vectors
+(sampling, serialization, a pairing under a kernel of order >= 3)
+decomposes g.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +55,7 @@ __all__ = [
     "DenseKernel",
     "RankOneSumKernel",
     "Gram",
+    "SecondChaosSpectrum",
     "DENSE_ENTRY_GUARD",
     "PANEL_FLOATS",
     "checked_sqrt_inner",
@@ -118,18 +125,15 @@ class DenseKernel:
 class Gram:
     """The Gram matrix G_ij = <v_i, v_j> of a rank-one sum's term vectors.
 
-    Built from exactly one of: the vectors V (terms x dim), G itself, the
-    first row of a symmetric Toeplitz G, or (Gram.eigenvectors) a
-    symmetric matrix whose eigenvectors are the vectors.  The missing
-    sides are computed on first access: G as V V^T or as the Toeplitz
-    matrix of its row, and V as the eigen square root of G (terms x
-    terms, so dim = terms).  Kernels built on one Gram share all of them,
-    so G is formed and factored at most once however many kernels use it.
-    A G given as a matrix or a row must be symmetric positive
-    semidefinite; that is the caller's to certify (see
-    breuer_major_kernels).  A G built from its row holds only that row
-    until its matrix is read.  A G built by Gram.eigenvectors is exactly
-    the identity and known to be (is_orthonormal).
+    Built from exactly one of: the vectors V (terms x dim), G itself, or
+    the first row of a symmetric Toeplitz G.  The missing sides are
+    computed on first access: G as V V^T or as the Toeplitz matrix of its
+    row, and V as the eigen square root of G (terms x terms, so
+    dim = terms).  Kernels built on one Gram share all of them, so G is
+    formed and factored at most once however many kernels use it.  A G
+    given as a matrix or a row must be symmetric positive semidefinite;
+    that is the caller's to certify (see breuer_major_kernels).  A G
+    built from its row holds only that row until its matrix is read.
     """
 
     def __init__(self, matrix: np.ndarray | None = None,
@@ -141,24 +145,9 @@ class Gram:
         self._matrix = matrix
         self._vectors = vectors
         self._toeplitz_row = row
-        self._spectrum = None
-
-    @classmethod
-    def eigenvectors(cls, spectrum) -> "Gram":
-        """The Gram of the eigenvectors of spectrum.matrix (a
-        chaos.SecondChaosSpectrum): exactly np.eye(dim), formed only if its
-        matrix is read and never as V V^T.  Its vectors are the rows of
-        spectrum.eigenvectors^T, so reading them decomposes the matrix,
-        once, in the spectrum."""
-        gram = cls.__new__(cls)
-        gram._matrix = gram._vectors = gram._toeplitz_row = None
-        gram._spectrum = spectrum
-        return gram
 
     @property
     def terms(self) -> int:
-        if self._spectrum is not None:
-            return self._spectrum.matrix.shape[0]
         for source in (self._matrix, self._vectors, self._toeplitz_row):
             if source is not None:
                 return source.shape[0]
@@ -170,9 +159,7 @@ class Gram:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            if self._spectrum is not None:
-                self._matrix = np.eye(self.terms)
-            elif self._vectors is None:
+            if self._vectors is None:
                 self._matrix = toeplitz.matrix(self._toeplitz_row)
             else:
                 self._matrix = self._vectors @ self._vectors.T
@@ -180,9 +167,7 @@ class Gram:
 
     @property
     def vectors(self) -> np.ndarray:
-        if self._vectors is None and self._spectrum is not None:
-            self._vectors = self._spectrum.eigenvectors.T
-        elif self._vectors is None:
+        if self._vectors is None:
             # unguarded clip: a row-built G is certified when it is built,
             # and at large n eigh can round below a row[0]-relative floor
             eigvals, eigvecs = np.linalg.eigh(self.matrix)
@@ -191,10 +176,8 @@ class Gram:
 
     @property
     def diagonal(self) -> np.ndarray:
-        """The diagonal of G; a row-built G's is its row[0] throughout and
-        an eigenvector G's is all ones, both read without forming G."""
-        if self._spectrum is not None:
-            return np.ones(self.terms)
+        """The diagonal of G; a row-built G's is its row[0] throughout,
+        read without forming G."""
         if self._toeplitz_row is not None:
             return np.full(self.terms, self._toeplitz_row[0])
         return np.diagonal(self.matrix)
@@ -204,12 +187,6 @@ class Gram:
         """The first row G was built from, or None for a G built from a
         matrix or from vectors, whatever its values."""
         return self._toeplitz_row
-
-    @property
-    def is_orthonormal(self) -> bool:
-        """Whether G was built by Gram.eigenvectors, and so is exactly the
-        identity; False for any other G, whatever its values."""
-        return self._spectrum is not None
 
 
 class RankOneSumKernel:
@@ -232,17 +209,16 @@ class RankOneSumKernel:
         return kernel
 
     @classmethod
-    def eigen_form(cls, spectrum) -> "RankOneSumKernel":
-        """The symmetric matrix g = spectrum.matrix (a
-        chaos.SecondChaosSpectrum) as the order-2 sum
-        sum_i lambda_i u_i^(tensor 2) over its eigenpairs, on
-        Gram.eigenvectors.  Nothing is decomposed here: coeffs and vectors
-        read the spectrum, which decomposes g on first read, and the closed
+    def eigen_form(cls, spectrum: SecondChaosSpectrum) -> "RankOneSumKernel":
+        """The symmetric matrix g = spectrum.matrix as the order-2 sum
+        sum_i lambda_i u_i^(tensor 2) over its orthonormal eigenvectors, so
+        that its Gram is exactly the identity.  The kernel holds spectrum
+        and no Gram.  Nothing is decomposed here: coeffs and vectors read
+        the spectrum, which decomposes g on first read, and the closed
         forms read g itself (eigen_matrix)."""
         kernel = cls.__new__(cls)
         kernel.order = 2
-        kernel._coeffs = None
-        kernel._gram = Gram.eigenvectors(spectrum)
+        kernel._spectrum = spectrum
         return kernel
 
     def _init(self, order, coeffs, gram: Gram) -> None:
@@ -257,45 +233,54 @@ class RankOneSumKernel:
         self.order = order
         self._coeffs = coeffs
         self._gram = gram
+        self._spectrum = None
 
     @property
     def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            return self._gram._spectrum.eigenvalues
+        if self._spectrum is not None:
+            return self._spectrum.eigenvalues
         return self._coeffs
 
     @property
     def eigen_matrix(self) -> np.ndarray | None:
         """The matrix g of a kernel built by eigen_form, else None."""
-        if self._coeffs is not None:
-            return None
-        return self._gram._spectrum.matrix
+        return None if self._spectrum is None else self._spectrum.matrix
 
     @property
     def terms(self) -> int:
+        if self._spectrum is not None:
+            return self._spectrum.matrix.shape[0]
         return self._gram.terms
 
     @property
     def dim(self) -> int:
-        return self._gram.dim
+        return self.terms if self._spectrum is not None else self._gram.dim
 
     @property
     def vectors(self) -> np.ndarray:
+        if self._spectrum is not None:
+            return self._spectrum.eigenvectors.T
         return self._gram.vectors
 
     @property
     def gram(self) -> np.ndarray:
+        """The Gram matrix of the term vectors; an eigen-form's is exactly
+        the identity, formed on each read."""
+        if self._spectrum is not None:
+            return np.eye(self.terms)
         return self._gram.matrix
 
     @property
     def orthonormal_terms(self) -> bool:
-        """Whether the term vectors are orthonormal by construction (see
-        Gram.eigenvectors), so that the Gram is exactly the identity."""
-        return self._gram.is_orthonormal
+        """Whether the term vectors are orthonormal by construction (built
+        by eigen_form), so that the Gram is exactly the identity."""
+        return self._spectrum is not None
 
     def shares_gram(self, other: "RankOneSumKernel") -> bool:
-        """Whether both kernels are built on one set of term vectors."""
-        return self._gram is other._gram
+        """Whether both kernels are built on one Gram of term vectors;
+        never for an eigen-form, which holds no Gram."""
+        return (self._spectrum is None and other._spectrum is None
+                and self._gram is other._gram)
 
     def __repr__(self):
         return (f"RankOneSumKernel(order={self.order}, terms={self.terms}, "
@@ -397,6 +382,48 @@ def matrix_cube_trace(g: np.ndarray) -> float:
                      for lo, hi, p in _square_panels(g)))
 
 
+class SecondChaosSpectrum:
+    """A validated symmetric order-2 kernel matrix and its
+    eigendecomposition, eigenvectors in columns.
+
+    The decomposition is one np.linalg.eigh of the matrix, made when
+    eigenvalues or eigenvectors are first read and kept.  All eigenvalues
+    are kept, including numerically tiny ones: they change nothing and
+    thresholding would silently bias cumulants.  ||g g^T||_F^2 is kept
+    the same way, as a scalar: the bound and kappa_4 both read it, and
+    keeping g g^T itself would hold a second dim x dim array.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @classmethod
+    def from_kernel(cls, g: DenseKernel) -> "SecondChaosSpectrum":
+        if g.order != 2:
+            raise ValidationError(
+                f"expected an order-2 kernel, got order {g.order}")
+        if not is_symmetric(g):
+            raise ValidationError("order-2 kernel is not symmetric")
+        return cls(g.values)
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.matrix)
+
+    @cached_property
+    def contraction_norm_squared(self) -> float:
+        """||g (x)_1 g||^2 = ||g g^T||_F^2, in row panels."""
+        return matrix_contraction_norm_squared(self.matrix)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigh[1]
+
+
 # ---------------------------------------------------------------------------
 # closed forms for rank-one sums
 # ---------------------------------------------------------------------------
@@ -487,7 +514,7 @@ def rank_one_contraction_norm(k: RankOneSumKernel, r: int) -> float:
     if not 1 <= r <= p - 1:
         raise ValidationError(f"need 1 <= r <= {p - 1}, got r={r}")
     if k.eigen_matrix is not None:
-        val = k._gram._spectrum.contraction_norm_squared
+        val = k._spectrum.contraction_norm_squared
     else:
         a = k.coeffs
         row = _equal_coeff_toeplitz_row(k)

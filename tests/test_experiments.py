@@ -1021,6 +1021,48 @@ class TestSizeBudget:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @staticmethod
+    def bound_document(*term_counts):
+        """A bound input of dim-1 rank-one sums of orders 2, 4, ... with
+        the given term counts."""
+        return {"inputs": [{"kernels": [
+            {"representation": "rank_one_sum", "order": 2 * (j + 1),
+             "dim": 1, "terms": [{"coeff": 1.0, "vector": [0.5]}] * terms}
+            for j, terms in enumerate(term_counts)]}]}
+
+    def test_bound_input_with_too_many_terms_exits_one(self, tmp_path,
+                                                       capsys):
+        # 30,000 terms fit in a 1 MB file, and the general closed forms
+        # would hold 30,000 x 30,000 Gram arrays of 6.7 GiB each
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.bound_document(30000)))
+        code = main(["bound", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: inputs[0].kernels[0] with 30000 terms")
+        assert "size budget" in err and "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_bound_term_budget_adds_the_kernels_of_an_input(self):
+        # 4,000 terms are within the budget alone, and two such kernels
+        # are not: the second one is named
+        with pytest.raises(ValidationError,
+                           match=r"^inputs\[0\]\.kernels\[1\] with 4000 "
+                                 r"terms .* size budget"):
+            run_bound_report(BoundConfig(**self.bound_document(4000, 4000)))
+
+    def test_bound_term_budget_fires_before_any_gram(self):
+        config = BoundConfig(**self.bound_document(30000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="size budget"):
+                run_bound_report(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     def test_readme_example_is_within_budget(self):
         config = RatesConfig(hurst=0.7, n_grid=[4096, 32768], replicas=1024,
                              seed=1, threads=1)

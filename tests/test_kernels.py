@@ -431,6 +431,18 @@ class TestSerialization:
         assert np.array_equal(back.coeffs, k.coeffs)
         assert np.array_equal(back.vectors, k.vectors)
 
+    def test_eigen_form_round_trips_as_its_eigenpairs(self):
+        # a dense order-2 kernel's eigen-form is written as its eigenpairs,
+        # read back as explicit terms, and still sums to g
+        a = np.random.default_rng(14).normal(size=(5, 5))
+        g = a + a.T
+        k = as_rank_one(DenseKernel(g))
+        back = kernel_from_json(kernel_to_json(k))
+        assert isinstance(back, RankOneSumKernel) and back.order == 2
+        assert np.array_equal(back.coeffs, k.coeffs)
+        assert np.array_equal(back.vectors, k.vectors)
+        assert np.max(np.abs(densify(back).values - g)) <= 1e-12
+
     def test_parse_errors_carry_location(self):
         with pytest.raises(ValidationError, match="kernel"):
             kernel_from_json({"representation": "dense"})
@@ -563,8 +575,8 @@ class TestContractionNormMirror:
 
 class TestOrthonormalGram:
     """Closed forms on the eigen-form of g = V^T diag(a) V (V orthogonal),
-    whose Gram is built by Gram.eigenvectors (exactly the identity),
-    against the dense contraction calculus."""
+    whose term vectors are orthonormal by construction (its Gram is
+    exactly the identity), against the dense contraction calculus."""
 
     @staticmethod
     def kernel(dim, seed):
@@ -593,9 +605,6 @@ class TestOrthonormalGram:
 
     def test_only_orthonormal_construction_is_known(self):
         k, _ = self.kernel(4, seed=6)
-        for gram in (Gram(matrix=np.eye(4)), Gram(vectors=np.eye(4)),
-                     Gram(row=np.array([1.0, 0.0, 0.0, 0.0]))):
-            assert not gram.is_orthonormal
         same = RankOneSumKernel.from_gram(2, k.coeffs, Gram(matrix=k.gram))
         assert not same.orthonormal_terms
         assert rank_one_contraction_norm(same, 1) == pytest.approx(

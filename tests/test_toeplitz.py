@@ -105,9 +105,14 @@ class TestProductTrace:
         assert peak < 3 * 2 ** 20
 
 
+def is_private(name: str) -> bool:
+    """Whether name has a leading underscore and is no dunder."""
+    return name.startswith("_") and not name.endswith("__")
+
+
 def private_sibling_imports(path: Path) -> list[str]:
-    """Names with a leading underscore (dunders aside) that the module at
-    path imports from another module of the package."""
+    """Private names (see is_private) that the module at path imports from
+    another module of the package."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if not isinstance(node, ast.ImportFrom):
@@ -115,8 +120,7 @@ def private_sibling_imports(path: Path) -> list[str]:
         if node.level == 0 and not (node.module or "").startswith("chaosclt"):
             continue
         found += [f"{path.name}: {alias.name}" for alias in node.names
-                  if alias.name.startswith("_")
-                  and not alias.name.endswith("__")]
+                  if is_private(alias.name)]
     return found
 
 
@@ -126,6 +130,27 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     sources = sorted(Path(chaosclt.__file__).parent.glob("*.py"))
     assert len(sources) > 10
     found = [name for path in sources for name in private_sibling_imports(path)]
+    assert found == []
+
+
+def private_attribute_chains(path: Path) -> list[str]:
+    """Reads of the form a._b._c in the module at path: a private
+    attribute (see is_private) of an object held in another one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_private(node.attr)
+            and isinstance(node.value, ast.Attribute)
+            and is_private(node.value.attr)]
+
+
+def test_no_module_chains_private_attributes():
+    # a._b._c reads the internals of an object that a's class does not
+    # define; the class that holds _b exposes what its readers need
+    sources = sorted(Path(chaosclt.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = [read for path in sources
+             for read in private_attribute_chains(path)]
     assert found == []
 
 
