@@ -26,10 +26,11 @@ When all coefficients are equal and the Gram was built from its first
 row, the closed forms run on that row alone (see chaosclt.toeplitz):
 contraction norms stream a trace of Toeplitz products in O(n^2) time and
 O(n) memory, squared norms sum over diagonals in O(n), and mixed inner
-products need one Toeplitz matrix-vector product, a convolution.  The
-eigen-form of a dense order-2 kernel g (RankOneSumKernel.eigen_form) is
-bounded from g itself, since its contraction norms do not depend on a
-basis: ||g||_F^2, ||g g^T||_F and ||g f||.  Its SecondChaosSpectrum is
+products need one Toeplitz matrix-vector product, by FFT on the size-2n
+circulant embedding in O(n log n).  The eigen-form of a dense order-2
+kernel g (RankOneSumKernel.eigen_form) is bounded from g itself, since
+its contraction norms do not depend on a basis: ||g||_F^2, ||g g^T||_F
+and ||g f||.  Its SecondChaosSpectrum is
 the one home of that form: it keeps g, ||g g^T||_F^2 and, once read, the
 eigenpairs.  The symmetry check and the closed forms that multiply g by
 itself run over row panels of at most PANEL_FLOATS floats, so beyond g
@@ -537,10 +538,10 @@ def rank_one_mixed_inner(kp: RankOneSumKernel, kq: RankOneSumKernel) -> float:
     Kernels on one Gram G have cross Gram G itself.  When that G was built
     from its first row g and each kernel's coefficients are equal, u is
     a b times the row sums of T(g**p), read off prefix sums, and
-    T(g**(q-p)) u is one convolution (see toeplitz.matvec).  When kq is
-    the eigen-form of a matrix g, q = 2 and kp is the vector
-    f = sum_i a_i v_i, so the sum is f^T g g^T f = ||g f||^2 (g symmetric),
-    one matrix-vector product.
+    T(g**(q-p)) u is one FFT product on the circulant embedding (see
+    toeplitz.matvec).  When kq is the eigen-form of a matrix g, q = 2 and
+    kp is the vector f = sum_i a_i v_i, so the sum is
+    f^T g g^T f = ||g f||^2 (g symmetric), one matrix-vector product.
     """
     p, q = kp.order, kq.order
     if q <= p:

@@ -44,10 +44,11 @@ starts from 16 (2**14 in a block of BLOCK_SIZE rows) on, where it paid in
 every round.  The ratio sampler, at 5, has no threads setting and runs on
 the calling thread.
 
-Layout of stream protocol 7 (STREAM_PROTOCOL).  seed and stream are both
-in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64 generator
-seeded by numpy's SeedSequence from the entropy (seed, stream, b, s), each
-value written as two little-endian 32-bit words (block_generator):
+Layout of stream protocol 7 (STREAM_PROTOCOL).  seed, stream and block
+are integers in [0, 2**64).  Substream s (0 or 1) of block b is an SFC64
+generator seeded by numpy's SeedSequence from the entropy (seed, stream,
+b, s), each value written as two little-endian 32-bit words
+(block_generator):
 
 * substream 0 holds the block's standard normals (block_normals), drawn
   row-major as one (count, width) matrix;
@@ -152,17 +153,33 @@ MIN_POOL_VARIATES = 1 << 14
 KEY_LIMIT = 1 << 64
 
 
+def _key(value, name: str) -> int:
+    """value as one 64-bit key word, else a ValidationError naming it.
+
+    An exact int in range passes as it is; anything else goes through
+    checked_integer, so 1.5, True and NaN are rejected rather than cast to
+    another stream's key, and an integral float such as 3.0 is 3.
+    """
+    if type(value) is int and 0 <= value < KEY_LIMIT:
+        return value
+    value = checked_integer(value, name, 0)
+    if value >= KEY_LIMIT:
+        raise ValidationError(f"{name} must be below 2**64, got {value}")
+    return value
+
+
 def block_generator(seed: int, stream: int, block: int,
                     substream: int = 0) -> np.random.Generator:
     """Generator for one substream (0 or 1) of one replica block of the
     (seed, stream) stream: SFC64 seeded by SeedSequence hashing of
-    (seed, stream, block, substream), each as two 32-bit words."""
-    if seed < 0 or stream < 0 or block < 0:
-        raise ValidationError("seed, stream and block must be nonnegative")
-    if seed >= KEY_LIMIT or stream >= KEY_LIMIT:
-        raise ValidationError(
-            f"seed and stream must be below 2**64, got seed={seed}, "
-            f"stream={stream}")
+    (seed, stream, block, substream), each as two 32-bit words.
+
+    seed, stream and block must be integers in [0, 2**64); an integral
+    float counts as its integer, and anything else raises a
+    ValidationError (_key).
+    """
+    seed, stream, block = (_key(seed, "seed"), _key(stream, "stream"),
+                           _key(block, "block"))
     if substream not in (0, 1):
         raise ValidationError(f"substream must be 0 or 1, got {substream}")
     # fixed-width words: numpy splits a Python int of 2**32 or more into

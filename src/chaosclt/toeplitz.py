@@ -5,6 +5,10 @@ Gram of the Breuer-Major kernels are both of this form; stationary and
 kernels reach them through the helpers here and never build the mirrored
 row or the dense matrix themselves.  Whether such a covariance is
 positive semidefinite is decided here too, once for both (certify_psd).
+
+T(row) is the leading block of a size-2n circulant (circulant_eigenvalues),
+which FFTs diagonalize; the path sampler draws through that embedding, and
+matvec multiplies by T(row) through it in O(n log n) time.
 """
 
 from __future__ import annotations
@@ -32,8 +36,18 @@ def matrix(row: np.ndarray) -> np.ndarray:
 
 
 def matvec(row: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T(row) @ v: one convolution with the mirrored row, in O(n) memory."""
-    return np.convolve(mirrored(row), v, "valid")
+    """T(row) @ v in O(n log n) time and O(n) memory, by three real FFTs of
+    size 2n.
+
+    T(row) is the leading n x n block of the size-2n circulant embedding
+    (circulant_eigenvalues), so T(row) @ v is the first n entries of the
+    circulant's product with v padded by n zeros: its eigenvalues times
+    the transform of that vector, transformed back.  The embedding's lag-n
+    entry meets only the padding, so 0 stands there.
+    """
+    n = row.size
+    lam = circulant_eigenvalues(np.append(row, 0.0))
+    return np.fft.irfft(lam * np.fft.rfft(v, 2 * n), 2 * n)[:n]
 
 
 def pair_counts(n: int) -> np.ndarray:

@@ -186,6 +186,32 @@ class TestKeyRange:
         with pytest.raises(ValidationError, match="substream"):
             block_generator(0, 0, 0, substream=2)
 
+    @pytest.mark.parametrize("bad", [1.5, True, float("nan"), -1, 2 ** 64])
+    @pytest.mark.parametrize("slot", ["seed", "stream", "block"])
+    def test_non_key_values_rejected_naming_the_slot(self, slot, bad):
+        # before the check, 1.5 and True drew key 1's stream and NaN
+        # raised numpy's bare ValueError
+        key = dict(seed=1, stream=0, block=0)
+        key[slot] = bad
+        with pytest.raises(ValidationError, match=slot):
+            block_generator(**key)
+
+    def test_integral_float_is_its_integer(self):
+        want = block_generator(3, 3, 3).standard_normal(4)
+        got = block_generator(3.0, 3.0, 3.0).standard_normal(4)
+        assert np.array_equal(got, want)
+
+    def test_samplers_reject_a_fractional_seed(self):
+        fam = ratio.RatioFamily(lam=100.0, rho_const=1.0, sigma1=1.0,
+                                sigma2=1.0)
+        F = chaos.ChaosSum({1: DenseKernel(np.ones(4))})
+        with pytest.raises(ValidationError, match="seed"):
+            ratio.sample_ratio_batch(fam, 10, seed=1.5)
+        with pytest.raises(ValidationError, match="seed"):
+            chaos.sample_batch(F, 10, seed=1.5)
+        with pytest.raises(ValidationError, match="seed"):
+            sample_paths(CovarianceFunction.fgn(0.7), 4, 10, seed=True)
+
 
 class TestRunBlocks:
     @staticmethod

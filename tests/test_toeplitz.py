@@ -23,6 +23,46 @@ class TestMatvec:
         assert np.allclose(got, toeplitz(row) @ v, rtol=0.0,
                            atol=1e-14 * n * scale)
 
+    @pytest.mark.parametrize("n", [2048, 4097])
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    def test_fgn_rows_within_a_normwise_fft_bound(self, hurst, n):
+        # The FFT product errs by O(eps log2(2n)) ||row||_2 ||v||_2 in the
+        # 2-norm, and the dense product by about as much; 4 times that
+        # bound leaves a tenfold margin over both together (~0.35 here).
+        row = CovarianceFunction.fgn(hurst).lag_array(n)
+        v = np.random.default_rng(n).normal(size=n)
+        got = toeplitz_module.matvec(row, v)
+        bound = (4 * np.finfo(float).eps * np.log2(2 * n)
+                 * np.linalg.norm(row) * np.linalg.norm(v))
+        assert got.shape == (n,)
+        assert np.linalg.norm(got - toeplitz(row) @ v) <= bound
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_sizes_are_exact(self, n):
+        # On small integers every sum and product is exact, and so are the
+        # size-2 and size-4 FFTs, whose twiddles are +-1 and +-i.
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            row = rng.integers(-50, 50, size=n).astype(float)
+            v = rng.integers(-50, 50, size=n).astype(float)
+            assert np.array_equal(toeplitz_module.matvec(row, v),
+                                  toeplitz(row) @ v)
+
+    def test_peak_memory_is_a_few_vectors(self):
+        # O(n) memory: the padded vector, the embedding and their
+        # transforms peak at about 6 n floats; the dense T would be n^2.
+        n = 1 << 16
+        rng = np.random.default_rng(0)
+        row, v = rng.normal(size=n), rng.normal(size=n)
+        toeplitz_module.matvec(row, v)  # plan the FFTs of this size
+        tracemalloc.start()
+        try:
+            toeplitz_module.matvec(row, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
+
 
 class TestPairCounts:
     @pytest.mark.parametrize("n", [1, 2, 5])
