@@ -201,7 +201,7 @@ class TestKeyRange:
         got = block_generator(3.0, 3.0, 3.0).standard_normal(4)
         assert np.array_equal(got, want)
 
-    def test_samplers_reject_a_fractional_seed(self):
+    def test_samplers_reject_a_non_integer_seed(self):
         fam = ratio.RatioFamily(lam=100.0, rho_const=1.0, sigma1=1.0,
                                 sigma2=1.0)
         F = chaos.ChaosSum({1: DenseKernel(np.ones(4))})

@@ -28,7 +28,7 @@ class TestMatvec:
     def test_fgn_rows_within_a_normwise_fft_bound(self, hurst, n):
         # The FFT product errs by O(eps log2(2n)) ||row||_2 ||v||_2 in the
         # 2-norm, and the dense product by about as much; 4 times that
-        # bound leaves a tenfold margin over both together (~0.35 here).
+        # bound leaves a tenfold margin: both together read ~0.35 of it.
         row = CovarianceFunction.fgn(hurst).lag_array(n)
         v = np.random.default_rng(n).normal(size=n)
         got = toeplitz_module.matvec(row, v)
